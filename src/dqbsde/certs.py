@@ -340,13 +340,75 @@ class FalsificationReport:
         return self.violation_count == 0
 
 
+# Philox4x64-10 (Salmon et al., SC'11) exactly as np.random.Philox computes it.
+# Every constant that meets a uint64 array is itself np.uint64, so no operation
+# can promote to float64 under any numpy's casting rules.
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
+_PHILOX_ROUNDS = 10
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+# the two round multipliers, each with its low and high 32-bit limbs
+_PHILOX_M0, _PHILOX_M1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+                          for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_SAMPLE_BLOCK = 2 ** 16  # samples generated per batch; bounds the temporaries
+
+
+def _philox_round_keys(seed: int) -> list:
+    """The ten (key0, key1) round keys for key = seed, as np.random.Philox
+    splits it: key0 = seed mod 2**64, key1 = seed >> 64."""
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError("seed must be >= 0 and < 2**128")
+    seed = int(seed)
+    key = (seed & (2 ** 64 - 1), seed >> 64)
+    return [tuple(np.uint64((k + r * w) % 2 ** 64) for k, w in zip(key, _PHILOX_W))
+            for r in range(_PHILOX_ROUNDS)]
+
+
+def _mulhilo(a: np.ndarray, mult) -> tuple:
+    """(hi, lo) words of the 128-bit product of uint64 `a` and a round
+    multiplier; lo wraps, hi is assembled from 32-bit limbs."""
+    m, m_lo, m_hi = mult
+    a_lo = a & _MASK32
+    a_hi = a >> _SHIFT32
+    hi_lo = a_hi * m_lo
+    lo_hi = a_lo * m_hi
+    mid = ((a_lo * m_lo) >> _SHIFT32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    hi = a_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * m
+
+
+def _philox_uniforms(round_keys: list, index: np.ndarray, per_sample: int) -> np.ndarray:
+    """Row r holds the first per_sample doubles that
+    np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index[r]]))
+    draws: block j is Philox4x64-10 of counter (j+1, 0, 0, index[r]), its four
+    words taken in order, each mapped to (w >> 11) * 2**-53."""
+    blocks = -(-per_sample // 4)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    # (m, blocks) lanes; broadcasting keeps the first rounds on the distinct values
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1, c2 = zero, zero
+    c3 = np.asarray(index, dtype=np.uint64)[:, None]
+    for k0, k1 in round_keys:
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.empty((len(index), blocks, 4), dtype=np.uint64)
+    for w, c in enumerate((c0, c1, c2, c3)):
+        words[:, :, w] = c
+    words = words.reshape(len(index), 4 * blocks)[:, :per_sample]
+    return (words >> _SHIFT11).astype(np.float64) * 2.0 ** -53
+
+
 def _sample_uniforms(seed: int, count: int, per_sample: int) -> np.ndarray:
     """(count, per_sample) uniforms; sample i comes from its own counter block
     of a counter-based generator, so any index partition reproduces them."""
     out = np.empty((count, per_sample))
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, i]))
-        out[i] = gen.random(per_sample)
+    round_keys = _philox_round_keys(seed)
+    for start in range(0, count, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, count)
+        index = np.arange(start, stop, dtype=np.uint64)
+        out[start:stop] = _philox_uniforms(round_keys, index, per_sample)
     return out
 
 

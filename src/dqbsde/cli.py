@@ -458,6 +458,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise UsageError("--threads must be >= 1")
+        if getattr(args, "falsify", 0) < 0:
+            raise UsageError("--falsify must be >= 0")
         if not 0 <= args.seed < 2 ** 64:
             raise UsageError("--seed must fit in an unsigned 64-bit integer")
         return args.func(args)

@@ -84,6 +84,11 @@ class TestCertify:
         assert run("certify", "--config", path, "--out", out, "--strict",
                    "--falsify", "500") == 4
 
+    def test_negative_falsify_is_usage_error(self, tmp_path, remark_cfg, capsys):
+        out = str(tmp_path / "o")
+        assert run("certify", "--config", remark_cfg, "--out", out, "--falsify", "-5") == 1
+        assert "--falsify" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, tmp_path, remark_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run("certify", "--config", remark_cfg, "--out", str(out1), "--falsify", "100")

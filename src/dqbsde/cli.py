@@ -30,6 +30,10 @@ EXIT_STRICT = 4
 
 RESIDUAL_SLACK = -1e-9
 
+# Rows per chunk of CSV text: a writer holds the strings of one block of rows,
+# never those of a whole layer or table.
+CSV_BLOCK_ROWS = 64
+
 
 class UsageError(Exception):
     pass
@@ -60,12 +64,20 @@ def _write_report(path: Path, pairs) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(chunks)
+
+
+def _float_rows(*columns):
+    """CSV lines whose cells are the broadcast float columns in C order, as
+    shortest round-trip reprs, a block of rows per chunk."""
+    columns = np.broadcast_arrays(*columns)
+    for lo in range(0, columns[0].size, CSV_BLOCK_ROWS):
+        block = np.stack([c.flat[lo:lo + CSV_BLOCK_ROWS] for c in columns], -1).tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _parse_range(text: str, name: str):
@@ -137,13 +149,8 @@ def cmd_check(args) -> int:
                 _parse_range(args.xrange, "xrange"),
                 _parse_range(args.yrange, "yrange"),
                 _parse_range(args.crange, "crange"))
-            rows = (
-                (repr(float(x)), repr(float(y)), repr(float(c)),
-                 repr(float(scan.residuals[i, j, l])))
-                for i, x in enumerate(scan.xs)
-                for j, y in enumerate(scan.ys)
-                for l, c in enumerate(scan.cs))
-            _write_csv(out, ("x", "y", "C", "residual"), rows)
+            X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
+            _write_csv(out, ("x", "y", "C", "residual"), _float_rows(X, Y, C, scan.residuals))
             print(f"minResidual = {_fmt(scan.min_residual)} at "
                   f"x={_fmt(scan.argmin[0])} y={_fmt(scan.argmin[1])} C={_fmt(scan.argmin[2])}")
             print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
@@ -155,14 +162,9 @@ def cmd_check(args) -> int:
             _parse_range(args.lrange, "lrange"),
             _parse_range(args.erange, "erange"),
             _parse_range(args.zrange, "zrange"))
-        rows = (
-            (repr(float(L)), repr(float(a)), repr(float(e)), repr(float(z)),
-             repr(float(scan.residuals[ia, il, ie, iz])))
-            for ia, a in enumerate(scan.alphas)
-            for il, L in enumerate(scan.ls)
-            for ie, e in enumerate(scan.es)
-            for iz, z in enumerate(scan.zs))
-        _write_csv(out, ("L", "alpha", "eps", "z", "residual"), rows)
+        A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
+        _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
+                   _float_rows(L, A, E, Z, scan.residuals))
         print(f"minResidual = {_fmt(scan.min_residual)} at "
               f"L={_fmt(scan.argmin[0])} alpha={_fmt(scan.argmin[1])} "
               f"eps={_fmt(scan.argmin[2])} z={_fmt(scan.argmin[3])}")
@@ -176,29 +178,26 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.LatticeModel):
-    n = field.n
-    d = lattice.d
+    n, d, steps = field.n, lattice.d, lattice.grid.steps
     header = (["layer", "nodeIndex", "t"]
               + [f"W_{j}" for j in range(1, d + 1)]
               + [f"Y_{i}" for i in range(1, n + 1)]
               + [f"Z_{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)])
 
-    def rows():
-        for k in range(lattice.grid.steps + 1):
+    def lines():
+        for k in range(steps + 1):
+            t_text = repr(lattice.grid.time(k))
+            tail = "\n" if k < steps else "," * (n * d) + "\n"
             W = lattice.brownian(k)
-            t_k = lattice.grid.time(k)
-            has_z = k < lattice.grid.steps
-            for idx in range(lattice.layer_size(k)):
-                row = [str(k), str(idx), repr(float(t_k))]
-                row += [repr(float(w)) for w in W[idx]]
-                row += [repr(float(v)) for v in field.y[k][idx]]
-                if has_z:
-                    row += [repr(float(v)) for v in field.z[k][idx].reshape(-1)]
-                else:
-                    row += [""] * (n * d)
-                yield row
+            for lo in range(0, len(W), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                cells = [W[block], field.y[k][block]]
+                if k < steps:
+                    cells.append(field.z[k][block].reshape(-1, n * d))
+                yield "".join(f"{k},{idx},{t_text},{','.join(map(repr, row))}{tail}"
+                              for idx, row in enumerate(np.concatenate(cells, 1).tolist(), lo))
 
-    _write_csv(path, header, rows())
+    _write_csv(path, header, lines())
 
 
 def cmd_solve(args) -> int:
@@ -298,9 +297,9 @@ def cmd_compare(args) -> int:
         oracle_layers = drivers.oracle_linear(shape[0], shape[1], term, lattice)
         oracle_y = [a[:, None] for a in oracle_layers]
     else:  # joint
-        oracle_field = drivers.oracle_joint_picard(instance, lattice,
-                                                   tight_tol=args.tol / 100.0)
-        oracle_y = oracle_field.y
+        # Only Y is compared; dropping the oracle's Z frees it before the solve below.
+        oracle_y = drivers.oracle_joint_picard(instance, lattice,
+                                               tight_tol=args.tol / 100.0).y
 
     if args.mode == "triangular":
         field = drivers.solve_triangular(instance, lattice, tol=args.tol,
@@ -309,7 +308,8 @@ def cmd_compare(args) -> int:
         field, _ = engine.picard_solve(instance, lattice, tol=args.tol,
                                        max_iter=args.max_iter)
     else:
-        field = engine.backward_solve(instance, lattice, inner_tol=args.inner_tol)
+        field = engine.backward_solve(instance, lattice, inner_tol=args.inner_tol,
+                                      inner_max_iter=args.max_iter)
 
     max_diff, at_layer, at_node = 0.0, 0, 0
     for k, (ya, yb) in enumerate(zip(field.y, oracle_y)):
@@ -371,7 +371,7 @@ def cmd_converge(args) -> int:
         field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol)
         y0 = float(field.y[0][0, 0])
         err = abs(y0 - reference)
-        rows.append((str(N), repr(float(grid.dt)), repr(y0), repr(err)))
+        rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n")
         errors.append(err)
         dts.append(grid.dt)
     _write_csv(Path(args.out) / "converge.csv", ("N", "dt", "y0", "error"), rows)

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import csv
+import math
 
+import numpy as np
 import pytest
 
+import dqbsde as q
+from dqbsde import certs, cli, engine
 from dqbsde.cli import main
+from dqbsde.model import TimeGrid
 
-from conftest import (planted_h2_config, pure_quadratic_config, remark22_config,
+from conftest import (make, planted_h2_config, pure_quadratic_config, remark22_config,
                       structured_config, triangular_demo_config, write_config)
 
 
@@ -215,3 +220,151 @@ class TestConverge:
         assert run("converge", "--config", pq_cfg, "--n-list", "25,50,100,200",
                    "--out", str(out)) == 0
         assert "slope = " in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against the cell-by-cell writers they replaced
+# ---------------------------------------------------------------------------
+
+def reference_solution_csv(path, field, lattice):
+    """The cell-by-cell solution.csv writer the block writer must match."""
+    n = field.n
+    d = lattice.d
+    header = (["layer", "nodeIndex", "t"]
+              + [f"W_{j}" for j in range(1, d + 1)]
+              + [f"Y_{i}" for i in range(1, n + 1)]
+              + [f"Z_{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(lattice.grid.steps + 1):
+            W = lattice.brownian(k)
+            t_k = lattice.grid.time(k)
+            has_z = k < lattice.grid.steps
+            for idx in range(lattice.layer_size(k)):
+                row = [str(k), str(idx), repr(float(t_k))]
+                row += [repr(float(w)) for w in W[idx]]
+                row += [repr(float(v)) for v in field.y[k][idx]]
+                if has_z:
+                    row += [repr(float(v)) for v in field.z[k][idx].reshape(-1)]
+                else:
+                    row += [""] * (n * d)
+                fh.write(",".join(row) + "\n")
+
+
+def reference_check_rows(scan):
+    """The per-element check.csv rows the block writer must match."""
+    if isinstance(scan, certs.LogScanResult):
+        return ((repr(float(x)), repr(float(y)), repr(float(c)),
+                 repr(float(scan.residuals[i, j, l])))
+                for i, x in enumerate(scan.xs)
+                for j, y in enumerate(scan.ys)
+                for l, c in enumerate(scan.cs))
+    return ((repr(float(L)), repr(float(a)), repr(float(e)), repr(float(z)),
+             repr(float(scan.residuals[ia, il, ie, iz])))
+            for ia, a in enumerate(scan.alphas)
+            for il, L in enumerate(scan.ls)
+            for ie, e in enumerate(scan.es)
+            for iz, z in enumerate(scan.zs))
+
+
+def assert_same_solution_csv(tmp_path, field, lattice):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    cli._solution_csv(new, field, lattice)
+    reference_solution_csv(ref, field, lattice)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+SPECIAL_VALUES = (-0.0, 5e-324, 1e300, 1 / 3, 2.0, -1e-300, 0.1, -7.25)
+
+
+def synthetic_field(lattice, n, offset=0):
+    """A field whose cells cycle through SPECIAL_VALUES."""
+    def cells(shape, start):
+        count = math.prod(shape)
+        picks = [SPECIAL_VALUES[(start + i) % len(SPECIAL_VALUES)] for i in range(count)]
+        return np.array(picks, dtype=float).reshape(shape), start + count
+
+    ys, zs, at = [], [], offset
+    for k in range(lattice.grid.steps + 1):
+        m = lattice.layer_size(k)
+        y, at = cells((m, n), at)
+        ys.append(y)
+        if k < lattice.grid.steps:
+            z, at = cells((m, n, lattice.d), at)
+            zs.append(z)
+    return engine.SolutionField(ys, zs)
+
+
+class TestSolutionWriter:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_field_matches_reference(self, tmp_path, d, n):
+        base = pure_quadratic_config(N=6) if n == 1 else remark22_config(N=6)
+        cfg = dict(base, **{"problem.d": d, "terminal.1": f"0.25*clamp(w{d},-1,1)"})
+        instance, lattice = make(cfg)
+        field = q.backward_solve(instance, lattice)
+        assert field.n == n and lattice.d == d
+        assert_same_solution_csv(tmp_path, field, lattice)
+
+    def test_zero_dt_grid(self, tmp_path):
+        # T = 0 gives dt = 0: W cells of negative 2u - k are -0.0.
+        instance, lattice = make(dict(remark22_config(N=4), **{"problem.T": 0.0}))
+        assert lattice.grid.dt == 0.0
+        field = q.backward_solve(instance, lattice)
+        assert_same_solution_csv(tmp_path, field, lattice)
+        assert "-0.0" in (tmp_path / "new.csv").read_text()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_special_values(self, tmp_path, d):
+        lattice = engine.build_lattice(TimeGrid(1.0, 5), d)
+        field = synthetic_field(lattice, n=2)
+        assert_same_solution_csv(tmp_path, field, lattice)
+        text = (tmp_path / "new.csv").read_text()
+        for token in ("-0.0", "5e-324", "1e+300", "0.3333333333333333", "2.0"):
+            assert token in text
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_layers_around_the_block_size(self, tmp_path, monkeypatch, d):
+        # Layer sizes 1, 2 | 3 | 4, 5, 6 (d = 1) and 1, 4, 9, ... (d = 2)
+        # fall below, on and above a block of 3 rows.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=1, offset=3), lattice)
+
+
+class TestCheckWriter:
+    @pytest.mark.parametrize("argv", [
+        ["--inequality", "log", "--xrange", "1e-6:1e6:13", "--yrange", "1e-3:1e3:7",
+         "--crange", "1e-2:1e4:5"],
+        ["--inequality", "young"],
+        ["--inequality", "young", "--alphas=-0.5,0.3", "--lrange", "1:1:1",
+         "--erange", "1e-1:1e1:3", "--zrange", "1e-1:1e1:70"],
+    ])
+    def test_matches_reference_rows(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run("check", *argv, "--out", str(out)) == 0
+        ns = cli._build_parser().parse_args(["check", *argv])
+        if ns.inequality == "log":
+            scan = certs.scan_log_inequality(cli._parse_range(ns.xrange, "x"),
+                                             cli._parse_range(ns.yrange, "y"),
+                                             cli._parse_range(ns.crange, "c"))
+            header = "x,y,C,residual"
+        else:
+            scan = certs.scan_young_power([float(a) for a in ns.alphas.split(",")],
+                                          cli._parse_range(ns.lrange, "l"),
+                                          cli._parse_range(ns.erange, "e"),
+                                          cli._parse_range(ns.zrange, "z"))
+            header = "L,alpha,eps,z,residual"
+        want = header + "\n" + "".join(",".join(row) + "\n" for row in reference_check_rows(scan))
+        assert (out / "check.csv").read_bytes() == want.encode("utf-8")
+
+
+class TestCompareMaxIter:
+    def test_direct_mode_honours_max_iter(self, tmp_path, remark_cfg, capsys):
+        # remark22 needs about five inner y-iterations per layer.
+        out = str(tmp_path / "o")
+        assert run("compare", "--config", remark_cfg, "--oracle", "joint",
+                   "--mode", "direct", "--max-iter", "1", "--out", out) == 3
+        assert "solver error" in capsys.readouterr().err
+        assert run("compare", "--config", remark_cfg, "--oracle", "joint",
+                   "--mode", "direct", "--tolerance", "1e-6", "--out", out) == 0

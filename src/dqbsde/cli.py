@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,9 +44,20 @@ class StrictFailure(Exception):
     pass
 
 
+# A value of these options may start with '-' and a digit or '.', as in
+# ``--alphas -0.5,0.3`` or ``--xrange -1:1:5``.  argparse would take it for an
+# option, so each such pair is joined into ``--alphas=-0.5,0.3`` first (the
+# arguments are matched with a NUL before each, which no argument contains).
+_SIGNED_PAIR = re.compile(r"(\0--(alphas|[xyclez]range))\0(?=-[0-9.])")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        text = "".join("\0" + a for a in (sys.argv[1:] if args is None else args))
+        return super().parse_known_args(_SIGNED_PAIR.sub(r"\1=", text).split("\0")[1:], namespace)
 
 
 def _fmt(value) -> str:
@@ -397,6 +409,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--max-nodes", type=int, default=engine.DEFAULT_NODE_BUDGET)
+    solver = _Parser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-10)
+    solver.add_argument("--max-iter", type=int, default=200)
+    solver.add_argument("--inner-tol", type=float, default=1e-12)
 
     parser = _Parser(prog="dqbsde",
                      description="Diagonally quadratic BSDE lattice solver and certifier")
@@ -420,26 +436,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--zrange", default="1e-2:1e2:12")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", parents=[common], help="solve the instance")
+    p = sub.add_parser("solve", parents=[common, solver], help="solve the instance")
     p.add_argument("--mode", choices=("direct", "picard", "stitched", "triangular"),
                    default="direct")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--inner-tol", type=float, default=1e-12)
     p.add_argument("--horizon", default="adaptive",
                    help="stitched chunk length in time units, or 'adaptive'")
     p.add_argument("--z-truncation", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[common, solver],
                        help="compare a solve against a reference oracle")
     p.add_argument("--oracle", choices=("pure_quadratic", "linear", "joint"),
                    required=True)
     p.add_argument("--mode", choices=("direct", "picard", "triangular"),
                    default="direct")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--inner-tol", type=float, default=1e-12)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_compare)
 

@@ -30,8 +30,8 @@ from . import certs
 from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
                      SolutionField, SolverError, backward_range, compile_driver,
                      cond_exp, log_cond_exp, picard_range, terminal_values)
-from .gendsl import (Bin, EvalEnv, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR,
-                     YVar, check_triangular_deps, eval_expr)
+from .gendsl import (Bin, EvalEnv, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED,
+                     TRIANGULAR, YVar, check_triangular_deps, eval_expr, sum_squares)
 from .model import ProblemInstance
 
 
@@ -142,7 +142,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
             ys_full[k] = ys[j]
         for j, k in enumerate(range(k_lo, k_hi)):
             zs_full[k] = zs[j]
-        sup = max(float(np.sqrt((a * a).sum(-1)).max()) for a in ys)
+        sup = max(float(np.sqrt(sum_squares(a)).max()) for a in ys)
         chunks.append(ChunkRecord(start_layer=k_hi, end_layer=k_lo,
                                   horizon=(k_hi - k_lo) * dt,
                                   iterations=iters, final_change=final, sup_y=sup))
@@ -150,7 +150,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
         k_hi = k_lo
 
     cert = certs.build_certificate(instance)
-    sup_total = max((c.sup_y for c in chunks), default=float(np.sqrt((term * term).sum(-1)).max()))
+    sup_total = max((c.sup_y for c in chunks), default=float(np.sqrt(sum_squares(term)).max()))
     plan = StitchPlan(chunks=chunks, halvings=halvings, mode=mode,
                       lambda_bound=cert.lambda_bound, sup_y=sup_total,
                       within_lambda=all(c.sup_y <= cert.lambda_bound for c in chunks))
@@ -258,8 +258,9 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
     for i in range(1, n + 1):
         expr = gen.k[i - 1]
+        plan = EvalPlan([expr.root])
 
-        def drv(k, t, y, z, _i=i, _expr=expr):
+        def drv(k, t, y, z, _i=i, _expr=expr, _plan=plan):
             m = y.shape[0]
             Y = np.zeros((m, n))
             Y[:, :_i - 1] = y_full[k][:, :_i - 1]
@@ -268,8 +269,9 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
             if k < N:
                 Z[:, :_i - 1, :] = z_full[k][:, :_i - 1, :]
             Z[:, _i - 1, :] = z[:, 0, :]
-            out = np.asarray(eval_expr(_expr, EvalEnv(t=t, y=Y, z=Z)), dtype=float)
-            return np.broadcast_to(out, (m,)).reshape(m, 1)
+            values = _plan.run(t, Y, Z)
+            out = values[0] if values is not None else eval_expr(_expr, EvalEnv(t=t, y=Y, z=Z))
+            return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
 
         problem = ScalarProblem(driver=drv, terminal=term[:, i - 1:i])
         try:

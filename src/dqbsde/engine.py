@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gendsl import EvalEnv, EvalError, GeneratorModel, STRUCTURED, eval_expr
+from .gendsl import (Bin, EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
+                     sum_squares)
 from .model import ProblemInstance, TimeGrid
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -210,7 +211,7 @@ def sup_norm_y(field_: SolutionField) -> float:
     best = 0.0
     for ya in field_.y:
         if ya.size:
-            best = max(best, float(np.sqrt((ya * ya).sum(-1)).max()))
+            best = max(best, float(np.sqrt(sum_squares(ya)).max()))
     return best
 
 
@@ -226,7 +227,7 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
     acc = np.zeros(lattice.layer_size(N))
     best = 0.0
     for k in range(N - 1, -1, -1):
-        quad = (field_.z[k] ** 2).sum(axis=(1, 2)) * dt
+        quad = sum_squares(field_.z[k], 2) * dt
         acc = quad + cond_exp(lattice, k, acc)
         best = max(best, float(acc.max()))
     return math.sqrt(best)
@@ -238,20 +239,42 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
 
 def compile_driver(gen: GeneratorModel) -> tuple:
     """Return (driver, y_dependent) with driver(k, t, y (m,n), z (m,n,d)) -> (m,n);
-    the layer index k lets composed drivers substitute already-solved fields."""
-    n = gen.n
+    the layer index k lets composed drivers substitute already-solved fields.
 
-    def driver(k, t, y, z):
+    The driver evaluates all components through one ``EvalPlan`` and keeps
+    the plan's t/z stage of its last call, keyed on k, t and the identity
+    of z, so the inner y-iteration reruns only the y-dependent ops.
+    Callers must therefore not mutate z in place between calls that pass
+    the same array; a new array is always recomputed.  Whenever the plan
+    gives up, the call is evaluated by the interpreter, which raises the
+    ``EvalError``.
+    """
+    n = gen.n
+    if gen.kind == STRUCTURED:
+        plan = EvalPlan([Bin("+", g.root, h.root) for g, h in zip(gen.g, gen.h)])
+    else:
+        plan = EvalPlan([e.root for e in gen.k])
+    last = [None, None, None, None]  # k, t, z and the t/z stage
+
+    def interpreted(t, y, z):
         env = EvalEnv(t=t, y=y, z=z)
-        m = y.shape[0]
-        cols = []
         for i in range(n):
             if gen.kind == STRUCTURED:
-                v = np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
+                yield np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
             else:
-                v = np.asarray(eval_expr(gen.k[i], env))
-            cols.append(np.broadcast_to(np.asarray(v, dtype=float), (m,)))
-        return np.stack(cols, axis=-1)
+                yield eval_expr(gen.k[i], env)
+
+    def driver(k, t, y, z):
+        if last[2] is not z or last[0] != k or last[1] != t:
+            last[:] = k, t, z, None  # free the old stage before building the next
+            last[3] = plan.stage_tz(t, z)
+        values = None if last[3] is None else plan.stage_y(last[3], y)
+        if values is None:
+            values = interpreted(t, y, z)
+        out = np.empty((y.shape[0], n))
+        for i, v in enumerate(values):
+            out[:, i] = v
+        return out
 
     return driver, gen.y_dependent()
 
@@ -285,7 +308,7 @@ DriverFn = Callable[[int, float, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _truncate_rows(z: np.ndarray, threshold: float) -> int:
-    norms = np.sqrt((z ** 2).sum(-1))
+    norms = np.sqrt(sum_squares(z))
     mask = norms > threshold
     count = int(mask.sum())
     if count:

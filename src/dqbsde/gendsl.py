@@ -26,9 +26,10 @@ batches.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -506,16 +507,12 @@ def _ev(node: Node, env: EvalEnv):
             raise EvalError("division by zero", node.pos)
         return _finite(np.divide(a, b), node)
     if isinstance(node, Norm):
-        z = _need(env.z, node, "z")
-        row = z[..., node.row.index - 1, :]
-        s = np.sum(row * row, axis=-1)
+        s = sum_squares(_need(env.z, node, "z")[..., node.row.index - 1, :])
         return s if node.squared else np.sqrt(s)
     if isinstance(node, NormZ):
-        z = _need(env.z, node, "z")
-        return np.sqrt(np.sum(z * z, axis=(-2, -1)))
+        return np.sqrt(sum_squares(_need(env.z, node, "z"), 2))
     if isinstance(node, NormY):
-        y = _need(env.y, node, "y")
-        return np.sqrt(np.sum(y * y, axis=-1))
+        return np.sqrt(sum_squares(_need(env.y, node, "y")))
     if isinstance(node, YVar):
         return _need(env.y, node, "y")[..., node.index - 1]
     if isinstance(node, WVar):
@@ -559,6 +556,195 @@ def _need(value, node: Node, what: str):
     if value is None:
         raise EvalError(f"{what} not available in this context", node.pos)
     return value
+
+
+def sum_squares(a: np.ndarray, axes: int = 1):
+    """Sum of ``a*a`` over the trailing ``axes`` axes, with the bits of
+    ``np.sum(a*a, axis=(-axes, ..., -1))``.
+
+    Below 8 summed terms numpy adds them one after another in C order, so
+    adding the squared columns in that order gives the same bits without
+    numpy's slow reduction over a short trailing axis.  From 8 terms up its
+    pairwise summation regroups the terms, so those go to ``np.sum``.
+    """
+    terms = math.prod(a.shape[a.ndim - axes:])
+    if not 0 < terms < 8:
+        return np.sum(a * a, axis=tuple(range(-axes, 0)))
+    cols = a.reshape(a.shape[:a.ndim - axes] + (terms,))
+    acc = cols[..., 0] * cols[..., 0]
+    for j in range(1, cols.shape[-1]):
+        acc = acc + cols[..., j] * cols[..., j]
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation plans
+# ---------------------------------------------------------------------------
+
+class _Fallback(Exception):
+    """The plan cannot vouch for its result; the interpreter must evaluate."""
+
+
+def _leaf(value):
+    if not np.isfinite(value).all():
+        raise _Fallback
+    return value
+
+
+def _pow(base, expo):
+    # The interpreter's guard is batch-level: a negative base anywhere and a
+    # non-integral exponent anywhere, not necessarily in the same row.
+    if np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))):
+        raise _Fallback
+    return np.power(base, expo)
+
+
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "neg": np.negative, "pow": _pow, "clamp": np.clip,
+        "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+        "abs": np.abs, "sign": np.sign, "sqrt": np.sqrt}
+
+_T, _Z, _Y = 0, 1, 2  # input slots
+_NUMPY_CACHED_BYTES = 1024  # numpy caches freed data buffers below this size
+
+
+class EvalPlan:
+    """Generator formulas compiled once into flat numpy ops over integer slots.
+
+    Structurally equal subtrees share one slot across all roots; ``Num`` is
+    keyed on ``repr`` so 0.0 and -0.0 stay apart.  The ops split in two
+    stages: ``stage_tz`` runs those that read only t and z, ``stage_y`` the
+    rest, so a caller holding z fixed runs the first stage once.  Each stage
+    drops a slot after its last reader; what ``stage_tz`` returns keeps only
+    the slots that ``stage_y`` reads and the outputs.  When those kept
+    arrays are smaller than ``_NUMPY_CACHED_BYTES``, each is copied, as it is
+    made, into a row of one block: numpy keeps up to seven freed buffers of
+    each such size, and every lattice layer has new sizes, so one small buffer
+    per kept value would stay allocated for every layer.
+
+    The plan checks no domain itself.  It runs under one errstate that
+    raises on overflow, invalid and divide, and gives up (returns None) on
+    any such error, on a non-finite leaf (t, a y column, a sum of squares,
+    a non-finite literal) or on the batch-level ``pow`` guard.  When it
+    finishes, the interpreter would have passed every check and returned
+    the same bits; when it gives up, the interpreter must evaluate, and it
+    raises the ``EvalError`` if there is one.
+    """
+
+    def __init__(self, roots: Sequence[Node]):
+        self._keys = {}
+        self._init = [None, None, None]
+        self._ops = []  # (out, fn, args)
+        self._y_slots = {_Y}
+        self.outputs = tuple(self._visit(r) for r in roots)
+        tz_ops = [op for op in self._ops if op[0] not in self._y_slots]
+        y_ops = [op for op in self._ops if op[0] in self._y_slots]
+        keep = set(self.outputs).union(*(args for _, _, args in y_ops))
+        self._tz = _with_releases(tz_ops, keep)
+        self._y = _with_releases(y_ops, set(self.outputs))
+        self._rows = {slot: r for r, slot in enumerate(o for o, _, _ in tz_ops if o in keep)}
+
+    def _slot(self, key, fn=None, args=(), value=None):
+        slot = self._keys.get(key)
+        if slot is None:
+            slot = self._keys[key] = len(self._init)
+            self._init.append(value)
+            if fn is not None:
+                self._ops.append((slot, fn, args))
+                if self._y_slots.intersection(args):
+                    self._y_slots.add(slot)
+        return slot
+
+    def _visit(self, node: Node) -> int:
+        if isinstance(node, Num):
+            if math.isfinite(node.value):
+                return self._slot(("num", repr(node.value)), value=node.value)
+            return self._slot(("num", repr(node.value)), lambda v=node.value: _leaf(v))
+        if isinstance(node, TVar):
+            return self._slot(("t",), _leaf, (_T,))
+        if isinstance(node, YVar):
+            j = node.index - 1
+            return self._slot(("y", j), lambda y: _leaf(y[..., j]), (_Y,))
+        if isinstance(node, Norm):
+            j = node.row.index - 1
+            s = self._slot(("norm2", j), lambda z: _leaf(sum_squares(z[..., j, :])), (_Z,))
+            return s if node.squared else self._slot(("sqrt", s), np.sqrt, (s,))
+        if isinstance(node, (NormZ, NormY)):
+            src, axes = (_Z, 2) if isinstance(node, NormZ) else (_Y, 1)
+            s = self._slot(("squares", src), lambda x: _leaf(sum_squares(x, axes)), (src,))
+            return self._slot(("sqrt", s), np.sqrt, (s,))
+        if isinstance(node, Neg):
+            name, kids = "neg", (node.arg,)
+        elif isinstance(node, Func):
+            name, kids = node.name, (node.arg,)
+        elif isinstance(node, Bin):
+            name, kids = node.op, (node.left, node.right)
+        elif isinstance(node, Pow):
+            name, kids = "pow", (node.base, node.exponent)
+        elif isinstance(node, Clamp):
+            name, kids = "clamp", (node.arg, node.lo, node.hi)
+        else:
+            raise TypeError(f"cannot compile node {node!r}")
+        args = tuple(self._visit(k) for k in kids)
+        return self._slot((name,) + args, _OPS[name], args)
+
+    def stage_tz(self, t, z) -> Optional[list]:
+        """Slot values after the t/z ops, or None if the plan gave up.
+        t is a float or an array of the batch shape, z a (..., n, d) array."""
+        v = list(self._init)
+        v[_T], v[_Z] = t, z
+        batch = np.shape(z)[:-2]
+        block = (np.empty((len(self._rows),) + batch)
+                 if 8 * math.prod(batch) < _NUMPY_CACHED_BYTES else None)
+        if not _run(self._tz, v, self._rows, block):
+            return None
+        v[_T] = v[_Z] = None
+        return v
+
+    def stage_y(self, tz: list, y) -> Optional[list]:
+        """The outputs from ``stage_tz``'s values and y, or None if the plan
+        gave up; y is a (..., n) array.  ``tz`` itself is left unchanged."""
+        v = list(tz)
+        v[_Y] = y
+        if not _run(self._y, v):
+            return None
+        return [v[o] for o in self.outputs]
+
+    def run(self, t, y, z) -> Optional[list]:
+        """Both stages at once."""
+        tz = self.stage_tz(t, z)
+        return None if tz is None else self.stage_y(tz, y)
+
+
+def _with_releases(ops: list, keep: set) -> list:
+    """(out, fn, args, dead) with ``dead`` the op slots whose last reader in
+    ``ops`` this one is, leaving out ``keep`` and the input slots."""
+    last = {}
+    for i, (_, _, args) in enumerate(ops):
+        for a in args:
+            last[a] = i
+    dead = [[] for _ in ops]
+    for slot, i in last.items():
+        if slot > _Y and slot not in keep:
+            dead[i].append(slot)
+    return [(out, fn, args, tuple(d)) for (out, fn, args), d in zip(ops, dead)]
+
+
+def _run(ops: list, v: list, rows: Optional[dict] = None, block=None) -> bool:
+    """Run ``ops`` over the slot values ``v``; with a ``block``, an op whose
+    slot has a row in ``rows`` and whose value has a row's shape moves there."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            for out, fn, args, dead in ops:
+                v[out] = fn(*[v[a] for a in args])
+                if block is not None and out in rows and np.shape(v[out]) == block.shape[1:]:
+                    block[rows[out]] = v[out]
+                    v[out] = block[rows[out]]
+                for slot in dead:
+                    v[slot] = None
+    except (FloatingPointError, _Fallback):
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

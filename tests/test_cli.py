@@ -368,3 +368,57 @@ class TestCompareMaxIter:
         assert "solver error" in capsys.readouterr().err
         assert run("compare", "--config", remark_cfg, "--oracle", "joint",
                    "--mode", "direct", "--tolerance", "1e-6", "--out", out) == 0
+
+
+class TestSignedOptionValues:
+    RANGES = ("--xrange", "--yrange", "--crange", "--lrange", "--erange", "--zrange")
+
+    @pytest.mark.parametrize("option", ("--alphas",) + RANGES)
+    @pytest.mark.parametrize("value", ["-1:1:5", "-.5,0.3", "-0.5,0.3"])
+    def test_value_after_space_parses_like_equals_form(self, option, value):
+        spaced = cli._build_parser().parse_args(["check", option, value])
+        joined = cli._build_parser().parse_args(["check", f"{option}={value}"])
+        assert vars(spaced) == vars(joined)
+        assert getattr(spaced, option[2:]) == value
+
+    def test_negative_alphas_both_spellings(self, tmp_path, capsys):
+        tail = ["--lrange", "1:1:1", "--erange", "1e-1:1e1:3", "--zrange", "1e-1:1e1:4"]
+        outputs = []
+        for i, alphas in enumerate((["--alphas", "-0.5,0.3"], ["--alphas=-0.5,0.3"])):
+            out = tmp_path / str(i)
+            assert run("check", "--inequality", "young", *alphas, *tail, "--out", str(out)) == 0
+            outputs.append(((out / "check.csv").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert b"\n1.0,-0.5," in outputs[0][0]
+
+    def test_negative_range_both_spellings(self, tmp_path, capsys):
+        # x must be positive: the value now reaches the scan, which rejects it.
+        for xrange in (["--xrange", "-1:1:5"], ["--xrange=-1:1:5"]):
+            assert run("check", *xrange, "--out", str(tmp_path / "o")) == 2
+            assert capsys.readouterr().err == "config error: x: bounds must be positive\n"
+
+    def test_option_like_value_is_still_a_usage_error(self, tmp_path, capsys):
+        assert run("check", "--xrange", "-x", "--out", str(tmp_path / "o")) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
+class TestSolverFailure:
+    """A driver domain error mid-solve exits 3 with a partial report.  The
+    stderr lines were recorded with the tree-walking evaluator alone, so
+    they pin the message, layer and position through the compiled plan."""
+
+    @pytest.mark.parametrize("h, mode, where", [
+        ("normy + log(t - 0.3)", "direct", "layer 1: log of nonpositive value at position 8"),
+        ("normy + log(t - 0.3)", "picard", "layer 1: log of nonpositive value at position 8"),
+        ("2 + log(1.5 - normy)", "direct", "layer 2: log of nonpositive value at position 4"),
+        ("2 + log(1.5 - normy)", "picard", "layer 3: log of nonpositive value at position 4"),
+    ])
+    def test_domain_error_mid_solve(self, tmp_path, capsys, h, mode, where):
+        cfg = structured_config(**{"grid.N": 4, "terminal.1": "clamp(w1,-1,1)",
+                                   "generator.1.g": "0.5*norm2(z1)", "generator.1.h": h})
+        path = str(write_config(tmp_path / "fail.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, "--mode", mode, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"solver error: driver evaluation failed at {where}\n"
+        assert (out / "report.txt").read_text() == (
+            f"mode = {mode}\nthreads = 1\nconverged = false\n")

@@ -10,6 +10,8 @@ from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError,
                            PicardDivergenceError, SolverError, backward_range,
                            compile_driver)
 
+from dqbsde.gendsl import STRUCTURED, GeneratorModel
+
 from conftest import make, pure_quadratic_config, remark22_config, structured_config
 
 
@@ -260,3 +262,37 @@ class TestFieldStatistics:
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat)
         assert q.estimate_bmo(f, lat) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestStagedDriver:
+    """The driver keeps its t/z stage for the last (k, t, z object)."""
+
+    def setup_method(self):
+        g = tuple(q.parse_expr(f"t*norm2(z{i})*sin(log(norm(z{i})+1))", 2, 1) for i in (1, 2))
+        h = (q.parse_expr("normy + log(normz+1)", 2, 1),) * 2
+        gen = GeneratorModel(STRUCTURED, 2, 1, g=g, h=h)
+        self.driver, _ = compile_driver(gen)
+        self.fresh = lambda *args: compile_driver(gen)[0](*args)
+        rng = np.random.default_rng(21)
+        self.y = rng.normal(size=(6, 2))
+        self.z = rng.normal(size=(6, 2, 1))
+
+    def test_new_z_object_at_same_layer_is_recomputed(self):
+        a = self.driver(3, 0.5, self.y, self.z)
+        z2 = 2.0 * self.z
+        b = self.driver(3, 0.5, self.y, z2)
+        assert b.tobytes() == self.fresh(3, 0.5, self.y, z2).tobytes()
+        assert not np.array_equal(a, b)
+
+    def test_dropped_z_replaced_at_same_layer(self):
+        z1 = self.z.copy()
+        self.driver(3, 0.5, self.y, z1)
+        del z1  # the caller lets go; a new array of the same size follows
+        z2 = np.full_like(self.z, 0.25)
+        got = self.driver(3, 0.5, self.y, z2)
+        assert got.tobytes() == self.fresh(3, 0.5, self.y, z2).tobytes()
+
+    def test_same_z_new_y_and_other_keys(self):
+        self.driver(3, 0.5, self.y, self.z)
+        for k, t, y in ((3, 0.5, 3.0 * self.y), (2, 0.5, self.y), (3, 0.25, self.y)):
+            assert self.driver(k, t, y, self.z).tobytes() == self.fresh(k, t, y, self.z).tobytes()

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqbsde.gendsl as g
-from dqbsde.gendsl import (Bin, Clamp, EvalEnv, EvalError, Func, Neg, Norm, NormY,
-                           NormZ, Num, ParseError, TVar, YVar, ZRow,
+from dqbsde.engine import compile_driver
+from dqbsde.gendsl import (Bin, Clamp, EvalEnv, EvalError, EvalPlan, Expr, Func, Neg, Norm,
+                           NormY, NormZ, Num, ParseError, TVar, YVar, ZRow,
                            catalog_generator, check_triangular_deps, depth,
-                           eval_expr, parse_expr, pretty, scan_refs)
+                           eval_expr, parse_expr, pretty, scan_refs, sum_squares)
 
 REMARK_TEXT = "norm2(z1)*sin(log(norm(z1)+1)) + normy + sin(pow(normz,1.5)) + log(normz+1)"
 
@@ -275,3 +276,205 @@ class TestTriangularDeps:
         gen = catalog_generator("pure_quadratic", {"n": 1, "gamma": 1.0})
         with pytest.raises(ValueError, match="not triangular"):
             check_triangular_deps(gen)
+
+
+def bits(value):
+    a = np.asarray(value, dtype=float)
+    return a.shape, a.view(np.uint64).tolist()
+
+
+def interpreted(root, env, n=2, d=2):
+    """("ok", bits) or ("error", message, position) from the interpreter."""
+    try:
+        return ("ok", bits(eval_expr(Expr(root, n, d, g.GENERATOR, ""), env)))
+    except EvalError as err:
+        return ("error", err.message, err.position)
+
+
+def reference_driver(gen):
+    """The driver as it was before plans: every component interpreted."""
+    def driver(k, t, y, z):
+        env = EvalEnv(t=t, y=y, z=z)
+        m = y.shape[0]
+        cols = []
+        for i in range(gen.n):
+            if gen.kind == g.STRUCTURED:
+                v = np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
+            else:
+                v = np.asarray(eval_expr(gen.k[i], env))
+            cols.append(np.broadcast_to(np.asarray(v, dtype=float), (m,)))
+        return np.stack(cols, axis=-1)
+    return driver
+
+
+def driver_outcome(driver, t, y, z):
+    try:
+        with np.errstate(all="ignore"):
+            return ("ok", bits(driver(0, t, y, z)))
+    except EvalError as err:
+        return ("error", err.message, err.position)
+
+
+def structured(g_roots, h_roots, n=2, d=2):
+    def exprs(roots):
+        return tuple(Expr(r, n, d, g.GENERATOR, "") for r in roots)
+    return g.GeneratorModel(g.STRUCTURED, n, d, g=exprs(g_roots), h=exprs(h_roots))
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                    st.floats(min_value=-50, max_value=50, allow_nan=False,
+                              allow_infinity=False))
+
+
+@st.composite
+def _batch(draw, n=2, d=2):
+    m = draw(st.integers(1, 4))
+    y = np.array(draw(st.lists(_VALUES, min_size=m * n, max_size=m * n))).reshape(m, n)
+    z = np.array(draw(st.lists(_VALUES, min_size=m * n * d,
+                               max_size=m * n * d))).reshape(m, n, d)
+    return draw(_VALUES), y, z
+
+
+class TestSumSquares:
+    @pytest.mark.parametrize("m", [None, 1, 7, 801, 68921])
+    def test_matches_np_sum(self, m):
+        rng = np.random.default_rng(5)
+        lead = () if m is None else (m,)
+        tails = [(k,) for k in range(1, 17)] + [(1, 1), (2, 1), (2, 3), (3, 2), (1, 7), (3, 3)]
+        for tail in tails:
+            a = rng.normal(size=lead + tail) * np.exp(4.0 * rng.normal(size=lead + tail))
+            axes = len(tail)
+            want = np.sum(a * a, axis=tuple(range(-axes, 0)))
+            assert bits(sum_squares(a, axes)) == bits(want), tail
+
+    @pytest.mark.parametrize("m", [None, 1, 7, 801, 68921])
+    def test_strided_rows(self, m):
+        rng = np.random.default_rng(6)
+        for n, d in ((2, 1), (2, 3), (3, 3), (2, 9)):
+            z = rng.normal(size=((n, d) if m is None else (m, n, d)))
+            for i in range(n):
+                row = z[..., i, :]
+                assert bits(sum_squares(row)) == bits(np.sum(row * row, axis=-1))
+
+    def test_empty_tail_and_empty_batch(self):
+        assert bits(sum_squares(np.zeros((3, 0)))) == bits(np.zeros(3))
+        assert bits(sum_squares(np.zeros((0, 2)))) == bits(np.zeros(0))
+        assert bits(sum_squares(np.zeros((0, 2, 1)), 2)) == bits(np.zeros(0))
+
+
+class TestPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ast_strategy(), min_size=1, max_size=3), _batch(), st.booleans())
+    def test_plan_matches_interpreter(self, roots, batch, scalar):
+        t, y, z = batch
+        if scalar:
+            y, z = y[0], z[0]
+        roots = roots + [Bin("+", roots[0], roots[-1])]
+        env = EvalEnv(t=t, y=y, z=z)
+        want = [interpreted(r, env) for r in roots]
+        got = EvalPlan(roots).run(t, y, z)
+        # The plan may give up where the interpreter succeeds, but never
+        # finishes where it fails, and a finished plan has the same bits.
+        if got is not None:
+            assert want == [("ok", bits(v)) for v in got]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ast_strategy(), _ast_strategy(), _batch())
+    def test_driver_matches_reference(self, a, b, batch):
+        t, y, z = batch
+        gen = structured([a, b], [b, Bin("*", a, b)])
+        want = driver_outcome(reference_driver(gen), t, y, z)
+        driver, _ = compile_driver(gen)
+        assert driver_outcome(driver, t, y, z) == want
+        # Reused t/z stage with a new y, and the same y again.
+        y2 = y[::-1].copy()
+        assert driver_outcome(driver, t, y2, z) == driver_outcome(reference_driver(gen), t, y2, z)
+        assert driver_outcome(driver, t, y, z) == want
+
+    def test_signed_zero_literals_stay_apart(self):
+        roots = [Num(0.0), Num(-0.0), Bin("*", Num(-0.0), TVar()), Bin("*", Num(0.0), TVar())]
+        env = EvalEnv(t=2.0, y=np.zeros(2), z=np.zeros((2, 2)))
+        got = EvalPlan(roots).run(2.0, env.y, env.z)
+        assert [("ok", bits(v)) for v in got] == [interpreted(r, env) for r in roots]
+        assert [bool(np.signbit(v)) for v in got] == [False, True, True, False]
+
+    def test_subexpressions_are_shared_across_roots(self):
+        gen = catalog_generator("remark22", {"n": 2, "delta": 0.5})
+        roots = [Bin("+", gi.root, hi.root) for gi, hi in zip(gen.g, gen.h)]
+        plan = EvalPlan(roots)
+        # Two own-row parts of 6 ops each, one shared h of 10 ops, two sums.
+        assert len(plan._ops) == 2 * 6 + 10 + 2
+        stage_y = [out for out, _, _, _ in plan._y]
+        assert len(stage_y) == 2 + 2 + 2  # normy, two adds in h, g + h twice
+
+    def test_stage_y_keeps_only_what_it_reads(self):
+        gen = catalog_generator("remark22", {"n": 2, "delta": 0.5})
+        plan = EvalPlan([Bin("+", gi.root, hi.root) for gi, hi in zip(gen.g, gen.h)])
+        z = np.arange(1.0, 7.0).reshape(3, 2, 1) / 7.0
+        tz = plan.stage_tz(0.5, z)
+        live = [v for v in tz[3:] if isinstance(v, np.ndarray)]
+        assert len(live) == 4  # g1, g2 and the two normz terms of h
+        assert all(v.base is live[0].base and v.shape == (3,) for v in live)
+        env = EvalEnv(t=0.5, y=np.ones((3, 2)), z=z)
+        got = plan.stage_y(tz, env.y)
+        for i in range(2):
+            want = np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
+            assert bits(got[i]) == bits(want)
+        # Rows of 1 KiB and up are not numpy-cached, so they stay separate.
+        big = plan.stage_tz(0.5, np.ones((128, 2, 1)))
+        assert all(v.base is None for v in big[3:] if isinstance(v, np.ndarray))
+
+    def pinned(self, text, t=0.0, y=None, z=None):
+        """Plan result (or None) and the driver and interpreter outcomes."""
+        n, d = 2, 2
+        y = np.zeros((2, n)) if y is None else np.asarray(y, dtype=float)
+        z = np.zeros((2, n, d)) if z is None else np.asarray(z, dtype=float)
+        expr = parse_expr(text, n, d)
+        gen = g.GeneratorModel(g.TRIANGULAR, n, d, k=(expr, parse_expr("0", n, d)))
+        driver, _ = compile_driver(gen)
+        want = driver_outcome(reference_driver(gen), t, y, z)
+        assert driver_outcome(driver, t, y, z) == want
+        return EvalPlan([expr.root]).run(t, y, z), want
+
+    def test_pow_guard_is_batch_level(self):
+        got, want = self.pinned("pow(y1,y2)", y=[[-1.0, 2.0], [2.0, 0.5]])
+        assert got is None
+        assert want == ("error", "pow of negative base with non-integer exponent", 0)
+
+    @pytest.mark.parametrize("y1", [1.0, 0.0, -0.0])
+    def test_division_by_zero(self, y1):
+        got, want = self.pinned("t + y1/y2", y=[[y1, 0.0], [1.0, 2.0]])
+        assert got is None and want == ("error", "division by zero", 6)
+
+    def test_log_of_zero(self):
+        got, want = self.pinned("log(y1)", y=[[1.0, 0.0], [0.0, 0.0]])
+        assert got is None and want == ("error", "log of nonpositive value", 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_non_finite_z_masked_by_clamp(self, bad):
+        z = np.ones((2, 2, 2))
+        z[1, 0, 1] = bad
+        got, want = self.pinned("clamp(normz,0,1) + norm2(z2)", z=z)
+        assert got is None and want == ("ok", bits([[3.0, 0.0], [3.0, 0.0]]))
+
+    def test_nan_z_passes_clamp(self):
+        z = np.ones((2, 2, 2))
+        z[1, 0, 1] = np.nan
+        got, want = self.pinned("clamp(normz,0,1) + norm2(z2)", z=z)
+        assert got is None and want == ("error", "non-finite result", 17)
+
+    def test_non_finite_literal(self):
+        got, want = self.pinned("1e999 + t")
+        assert got is None and want == ("error", "non-finite result", 6)
+
+    def test_overflow_falls_back(self):
+        got, want = self.pinned("exp(y1)", y=[[1000.0, 0.0], [0.0, 0.0]])
+        assert got is None and want == ("error", "non-finite result", 0)
+
+    def test_plan_runs_remark22(self):
+        rng = np.random.default_rng(8)
+        y, z = rng.normal(size=(5, 2)), rng.normal(size=(5, 2, 1))
+        expr = parse_expr(REMARK_TEXT, 2, 1)
+        got = EvalPlan([expr.root]).run(0.3, y, z)
+        assert got is not None
+        assert bits(got[0]) == bits(eval_expr(expr, EvalEnv(t=0.3, y=y, z=z)))

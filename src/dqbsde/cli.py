@@ -470,6 +470,8 @@ def main(argv=None) -> int:
             raise UsageError("--threads must be >= 1")
         if getattr(args, "falsify", 0) < 0:
             raise UsageError("--falsify must be >= 0")
+        if getattr(args, "z_truncation", None) is not None and args.mode != "direct":
+            raise UsageError("--z-truncation needs --mode direct")
         if not 0 <= args.seed < 2 ** 64:
             raise UsageError("--seed must fit in an unsigned 64-bit integer")
         return args.func(args)

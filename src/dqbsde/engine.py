@@ -11,16 +11,27 @@ against the increment: z_j = E[child * dW_j] / dt.
 The per-step scheme is implicit in y (inner fixed-point iteration from the
 conditional expectation) and explicit in z.  Summation order over children
 is fixed, so identical inputs give bit-identical fields.
+
+Kernel layout: in C order on the (k+2)^d child grid, the child of a node
+through corner c in {0,1}^d sits o(c) = sum_j c_j (k+2)^(d-1-j) nodes on, so
+corner c's block is the flat child array shifted by o(c) (times the value
+size), and all 2^d blocks are contiguous windows of one length.  Kernels sum
+the windows in lexicographic corner order into buffers and gather the
+(k+1)^d layer nodes once.  project adds q * block, q = 2^-d / sqrt(dt), to z_j
+when c_j = 1 and subtracts it when c_j = 0 (the first corner by negation):
+(-a)*b == -(a*b) and x + (-p) == x - p in IEEE 754, so this is bit for bit
+the sum of ((2 c_j - 1) 2^-d / sqrt(dt)) * block over the corners.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .gendsl import (Bin, EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
                      sum_squares)
@@ -110,38 +121,43 @@ def build_lattice(grid: TimeGrid, d: int, max_nodes: int = DEFAULT_NODE_BUDGET) 
     return lattice
 
 
-def _corner_blocks(lattice: LatticeModel, k: int, child_values: np.ndarray):
-    """Yield (corner, block) with block holding each node's child values for
-    that corner; corners iterate in fixed ascending (lexicographic) order."""
-    child = np.asarray(child_values, dtype=float)
-    value_shape = child.shape[1:]
-    g = child.reshape((k + 2,) * lattice.d + value_shape)
-    for corner in product((0, 1), repeat=lattice.d):
-        sl = tuple(slice(c, c + k + 1) for c in corner)
-        yield corner, g[sl].reshape((lattice.layer_size(k),) + value_shape)
+def _corner_windows(lattice: LatticeModel, k: int, child_values):
+    """Return the child layer's corner windows, each of shape (length,) +
+    value_shape, in lexicographic corner order, and gather.  gather(buf)
+    returns the layer nodes of a buffer of shape (length,) + trailing as a
+    new (m,) + trailing array (for d = 1 the window is the layer: buf
+    itself); gather(buf, out) copies them into out instead."""
+    if not (0 <= k < lattice.grid.steps):
+        raise ValueError(f"layer {k} out of range")
+    steps = [(k + 2) ** (lattice.d - 1 - j) for j in range(lattice.d)]
+    child = np.ascontiguousarray(child_values, dtype=float)
+    child = child.reshape((steps[0] * (k + 2),) + child.shape[1:])
+    offsets = [0]
+    for st in steps:
+        offsets = [o + c for o in offsets for c in (0, st)]
+
+    def gather(buf, out=None):
+        if lattice.d > 1:
+            buf = as_strided(buf, (k + 1,) * lattice.d + buf.shape[1:],
+                             tuple(st * buf.strides[0] for st in steps) + buf.strides[1:])
+        if out is None:
+            return buf if lattice.d == 1 else buf.copy().reshape((-1,) + buf.shape[lattice.d:])
+        out.reshape(buf.shape)[...] = buf  # splits out's leading axis: a view, never a copy
+
+    return [child[o:o + len(child) - offsets[-1]] for o in offsets], gather
 
 
 def cond_exp(lattice: LatticeModel, k: int, child_values) -> np.ndarray:
     """Exact one-step conditional expectation from layer k+1 to layer k."""
-    if not (0 <= k < lattice.grid.steps):
-        raise ValueError(f"layer {k} out of range")
-    w = lattice.child_weight
-    out = None
-    for _, block in _corner_blocks(lattice, k, child_values):
-        contrib = w * block
-        out = contrib if out is None else out + contrib
-    return out
+    windows, gather = _corner_windows(lattice, k, child_values)
+    return gather(reduce(np.add, (lattice.child_weight * window for window in windows)))
 
 
 def log_cond_exp(lattice: LatticeModel, k: int, child_log_values) -> np.ndarray:
     """Conditional expectation carried in natural log space:
     log E[exp(V) | node] computed by log-sum-exp over the children."""
-    if not (0 <= k < lattice.grid.steps):
-        raise ValueError(f"layer {k} out of range")
-    acc = None
-    for _, block in _corner_blocks(lattice, k, child_log_values):
-        acc = block.copy() if acc is None else np.logaddexp(acc, block)
-    return acc + math.log(lattice.child_weight)
+    windows, gather = _corner_windows(lattice, k, child_log_values)
+    return gather(reduce(np.logaddexp, windows)) + math.log(lattice.child_weight)
 
 
 def project(lattice: LatticeModel, k: int, child_values):
@@ -150,23 +166,22 @@ def project(lattice: LatticeModel, k: int, child_values):
     Returns (cond_exp, z) where z_j = sum of weight * child * dW_j / dt;
     z has one trailing axis of length d beyond the child value shape.
     """
-    if not (0 <= k < lattice.grid.steps):
-        raise ValueError(f"layer {k} out of range")
-    dt = lattice.grid.dt
-    if dt == 0.0:
+    windows, gather = _corner_windows(lattice, k, child_values)
+    if lattice.grid.dt == 0.0:
         raise ValueError("project undefined on a zero-step grid (dt = 0)")
-    s = math.sqrt(dt)
     w = lattice.child_weight
-    expectation = None
-    z_parts = [None] * lattice.d
-    for corner, block in _corner_blocks(lattice, k, child_values):
-        contrib = w * block
-        expectation = contrib if expectation is None else expectation + contrib
-        for j, c in enumerate(corner):
-            zc = ((2 * c - 1) * w / s) * block
-            z_parts[j] = zc if z_parts[j] is None else z_parts[j] + zc
-    z = np.stack(z_parts, axis=-1)
-    return expectation, z
+    q = w / math.sqrt(lattice.grid.dt)
+    expectation, tmp = w * windows[0], q * windows[0]
+    columns = np.negative(tmp, out=np.empty((lattice.d,) + tmp.shape))
+    for i, window in enumerate(windows[1:], 1):
+        expectation += np.multiply(window, w, out=tmp)
+        np.multiply(window, q, out=tmp)
+        for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
+            (np.add if i >> (lattice.d - 1 - j) & 1 else np.subtract)(column, tmp, out=column)
+    z = np.empty((lattice.layer_size(k),) + tmp.shape[1:] + (lattice.d,))
+    for j, column in enumerate(columns):
+        gather(column, z[..., j])
+    return gather(expectation), z
 
 
 @dataclass

@@ -160,6 +160,17 @@ class TestSolve:
         report = (out / "report.txt").read_text()
         assert "supY = 1.0" in report
 
+    @pytest.mark.parametrize("mode", ["direct", "picard", "stitched", "triangular"])
+    def test_z_truncation_needs_direct_mode(self, tmp_path, capsys, remark_cfg, mode):
+        out = tmp_path / "o"
+        code = run("solve", "--config", remark_cfg, "--mode", mode, "--z-truncation", "1e-3",
+                   "--out", str(out))
+        if mode == "direct":
+            assert code == 0 and "zClips = 302\n" in (out / "report.txt").read_text()
+        else:
+            assert code == 1 and not out.exists()
+            assert capsys.readouterr().err == "usage error: --z-truncation needs --mode direct\n"
+
     def test_triangular_mode(self, tmp_path):
         path = str(write_config(tmp_path / "t.cfg", triangular_demo_config(N=20)))
         out = tmp_path / "o"
@@ -403,13 +414,15 @@ class TestSignedOptionValues:
 
 
 class TestSolverFailure:
-    """A driver domain error mid-solve exits 3 with a partial report.  The
-    stderr lines were recorded with the tree-walking evaluator alone, so
-    they pin the message, layer and position through the compiled plan."""
+    """A solver failure mid-solve exits 3 with a partial report.  The stderr
+    lines of driver domain errors were recorded with the tree-walking
+    evaluator alone, so they pin the message, layer and position through the
+    compiled plan."""
 
     @pytest.mark.parametrize("h, mode, where", [
         ("normy + log(t - 0.3)", "direct", "layer 1: log of nonpositive value at position 8"),
         ("normy + log(t - 0.3)", "picard", "layer 1: log of nonpositive value at position 8"),
+        ("normy + log(t - 0.3)", "stitched", "layer 1: log of nonpositive value at position 8"),
         ("2 + log(1.5 - normy)", "direct", "layer 2: log of nonpositive value at position 4"),
         ("2 + log(1.5 - normy)", "picard", "layer 3: log of nonpositive value at position 4"),
     ])
@@ -422,3 +435,30 @@ class TestSolverFailure:
         assert capsys.readouterr().err == f"solver error: driver evaluation failed at {where}\n"
         assert (out / "report.txt").read_text() == (
             f"mode = {mode}\nthreads = 1\nconverged = false\n")
+
+    @pytest.mark.parametrize("cfg, mode, argv, message", [
+        (triangular_demo_config(N=4) | {"generator.2.k": "y1 + log(t - 0.3)"}, "triangular", (),
+         "component 2: driver evaluation failed at layer 1: "
+         "log of nonpositive value at position 5"),
+        (remark22_config(N=20), "direct", ("--max-iter", "1"),
+         "inner y-iteration did not converge at layer 19, node 8 (residual 3.812e-02)"),
+    ], ids=["triangular-domain", "inner-nonconvergence"])
+    def test_other_solver_errors(self, tmp_path, capsys, cfg, mode, argv, message):
+        path = str(write_config(tmp_path / "fail.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, "--mode", mode, *argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+        assert (out / "report.txt").read_text() == (
+            f"mode = {mode}\nthreads = 1\nconverged = false\n")
+
+    def test_non_finite_value(self, tmp_path, capsys):
+        # 1e308 * dt overflows; numpy's overflow warning may precede the line.
+        cfg = structured_config(**{"grid.N": 2, "problem.T": 4.0, "generator.1.h": "1e308",
+                                   "terminal.1": "0", "terminal.bound": 0.0})
+        path = str(write_config(tmp_path / "fail.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "solver error: non-finite value at layer 1, node 0"
+        assert err.endswith("\n")
+        assert (out / "report.txt").read_text() == "mode = direct\nthreads = 1\nconverged = false\n"

@@ -1,18 +1,95 @@
 """Lattice construction, projection, and the two core solvers."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dqbsde as q
+from dqbsde import engine
 from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError,
                            PicardDivergenceError, SolverError, backward_range,
                            compile_driver)
 
-from dqbsde.gendsl import STRUCTURED, GeneratorModel
+from dqbsde.gendsl import STRUCTURED, GeneratorModel, sum_squares
 
 from conftest import make, pure_quadratic_config, remark22_config, structured_config
+
+
+# The corner-slice kernels that the flat-window kernels replaced: each corner
+# block is a reshaped (copied) slice of the child grid.  They are the bit-for-bit
+# reference of TestKernelReference.
+
+def _ref_corner_blocks(lattice, k, child_values):
+    child = np.asarray(child_values, dtype=float)
+    value_shape = child.shape[1:]
+    g = child.reshape((k + 2,) * lattice.d + value_shape)
+    for corner in product((0, 1), repeat=lattice.d):
+        sl = tuple(slice(c, c + k + 1) for c in corner)
+        yield corner, g[sl].reshape((lattice.layer_size(k),) + value_shape)
+
+
+def _ref_cond_exp(lattice, k, child_values):
+    w = lattice.child_weight
+    out = None
+    for _, block in _ref_corner_blocks(lattice, k, child_values):
+        contrib = w * block
+        out = contrib if out is None else out + contrib
+    return out
+
+
+def _ref_log_cond_exp(lattice, k, child_log_values):
+    acc = None
+    for _, block in _ref_corner_blocks(lattice, k, child_log_values):
+        acc = block.copy() if acc is None else np.logaddexp(acc, block)
+    return acc + math.log(lattice.child_weight)
+
+
+def _ref_project(lattice, k, child_values):
+    s = math.sqrt(lattice.grid.dt)
+    w = lattice.child_weight
+    expectation = None
+    z_parts = [None] * lattice.d
+    for corner, block in _ref_corner_blocks(lattice, k, child_values):
+        contrib = w * block
+        expectation = contrib if expectation is None else expectation + contrib
+        for j, c in enumerate(corner):
+            zc = ((2 * c - 1) * w / s) * block
+            z_parts[j] = zc if z_parts[j] is None else z_parts[j] + zc
+    return expectation, np.stack(z_parts, axis=-1)
+
+
+@st.composite
+def _kernel_case(draw):
+    """A lattice, a layer k and its child values (with signed zeros, the
+    smallest subnormal and values that overflow once weighted) in one of the
+    input forms the solvers pass: an array, a list, or a strided column view
+    like ``term[:, i-1:i]``."""
+    d = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, 6 - d))
+    k = draw(st.integers(0, steps - 1))
+    horizon = draw(st.sampled_from([1.0, 0.3, 1e-7, 1e9]))
+    lattice = q.build_lattice(q.build_time_grid(horizon, steps), d)
+    n = draw(st.integers(1, 3))
+    value_shape = draw(st.sampled_from([(), (n,), (n, d)]))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -0.75])
+    values = draw(arrays(np.float64, ((k + 2) ** d,) + value_shape,
+                         elements=special | st.floats(-1e6, 1e6)))
+    form = draw(st.sampled_from(["array", "list", "strided"]))
+    if form == "list":
+        return lattice, k, values.tolist()
+    if form == "strided":
+        return lattice, k, np.stack([np.full_like(values, np.nan), values], axis=-1)[..., 1]
+    return lattice, k, values
+
+
+def _owns_exactly(a):
+    root = a if a.base is None else a.base
+    return root.base is None and root.nbytes == a.nbytes and a.flags.c_contiguous
 
 
 class TestLattice:
@@ -107,6 +184,32 @@ class TestProject:
             q.project(lat, 2, np.zeros(3))
 
 
+class TestKernelReference:
+    """project, cond_exp and log_cond_exp match the corner-slice kernels bit
+    for bit and return fresh arrays that share no memory with their input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case())
+    def test_bits_match_corner_slices(self, case):
+        lattice, k, child = case
+        with np.errstate(all="ignore"):
+            pairs = [(q.cond_exp(lattice, k, child), _ref_cond_exp(lattice, k, child)),
+                     (q.log_cond_exp(lattice, k, child), _ref_log_cond_exp(lattice, k, child))]
+            pairs += zip(q.project(lattice, k, child), _ref_project(lattice, k, child))
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert _owns_exactly(got) and got.flags.writeable
+            if isinstance(child, np.ndarray):
+                assert not np.shares_memory(got, child)
+
+    def test_child_size_checked(self):
+        grid = q.build_time_grid(1.0, 3)
+        lat = q.build_lattice(grid, 2)
+        with pytest.raises(ValueError):
+            q.project(lat, 1, np.zeros(10))
+
+
 class TestBackwardSolve:
     def test_brownian_terminal(self):
         inst, lat = make(structured_config())
@@ -160,6 +263,39 @@ class TestBackwardSolve:
         f = q.backward_solve(inst, lat, z_truncation=0.5)
         assert f.metadata["z_clips"] == 1
         assert np.all(np.abs(f.z[0]) <= 0.5 + 1e-15)
+
+    @pytest.mark.parametrize("cfg", [
+        remark22_config(N=20),
+        structured_config(**{"problem.d": 2, "grid.N": 6, "terminal.1": "clamp(w1*w2,-1,1)",
+                             "generator.1.g": "0.5*norm2(z1)"}),
+    ], ids=["remark22", "d2"])
+    def test_z_truncation_is_a_scheme_property(self, monkeypatch, cfg):
+        """Every stored Z row ends within the threshold, z_clips counts the rows
+        scaled back onto it, and clipping one layer touches no other layer."""
+        c = 1e-3
+        inst, lat = make(cfg)
+        projected, project = {}, engine.project
+
+        def recording(lattice, k, child_values):
+            expectation, z = project(lattice, k, child_values)
+            projected[k] = child_values.copy(), z.copy()
+            return expectation, z
+
+        monkeypatch.setattr(engine, "project", recording)
+        f = q.backward_solve(inst, lat, z_truncation=c)
+        monkeypatch.undo()
+        clipped = 0
+        for k, (child, raw) in projected.items():
+            assert f.y[k + 1].tobytes() == child.tobytes()
+            norms = np.sqrt(sum_squares(raw))
+            over = norms > c
+            clipped += int(over.sum())
+            assert f.z[k][~over].tobytes() == raw[~over].tobytes()
+            assert np.allclose(f.z[k][over], raw[over] * (c / norms[over])[:, None],
+                               rtol=4 * np.finfo(float).eps, atol=0)
+            assert np.all(np.sqrt(sum_squares(f.z[k])) <= c * (1 + 4 * np.finfo(float).eps))
+        assert 0 < clipped < sum(z.shape[0] * z.shape[1] for z in f.z)
+        assert f.metadata["z_clips"] == clipped
 
     def test_inner_nonconvergence_reports_location(self):
         cfg = structured_config(**{"grid.N": 2, "generator.1.h": "100*y1",

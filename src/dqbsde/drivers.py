@@ -138,10 +138,8 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
             halvings.append((L * dt, new_L * dt))
             L = new_L
             continue
-        for j, k in enumerate(range(k_lo, k_hi + 1)):
-            ys_full[k] = ys[j]
-        for j, k in enumerate(range(k_lo, k_hi)):
-            zs_full[k] = zs[j]
+        ys_full[k_lo:k_hi + 1] = ys
+        zs_full[k_lo:k_hi] = zs
         sup = max(float(np.sqrt(sum_squares(a)).max()) for a in ys)
         chunks.append(ChunkRecord(start_layer=k_hi, end_layer=k_lo,
                                   horizon=(k_hi - k_lo) * dt,
@@ -170,6 +168,8 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     """Solve a scalar equation by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns
     (y_layers, z_layers, trace) with layer lists covering 0..N.
+    An outer iteration holds the previous ys, which the frozen map reads, and
+    not the previous zs; no array is written in place.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -201,6 +201,7 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             def drv(k, t, y, z, _frozen=frozen, _k_lo=k_lo):
                 return problem.driver(k, t, _frozen[k - _k_lo], z)
 
+            zs = None  # free the previous Z: the frozen map reads only the previous ys
             ys, zs = backward_range(lattice, drv, False, term, k_lo, k_hi,
                                     inner_tol=inner_tol, inner_max_iter=inner_max_iter)
             change = max(float(np.abs(a - b).max()) for a, b in zip(ys, frozen))
@@ -212,10 +213,8 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             raise PicardNonconvergenceError(changes)
         trace.sub_intervals.append((k_lo, k_hi, span * dt))
         trace.changes.append(changes)
-        for j, k in enumerate(range(k_lo, k_hi + 1)):
-            ys_full[k] = ys[j]
-        for j, k in enumerate(range(k_lo, k_hi)):
-            zs_full[k] = zs[j]
+        ys_full[k_lo:k_hi + 1] = ys
+        zs_full[k_lo:k_hi] = zs
         term = ys[0]
         k_hi = k_lo
 
@@ -238,7 +237,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
     fields, reducing to a scalar equation in (y_i, z_i) handled by
     ``frozen_y_contraction`` with the instance's own-component Lipschitz
-    constant.
+    constant.  Each component's layers are released once copied into the
+    full field, so solving component i holds the full field and its iterate.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -286,6 +286,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
             y_full[k][:, i - 1] = ys[k][:, 0]
         for k in range(N):
             z_full[k][:, i - 1, :] = zs[k][:, 0, :]
+        del ys, zs
 
     meta = {"scheme": "triangular",
             "component_outer_iterations": [sum(len(c) for c in tr.changes) for tr in traces],

@@ -358,35 +358,36 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     ys = [None] * (k_hi - k_lo + 1)
     zs = [None] * (k_hi - k_lo)
     ys[-1] = np.asarray(terminal, dtype=float)
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        expectation, z = project(lattice, k, ys[k - k_lo + 1])
-        if z_truncation is not None:
-            stats["z_clips"] += _truncate_rows(z, z_truncation)
-        t_k = lattice.grid.time(k)
-        try:
-            if y_dependent:
-                y = expectation
-                for it in range(inner_max_iter):
-                    y_next = expectation + driver(k, t_k, y, z) * dt
-                    delta_vec = np.abs(y_next - y)
-                    delta = float(delta_vec.max())
-                    y = y_next
-                    stats["inner_iterations"] += 1
-                    if delta <= inner_tol:
-                        break
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
+        for k in range(k_hi - 1, k_lo - 1, -1):
+            expectation, z = project(lattice, k, ys[k - k_lo + 1])
+            if z_truncation is not None:
+                stats["z_clips"] += _truncate_rows(z, z_truncation)
+            t_k = lattice.grid.time(k)
+            try:
+                if y_dependent:
+                    y = expectation
+                    for it in range(inner_max_iter):
+                        y_next = expectation + driver(k, t_k, y, z) * dt
+                        delta_vec = np.abs(y_next - y)
+                        delta = float(delta_vec.max())
+                        y = y_next
+                        stats["inner_iterations"] += 1
+                        if delta <= inner_tol:
+                            break
+                    else:
+                        node = int(np.argmax(delta_vec.max(axis=-1)))
+                        raise InnerNonconvergenceError(k, node, delta)
                 else:
-                    node = int(np.argmax(delta_vec.max(axis=-1)))
-                    raise InnerNonconvergenceError(k, node, delta)
-            else:
-                y = expectation + driver(k, t_k, expectation, z) * dt
-                stats["inner_iterations"] += 1
-        except EvalError as err:
-            raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
-        if not np.all(np.isfinite(y)):
-            node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
-            raise NonFiniteError(k, node)
-        ys[k - k_lo] = y
-        zs[k - k_lo] = z
+                    y = expectation + driver(k, t_k, expectation, z) * dt
+                    stats["inner_iterations"] += 1
+            except EvalError as err:
+                raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
+            if not np.all(np.isfinite(y)):
+                node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
+                raise NonFiniteError(k, node)
+            ys[k - k_lo] = y
+            zs[k - k_lo] = z
     return ys, zs
 
 
@@ -396,8 +397,12 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     """Fixed-point iteration: each pass solves the linear equation obtained by
     freezing the driver arguments at the previous field.
 
+    One iterate is live: a pass replaces layer k of the previous field once
+    it has built the new one (it reads only old layer k and new layer k+1),
+    and no array is written in place, so ``init`` is neither copied nor mutated.
+
     Returns (ys, zs, trace); raises PicardNonconvergenceError (carrying the
-    trace and partial field) or PicardDivergenceError.
+    trace and the last complete pass) or PicardDivergenceError.
     """
     dt = lattice.grid.dt
     if dt == 0.0:
@@ -405,39 +410,36 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
         return ys, zs, [0.0]
     span = k_hi - k_lo
     n = terminal.shape[-1]
-    y_prev = ([a.copy() for a in init_y] if init_y is not None
-              else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
-    z_prev = ([a.copy() for a in init_z] if init_z is not None
-              else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
+    ys = (list(init_y) if init_y is not None
+          else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
+    zs = (list(init_z) if init_z is not None
+          else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
     term = np.asarray(terminal, dtype=float)
     trace = []
-    for m in range(max_iter):
-        ys = [None] * (span + 1)
-        zs = [None] * span
-        ys[-1] = term
-        change = float(np.abs(term - y_prev[-1]).max()) if term.size else 0.0
-        for k in range(k_hi - 1, k_lo - 1, -1):
-            j = k - k_lo
-            expectation, z = project(lattice, k, ys[j + 1])
-            t_k = lattice.grid.time(k)
-            try:
-                f_val = driver(k, t_k, y_prev[j], z_prev[j])
-            except EvalError as err:
-                raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
-            y = expectation + f_val * dt
-            if not np.all(np.isfinite(y)):
-                node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
-                raise NonFiniteError(k, node)
-            ys[j] = y
-            zs[j] = z
-            change = max(change, float(np.abs(y - y_prev[j]).max()))
-        trace.append(change)
-        y_prev, z_prev = ys, zs
-        if change <= tol:
-            return ys, zs, trace
-        if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
-            raise PicardDivergenceError(trace)
-    raise PicardNonconvergenceError(trace, partial=(y_prev, z_prev))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
+        for m in range(max_iter):
+            change = float(np.abs(term - ys[-1]).max()) if term.size else 0.0
+            ys[-1] = term
+            for k in range(k_hi - 1, k_lo - 1, -1):
+                j = k - k_lo
+                expectation, z = project(lattice, k, ys[j + 1])
+                t_k = lattice.grid.time(k)
+                try:
+                    f_val = driver(k, t_k, ys[j], zs[j])
+                except EvalError as err:
+                    raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
+                y = expectation + f_val * dt
+                if not np.all(np.isfinite(y)):
+                    node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
+                    raise NonFiniteError(k, node)
+                change = max(change, float(np.abs(y - ys[j]).max()))
+                ys[j], zs[j] = y, z
+            trace.append(change)
+            if change <= tol:
+                return ys, zs, trace
+            if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
+                raise PicardDivergenceError(trace)
+    raise PicardNonconvergenceError(trace, partial=(ys, zs))
 
 
 # ---------------------------------------------------------------------------

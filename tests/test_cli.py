@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import csv
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +180,23 @@ class TestSolve:
                    "--out", str(out)) == 0
         report = (out / "report.txt").read_text()
         assert "component.2.outerIterations" in report
+
+    @pytest.mark.parametrize("cfg, argv, digest", [
+        (remark22_config(N=20), ("--mode", "picard"),
+         "94a1115207c2df53940c45b66ff9a67753e49d1b5b4ceba862f7b2e90cefc035"),
+        (remark22_config(N=20), ("--mode", "stitched", "--horizon", "0.25"),
+         "2228f8f6760f0dc5f12c85a54977f2b966a3f63783a33cbf12125584b9afdb12"),
+        (triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0},
+         ("--mode", "triangular"),
+         "47f6d5a091f507b8168006471c16006612df68e309c64016ef1bf648f6090d40"),
+    ], ids=["picard", "stitched", "triangular"])
+    def test_solution_digest(self, tmp_path, cfg, argv, digest):
+        # Digests recorded with the two-list Picard driver, which held the
+        # previous pass whole beside the one it built.
+        path = str(write_config(tmp_path / "s.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, *argv, "--out", str(out)) == 0
+        assert hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest() == digest
 
     def test_deterministic_bytes(self, tmp_path, remark_cfg):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -451,14 +470,36 @@ class TestSolverFailure:
         assert (out / "report.txt").read_text() == (
             f"mode = {mode}\nthreads = 1\nconverged = false\n")
 
+    @pytest.mark.parametrize("cfg, argv, message, trace", [
+        (pure_quadratic_config(gamma=12.0, N=50), ("--mode", "picard", "--max-iter", "100"),
+         "Picard iteration diverging after 3 iterations (change 1.277e+01 vs initial 1.000e+00)",
+         ("1.0", "3.086603212022368", "12.770834989807215")),
+        (remark22_config(N=20), ("--mode", "picard", "--tol", "1e-12", "--max-iter", "3"),
+         "Picard iteration did not converge in 3 iterations (last change 2.784e-01)",
+         ("0.25", "0.4792391637058082", "0.2783833420852164")),
+        (pure_quadratic_config(gamma=80.0, N=4),
+         ("--mode", "stitched", "--horizon", "adaptive", "--max-iter", "50"),
+         "chunk of one layer still fails to converge", ()),
+    ], ids=["picard-divergence", "picard-nonconvergence", "adaptive-floor"])
+    def test_picard_failures(self, tmp_path, capsys, cfg, argv, message, trace):
+        path = str(write_config(tmp_path / "fail.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, *argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+        assert (out / "report.txt").read_text() == (
+            f"mode = {argv[1]}\nthreads = 1\nconverged = false\n"
+            + "".join(f"trace.{i} = {v}\n" for i, v in enumerate(trace)))
+
     def test_non_finite_value(self, tmp_path, capsys):
-        # 1e308 * dt overflows; numpy's overflow warning may precede the line.
+        # 1e308 * dt overflows: the solver's error is the only stderr line.
         cfg = structured_config(**{"grid.N": 2, "problem.T": 4.0, "generator.1.h": "1e308",
                                    "terminal.1": "0", "terminal.bound": 0.0})
         path = str(write_config(tmp_path / "fail.cfg", cfg))
-        out = tmp_path / "o"
-        assert run("solve", "--config", path, "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "solver error: non-finite value at layer 1, node 0"
-        assert err.endswith("\n")
-        assert (out / "report.txt").read_text() == "mode = direct\nthreads = 1\nconverged = false\n"
+        for mode in ("direct", "picard", "stitched"):
+            out = tmp_path / mode
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run("solve", "--config", path, "--mode", mode, "--out", str(out)) == 3
+            assert capsys.readouterr().err == "solver error: non-finite value at layer 1, node 0\n"
+            assert (out / "report.txt").read_text() == (
+                f"mode = {mode}\nthreads = 1\nconverged = false\n")

@@ -11,13 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 import dqbsde as q
 from dqbsde import engine
-from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError,
-                           PicardDivergenceError, SolverError, backward_range,
-                           compile_driver)
+from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError, NonFiniteError,
+                           PicardDivergenceError, PicardNonconvergenceError, SolverError,
+                           backward_range, compile_driver)
 
-from dqbsde.gendsl import STRUCTURED, GeneratorModel, sum_squares
+from dqbsde.gendsl import STRUCTURED, EvalError, GeneratorModel, sum_squares
 
-from conftest import make, pure_quadratic_config, remark22_config, structured_config
+from conftest import (make, pure_quadratic_config, remark22_config, structured_config,
+                      triangular_demo_config)
 
 
 # The corner-slice kernels that the flat-window kernels replaced: each corner
@@ -61,6 +62,53 @@ def _ref_project(lattice, k, child_values):
             zc = ((2 * c - 1) * w / s) * block
             z_parts[j] = zc if z_parts[j] is None else z_parts[j] + zc
     return expectation, np.stack(z_parts, axis=-1)
+
+
+# The two-list Picard driver that the one-live-iterate driver replaced: a pass
+# builds fresh lists beside a private copy of the previous field.  It is the
+# bit-for-bit reference of TestPicardReference.
+
+def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter=200,
+                      init_y=None, init_z=None):
+    dt = lattice.grid.dt
+    if dt == 0.0:
+        ys, zs = engine._degenerate_layers(lattice, terminal, k_lo, k_hi)
+        return ys, zs, [0.0]
+    span = k_hi - k_lo
+    n = terminal.shape[-1]
+    y_prev = ([a.copy() for a in init_y] if init_y is not None
+              else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
+    z_prev = ([a.copy() for a in init_z] if init_z is not None
+              else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
+    term = np.asarray(terminal, dtype=float)
+    trace = []
+    for m in range(max_iter):
+        ys = [None] * (span + 1)
+        zs = [None] * span
+        ys[-1] = term
+        change = float(np.abs(term - y_prev[-1]).max()) if term.size else 0.0
+        for k in range(k_hi - 1, k_lo - 1, -1):
+            j = k - k_lo
+            expectation, z = engine.project(lattice, k, ys[j + 1])
+            t_k = lattice.grid.time(k)
+            try:
+                f_val = driver(k, t_k, y_prev[j], z_prev[j])
+            except EvalError as err:
+                raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
+            y = expectation + f_val * dt
+            if not np.all(np.isfinite(y)):
+                node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
+                raise NonFiniteError(k, node)
+            ys[j] = y
+            zs[j] = z
+            change = max(change, float(np.abs(y - y_prev[j]).max()))
+        trace.append(change)
+        y_prev, z_prev = ys, zs
+        if change <= tol:
+            return ys, zs, trace
+        if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
+            raise PicardDivergenceError(trace)
+    raise PicardNonconvergenceError(trace, partial=(y_prev, z_prev))
 
 
 @st.composite
@@ -366,6 +414,89 @@ class TestPicardSolve:
         inst, lat = make(cfg)
         with pytest.raises(PicardDivergenceError):
             q.picard_solve(inst, lat, tol=1e-10, max_iter=100)
+
+
+TRI_D2 = triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _picard_outcome(picard, cfg, k_lo=0, shift=None, **kwargs):
+    """Run ``picard`` on layers k_lo..N of ``cfg`` with a fresh compiled
+    driver; returns (outcome, ys, zs, trace), where ys, zs is the last
+    complete pass when the iteration does not converge."""
+    inst, lat = make(cfg)
+    driver, _ = compile_driver(inst.generator)
+    term = engine.terminal_values(inst, lat)
+    if shift is not None:
+        init = engine.zero_field(lat, inst.n).shifted(shift)
+        kwargs.update(init_y=init.y[k_lo:], init_z=init.z[k_lo:])
+    try:
+        return ("converged",) + picard(lat, driver, term, k_lo, lat.grid.steps, **kwargs)
+    except PicardNonconvergenceError as err:
+        return ("nonconvergence",) + err.partial + (err.trace,)
+    except PicardDivergenceError as err:
+        return "divergence", [], [], err.trace
+
+
+class TestPicardReference:
+    """One live iterate gives the two-list driver's bits: every returned
+    layer, the trace and the nonconvergence partial field."""
+
+    @pytest.mark.parametrize("cfg, kwargs", [
+        (remark22_config(N=20), {}),
+        (remark22_config(N=20), {"k_lo": 12}),
+        (pure_quadratic_config(N=50), {}),
+        (pure_quadratic_config(gamma=12.0, N=50), {"max_iter": 100}),
+        (TRI_D2, {"tol": 1e-12, "max_iter": 2000}),
+        (pure_quadratic_config(N=50), {"shift": 1.0}),
+        (TRI_D2, {"shift": 1.0, "tol": 1e-12}),
+        (remark22_config(N=20), {"tol": 1e-12, "max_iter": 3}),
+        (remark22_config(N=20), {"k_lo": 5, "shift": 0.5, "tol": 1e-12, "max_iter": 2}),
+    ], ids=["remark22", "remark22-chunk", "pure-quadratic", "divergence", "joint-oracle-d2",
+            "shifted-init", "shifted-init-d2", "nonconvergence", "nonconvergence-shifted"])
+    def test_same_bits_as_two_list_driver(self, cfg, kwargs):
+        got = _picard_outcome(engine.picard_range, cfg, **kwargs)
+        want = _picard_outcome(_ref_picard_range, cfg, **kwargs)
+        assert got[0] == want[0]
+        for got_layers, want_layers in zip(got[1:3], want[1:3]):
+            assert len(got_layers) == len(want_layers)
+            assert all(_same_bits(a, b) for a, b in zip(got_layers, want_layers))
+        assert _same_bits(got[3], want[3])
+
+    def test_init_is_neither_copied_nor_mutated(self):
+        inst, lat = make(remark22_config(N=20))
+        init = engine.zero_field(lat, inst.n).shifted(0.5)
+        for a in init.y + init.z:
+            a.flags.writeable = False  # a write in place would raise
+        before_y, before_z = list(init.y), list(init.z)
+        values = [a.copy() for a in init.y + init.z]
+
+        def unchanged():
+            return (len(init.y) == len(before_y) and len(init.z) == len(before_z)
+                    and all(a is b for a, b in zip(init.y + init.z, before_y + before_z))
+                    and all(_same_bits(a, b) for a, b in zip(init.y + init.z, values)))
+
+        field_, trace = q.picard_solve(inst, lat, init=init)
+        assert unchanged() and len(trace) > 2
+        assert not any(a is b for a, b in zip(field_.y[:-1] + field_.z, init.y + init.z))
+
+        driver, _ = compile_driver(inst.generator)
+        calls = []
+
+        def failing(k, t, y, z):  # fails halfway through the second pass
+            calls.append(k)
+            if len(calls) == 30:
+                raise EvalError("planted failure", 0)
+            return driver(k, t, y, z)
+
+        term = engine.terminal_values(inst, lat)
+        with pytest.raises(SolverError, match="failed at layer 10: planted failure"):
+            engine.picard_range(lat, failing, term, 0, 20, init_y=init.y, init_z=init.z)
+        assert unchanged()
 
 
 class TestFieldStatistics:

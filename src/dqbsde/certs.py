@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gendsl import EvalEnv, EvalError, Expr, STRUCTURED, eval_expr
+from .gendsl import EvalEnv, EvalError, Expr, STRUCTURED, eval_expr, sum_squares
 from .model import CoefficientFunction, ProblemInstance
 
 _LOG_OVERFLOW = 709.0  # ln of the largest double, minus slack
@@ -351,7 +351,7 @@ _SHIFT11 = np.uint64(11)
 # the two round multipliers, each with its low and high 32-bit limbs
 _PHILOX_M0, _PHILOX_M1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
                           for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
-_SAMPLE_BLOCK = 2 ** 16  # samples generated per batch; bounds the temporaries
+_SAMPLE_BLOCK = 2 ** 12  # samples drawn and tested per block; bounds the memory
 
 
 def _philox_round_keys(seed: int) -> list:
@@ -400,16 +400,17 @@ def _philox_uniforms(round_keys: list, index: np.ndarray, per_sample: int) -> np
     return (words >> _SHIFT11).astype(np.float64) * 2.0 ** -53
 
 
-def _sample_uniforms(seed: int, count: int, per_sample: int) -> np.ndarray:
-    """(count, per_sample) uniforms; sample i comes from its own counter block
-    of a counter-based generator, so any index partition reproduces them."""
-    out = np.empty((count, per_sample))
-    round_keys = _philox_round_keys(seed)
-    for start in range(0, count, _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, count)
-        index = np.arange(start, stop, dtype=np.uint64)
-        out[start:stop] = _philox_uniforms(round_keys, index, per_sample)
-    return out
+def _sample_uniforms(seed: int, count: int, per_sample: int, start: int = 0) -> np.ndarray:
+    """(count, per_sample) uniforms of samples start, start + 1, ...; sample i
+    comes from its own counter block of a counter-based generator, so any
+    index partition reproduces them."""
+    index = np.arange(start, start + count, dtype=np.uint64)
+    return _philox_uniforms(_philox_round_keys(seed), index, per_sample)
+
+
+def _norm(a: np.ndarray, axes: int = 1):
+    """Euclidean norm over the trailing `axes` axes."""
+    return np.sqrt(sum_squares(a, axes))
 
 
 def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 10_000,
@@ -419,49 +420,70 @@ def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 1
 
     A violation is recorded when lhs > rhs + 1e-9; domain errors at
     individual samples are recorded, not fatal.  A clean report is
-    evidence, not proof.
+    evidence, not proof.  Samples are drawn and tested one block of
+    _SAMPLE_BLOCK at a time, so memory does not grow with count, and the
+    report is the same for every block size.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    _philox_round_keys(seed)  # reject a bad seed even when no block is drawn
     n, d = instance.n, instance.d
     T = instance.grid.horizon
     per = 1 + 2 * n + 2 * n * d
-    u = _sample_uniforms(seed, count, per)
-    t = T * u[:, 0]
-    yA = radius * (2.0 * u[:, 1:1 + n] - 1.0)
-    yB = radius * (2.0 * u[:, 1 + n:1 + 2 * n] - 1.0)
-    zA = radius * (2.0 * u[:, 1 + 2 * n:1 + 2 * n + n * d] - 1.0).reshape(count, n, d)
-    zB = radius * (2.0 * u[:, 1 + 2 * n + n * d:] - 1.0).reshape(count, n, d)
-
+    falsify = _falsify_structured if instance.generator.kind == STRUCTURED else _falsify_triangular
     recorder = _Recorder(max_recorded)
-    if instance.generator.kind == STRUCTURED:
-        _falsify_structured(instance, t, yA, yB, zA, zB, recorder)
-    else:
-        _falsify_triangular(instance, t, yA, yB, zA, zB, recorder)
+    for start in range(0, count, _SAMPLE_BLOCK):
+        m = min(_SAMPLE_BLOCK, count - start)
+        u = _sample_uniforms(seed, m, per, start)
+        t = T * u[:, 0]
+        yA = radius * (2.0 * u[:, 1:1 + n] - 1.0)
+        yB = radius * (2.0 * u[:, 1 + n:1 + 2 * n] - 1.0)
+        zA = radius * (2.0 * u[:, 1 + 2 * n:1 + 2 * n + n * d] - 1.0).reshape(m, n, d)
+        zB = radius * (2.0 * u[:, 1 + 2 * n + n * d:] - 1.0).reshape(m, n, d)
+        recorder.begin(start)
+        falsify(instance, t, yA, yB, zA, zB, recorder)
 
+    violations = [v for site in recorder.violations.values() for v in site]
+    del violations[recorder.max_recorded:]
     return FalsificationReport(
-        violations=recorder.violations,
+        violations=violations,
         violation_count=recorder.total,
         sample_count=count,
         seed=seed,
-        domain_errors=recorder.domain_errors,
-        truncated=recorder.total > len(recorder.violations),
+        domain_errors=[e for site in recorder.domain_errors.values() for e in site],
+        truncated=recorder.total > len(violations),
     )
 
 
 class _Recorder:
+    """Violations and domain errors of a falsifier run, kept per call site.
+
+    Every block makes the same sequence of `add` and `eval` calls, so the
+    k-th of a block is site k.  A site keeps its samples in index order, at
+    most max_recorded violations; the report joins the sites in call order,
+    which is the order one block over all samples gives.
+    """
+
     def __init__(self, max_recorded: int):
-        self.violations = []
+        self.violations = {}     # add site -> [Violation]
+        self.domain_errors = {}  # eval site -> [(assumption, sample index, message)]
         self.total = 0
-        self.domain_errors = []
-        self.max_recorded = max_recorded
+        self.max_recorded = max(max_recorded, 0)
+        self.begin(0)
+
+    def begin(self, start: int):
+        """Start a block whose first sample has global index start."""
+        self.start = start
+        self.adds = self.evals = 0
 
     def add(self, assumption, component, t, lhs, rhs, y=None, z=None, y2=None, z2=None):
+        kept = self.violations.setdefault(self.adds, [])
+        self.adds += 1
         mask = np.isfinite(lhs) & np.isfinite(rhs) & (lhs > rhs + _VIOLATION_TOL)
         idx = np.nonzero(mask)[0]
         self.total += len(idx)
-        for j in idx:
-            if len(self.violations) >= self.max_recorded:
-                return
-            self.violations.append(Violation(
+        for j in idx[:self.max_recorded - len(kept)]:
+            kept.append(Violation(
                 assumption=assumption, component=component, t=float(t[j]),
                 y=None if y is None else y[j].copy(),
                 z=None if z is None else z[j].copy(),
@@ -471,7 +493,11 @@ class _Recorder:
             ))
 
     def eval(self, assumption, expr: Expr, env: EvalEnv, m: int) -> np.ndarray:
-        """Batched evaluation with per-sample fallback on domain errors."""
+        """Batched evaluation; a block that raises is redone one sample at a
+        time.  A batch that passes passes on every row, since the batch-level
+        `pow` guard only weakens on subsets."""
+        errors = self.domain_errors.setdefault(self.evals, [])
+        self.evals += 1
         try:
             return np.broadcast_to(np.asarray(eval_expr(expr, env), dtype=float), (m,)).copy()
         except EvalError:
@@ -487,7 +513,7 @@ class _Recorder:
             try:
                 vals[j] = eval_expr(expr, env_j)
             except EvalError as err:
-                self.domain_errors.append((assumption, j, str(err)))
+                errors.append((assumption, self.start + j, str(err)))
         return vals
 
 
@@ -499,11 +525,11 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
     envB = EvalEnv(t=t, y=yB, z=zB)
     env0 = EvalEnv(t=t, y=np.zeros_like(yA), z=np.zeros_like(zA))
 
-    rowsA = np.sqrt((zA ** 2).sum(-1))   # (m, n) row norms
-    rowsB = np.sqrt((zB ** 2).sum(-1))
-    frobA = np.sqrt((zA ** 2).sum((-2, -1)))
-    frobB = np.sqrt((zB ** 2).sum((-2, -1)))
-    ynormA = np.sqrt((yA ** 2).sum(-1))
+    rowsA = _norm(zA)   # (m, n) row norms
+    rowsB = _norm(zB)
+    frobA = _norm(zA, 2)
+    frobB = _norm(zB, 2)
+    ynormA = _norm(yA)
 
     alpha_t = p.alpha.value_at(t)
     beta_t = p.beta.value_at(t)
@@ -515,7 +541,7 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
 
         gB = rec.eval("H1b", gen.g[i - 1], envB, m)
         rhs = p.lip_k * (1.0 + rowsA[:, i - 1] + rowsB[:, i - 1]) \
-            * np.sqrt(((zA[:, i - 1] - zB[:, i - 1]) ** 2).sum(-1))
+            * _norm(zA[:, i - 1] - zB[:, i - 1])
         rec.add("H1b", i, t, np.abs(gA - gB), rhs, z=zA, z2=zB)
 
         h0 = rec.eval("H1c", gen.h[i - 1], env0, m)
@@ -523,8 +549,8 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
 
         hA = rec.eval("H1d", gen.h[i - 1], envA, m)
         hB = rec.eval("H1d", gen.h[i - 1], envB, m)
-        dz = np.sqrt(((zA - zB) ** 2).sum((-2, -1)))
-        dy = np.sqrt(((yA - yB) ** 2).sum(-1))
+        dz = _norm(zA - zB, 2)
+        dy = _norm(yA - yB)
         rhs = (p.lip_k * dy
                + p.lip_k * (1.0 + frobA ** p.delta + frobB ** p.delta) * dz)
         rec.add("H1d", i, t, np.abs(hA - hB), rhs, y=yA, z=zA, y2=yB, z2=zB)
@@ -539,8 +565,8 @@ def _falsify_triangular(inst, t, yA, yB, zA, zB, rec: _Recorder):
     gen = inst.generator
     m, n = yA.shape
     envA = EvalEnv(t=t, y=yA, z=zA)
-    rowsA = np.sqrt((zA ** 2).sum(-1))
-    rowsB = np.sqrt((zB ** 2).sum(-1))
+    rowsA = _norm(zA)
+    rowsB = _norm(zB)
 
     for i in range(1, n + 1):
         kA = rec.eval("A1", gen.k[i - 1], envA, m)
@@ -558,7 +584,7 @@ def _falsify_triangular(inst, t, yA, yB, zA, zB, rec: _Recorder):
         kV = rec.eval("A2", gen.k[i - 1], EvalEnv(t=t, y=yV, z=zV), m)
         rhs = (p.lip_beta * np.abs(yA[:, i - 1] - yB[:, i - 1])
                + p.a2_c * (1.0 + rowsA[:, i - 1] + rowsB[:, i - 1])
-               * np.sqrt(((zA[:, i - 1] - zB[:, i - 1]) ** 2).sum(-1)))
+               * _norm(zA[:, i - 1] - zB[:, i - 1]))
         rec.add("A2", i, t, np.abs(kA - kV), rhs, y=yA, z=zA, y2=yV, z2=zV)
 
 
@@ -580,12 +606,12 @@ def evaluate_assumption(instance: ProblemInstance, v: Violation) -> tuple:
         return float(eval_expr(expr, EvalEnv(t=t, y=y, z=z)))
 
     if v.assumption == "H1a":
-        row = np.sqrt((v.z[i - 1] ** 2).sum())
+        row = _norm(v.z[i - 1])
         return abs(ev(gen.g[i - 1], y=v.y, z=v.z)), p.gamma / 2.0 * row ** 2
     if v.assumption == "H1b":
-        r1 = np.sqrt((v.z[i - 1] ** 2).sum())
-        r2 = np.sqrt((v.z2[i - 1] ** 2).sum())
-        dz = np.sqrt(((v.z[i - 1] - v.z2[i - 1]) ** 2).sum())
+        r1 = _norm(v.z[i - 1])
+        r2 = _norm(v.z2[i - 1])
+        dz = _norm(v.z[i - 1] - v.z2[i - 1])
         lhs = abs(ev(gen.g[i - 1], z=v.z) - ev(gen.g[i - 1], z=v.z2))
         return lhs, p.lip_k * (1.0 + r1 + r2) * dz
     if v.assumption == "H1c":
@@ -593,29 +619,29 @@ def evaluate_assumption(instance: ProblemInstance, v: Violation) -> tuple:
         zeros_z = np.zeros((instance.n, instance.d))
         return abs(ev(gen.h[i - 1], y=zeros_y, z=zeros_z)), p.lip_k
     if v.assumption == "H1d":
-        dy = np.sqrt(((v.y - v.y2) ** 2).sum())
-        dz = np.sqrt(((v.z - v.z2) ** 2).sum())
-        f1 = np.sqrt((v.z ** 2).sum())
-        f2 = np.sqrt((v.z2 ** 2).sum())
+        dy = _norm(v.y - v.y2)
+        dz = _norm(v.z - v.z2, 2)
+        f1 = _norm(v.z, 2)
+        f2 = _norm(v.z2, 2)
         lhs = abs(ev(gen.h[i - 1], y=v.y, z=v.z) - ev(gen.h[i - 1], y=v.y2, z=v.z2))
         return lhs, p.lip_k * dy + p.lip_k * (1.0 + f1 ** p.delta + f2 ** p.delta) * dz
     if v.assumption == "H2":
-        frob = np.sqrt((v.z ** 2).sum())
-        ynorm = np.sqrt((v.y ** 2).sum())
+        frob = _norm(v.z, 2)
+        ynorm = _norm(v.y)
         lhs = np.sign(v.y[i - 1]) * ev(gen.h[i - 1], y=v.y, z=v.z)
         rhs = (p.alpha.value_at(t) + p.beta.value_at(t) * ynorm
                + p.eta.value_at(t) * np.log1p(frob))
         return float(lhs), float(rhs)
     if v.assumption == "A1":
-        rows = np.sqrt((v.z ** 2).sum(-1))
+        rows = _norm(v.z)
         growth = (1.0 + np.abs(v.y[:i]).sum()
                   + (rows[:i] ** (1.0 + p.power_alpha)).sum()
                   + rows[i - 1] ** 2)
         return abs(ev(gen.k[i - 1], y=v.y, z=v.z)), p.a1_c * growth
     if v.assumption == "A2":
-        r1 = np.sqrt((v.z[i - 1] ** 2).sum())
-        r2 = np.sqrt((v.z2[i - 1] ** 2).sum())
-        dz = np.sqrt(((v.z[i - 1] - v.z2[i - 1]) ** 2).sum())
+        r1 = _norm(v.z[i - 1])
+        r2 = _norm(v.z2[i - 1])
+        dz = _norm(v.z[i - 1] - v.z2[i - 1])
         lhs = abs(ev(gen.k[i - 1], y=v.y, z=v.z) - ev(gen.k[i - 1], y=v.y2, z=v.z2))
         rhs = (p.lip_beta * abs(v.y[i - 1] - v.y2[i - 1])
                + p.a2_c * (1.0 + r1 + r2) * dz)

@@ -466,10 +466,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        if getattr(args, "falsify", 0) < 0:
-            raise UsageError("--falsify must be >= 0")
+        for name, low in (("threads", 1), ("falsify", 0), ("max_iter", 1)):
+            if getattr(args, name, low) < low:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
         if getattr(args, "z_truncation", None) is not None and args.mode != "direct":
             raise UsageError("--z-truncation needs --mode direct")
         if not 0 <= args.seed < 2 ** 64:

@@ -173,6 +173,8 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
+    if max_outer < 1:
+        raise ValueError("max_outer must be >= 1")
     N = lattice.grid.steps
     dt = lattice.grid.dt
     horizon = lattice.grid.horizon

@@ -349,6 +349,8 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     Returns (ys, zs) where ys[j] is layer k_lo + j (so ys[-1] is the given
     terminal) and zs[j] pairs with ys[j] for j < k_hi - k_lo.
     """
+    if inner_max_iter < 1:
+        raise ValueError("inner_max_iter must be >= 1")
     dt = lattice.grid.dt
     if dt == 0.0:
         return _degenerate_layers(lattice, terminal, k_lo, k_hi)
@@ -404,6 +406,8 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     Returns (ys, zs, trace); raises PicardNonconvergenceError (carrying the
     trace and the last complete pass) or PicardDivergenceError.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     dt = lattice.grid.dt
     if dt == 0.0:
         ys, zs = _degenerate_layers(lattice, terminal, k_lo, k_hi)

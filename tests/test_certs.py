@@ -5,6 +5,7 @@ closed forms, computed independently before the implementation.
 """
 
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -290,9 +291,10 @@ class TestSampler:
         assert_same_bits(q.certs._sample_uniforms(seed, 40, per),
                          reference_uniforms(seed, 40, per))
 
-    def test_spans_index_blocks(self, monkeypatch):
-        monkeypatch.setattr(q.certs, "_SAMPLE_BLOCK", 7)
-        assert_same_bits(q.certs._sample_uniforms(11, 30, 9), reference_uniforms(11, 30, 9))
+    def test_spans_index_blocks(self):
+        # blocks of 7 drawn from their start index reproduce one draw of all 30
+        blocks = [q.certs._sample_uniforms(11, min(7, 30 - s), 9, s) for s in range(0, 30, 7)]
+        assert_same_bits(np.concatenate(blocks), reference_uniforms(11, 30, 9))
 
     def test_rows_across_default_block_boundary(self):
         block = q.certs._SAMPLE_BLOCK
@@ -404,3 +406,156 @@ class TestFalsifier:
             (0.8804203509231936, 3.728035265746928, 0.0),
             (0.1707644989226259, 1.0578047290833046, 0.0),
         ]
+
+
+class ReferenceRecorder:
+    """The recorder the block-streaming falsifier replaced: one list in call
+    order, and a failed batch redone one sample at a time over all samples."""
+
+    def __init__(self, max_recorded):
+        self.violations = []
+        self.total = 0
+        self.domain_errors = []
+        self.max_recorded = max_recorded
+
+    def add(self, assumption, component, t, lhs, rhs, y=None, z=None, y2=None, z2=None):
+        mask = np.isfinite(lhs) & np.isfinite(rhs) & (lhs > rhs + q.certs._VIOLATION_TOL)
+        idx = np.nonzero(mask)[0]
+        self.total += len(idx)
+        for j in idx:
+            if len(self.violations) >= self.max_recorded:
+                return
+            self.violations.append(q.certs.Violation(
+                assumption=assumption, component=component, t=float(t[j]),
+                y=None if y is None else y[j].copy(),
+                z=None if z is None else z[j].copy(),
+                y2=None if y2 is None else y2[j].copy(),
+                z2=None if z2 is None else z2[j].copy(),
+                lhs=float(lhs[j]), rhs=float(rhs[j]),
+            ))
+
+    def eval(self, assumption, expr, env, m):
+        try:
+            return np.broadcast_to(np.asarray(q.eval_expr(expr, env), dtype=float), (m,)).copy()
+        except q.EvalError:
+            pass
+        vals = np.full(m, np.nan)
+        for j in range(m):
+            env_j = q.EvalEnv(
+                t=float(np.atleast_1d(env.t)[j]) if np.ndim(env.t) else env.t,
+                y=None if env.y is None else env.y[j],
+                z=None if env.z is None else env.z[j],
+                w=None if env.w is None else env.w[j],
+            )
+            try:
+                vals[j] = q.eval_expr(expr, env_j)
+            except q.EvalError as err:
+                self.domain_errors.append((assumption, j, str(err)))
+        return vals
+
+
+def reference_falsify(instance, seed=0, count=10_000, radius=10.0, max_recorded=1000):
+    """The falsifier before block streaming: every sample drawn and tested at once."""
+    n, d = instance.n, instance.d
+    T = instance.grid.horizon
+    per = 1 + 2 * n + 2 * n * d
+    u = q.certs._sample_uniforms(seed, count, per)
+    t = T * u[:, 0]
+    yA = radius * (2.0 * u[:, 1:1 + n] - 1.0)
+    yB = radius * (2.0 * u[:, 1 + n:1 + 2 * n] - 1.0)
+    zA = radius * (2.0 * u[:, 1 + 2 * n:1 + 2 * n + n * d] - 1.0).reshape(count, n, d)
+    zB = radius * (2.0 * u[:, 1 + 2 * n + n * d:] - 1.0).reshape(count, n, d)
+    recorder = ReferenceRecorder(max_recorded)
+    if instance.generator.kind == q.gendsl.STRUCTURED:
+        q.certs._falsify_structured(instance, t, yA, yB, zA, zB, recorder)
+    else:
+        q.certs._falsify_triangular(instance, t, yA, yB, zA, zB, recorder)
+    return q.certs.FalsificationReport(
+        violations=recorder.violations, violation_count=recorder.total,
+        sample_count=count, seed=seed, domain_errors=recorder.domain_errors,
+        truncated=recorder.total > len(recorder.violations))
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def report_key(report):
+    """Everything a report holds, floats and arrays by their bits."""
+    return (report.violation_count, report.truncated, report.sample_count, report.seed,
+            report.domain_errors,
+            [(v.assumption, v.component, _bits(v.t), _bits(v.y), _bits(v.z), _bits(v.y2),
+              _bits(v.z2), _bits(v.lhs), _bits(v.rhs)) for v in report.violations])
+
+
+def rare_domain_error_config():
+    """log(y1 + 9.7) and sqrt(|z1| - 0.2) fail at a few percent of the samples,
+    so with small blocks some blocks raise and others do not."""
+    return structured_config(**{"generator.1.h": "log(y1+9.7)",
+                                "generator.1.g": "sqrt(norm(z1)-0.2)*norm2(z1)"})
+
+
+# (config, seed, count, radius); no count is a multiple of 7 or 64
+FALSIFIER_CASES = {
+    "planted-h2": (planted_h2_config(), 7, 601, 1e6),
+    "triangular-a1": (triangular_a1_config(), 3, 500, 2.0),
+    "remark22": (remark22_config(), 0, 450, 10.0),
+    "log-y1-rare": (rare_domain_error_config(), 4, 900, 10.0),
+}
+
+
+class TestBlockStreaming:
+    """Streaming the falsifier in index blocks gives the one-block report."""
+
+    @pytest.mark.parametrize("case", sorted(FALSIFIER_CASES))
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("max_recorded", [1, 5, 1000])
+    def test_matches_reference(self, monkeypatch, case, block, max_recorded):
+        cfg, seed, count, radius = FALSIFIER_CASES[case]
+        inst, _ = make(cfg)
+        want = reference_falsify(inst, seed=seed, count=count, radius=radius,
+                                 max_recorded=max_recorded)
+        monkeypatch.setattr(q.certs, "_SAMPLE_BLOCK", block)
+        got = q.falsify_assumptions(inst, seed=seed, count=count, radius=radius,
+                                    max_recorded=max_recorded)
+        assert report_key(got) == report_key(want)
+
+    def test_cases_exercise_the_contract(self):
+        # truncation and domain errors that fall in only some blocks are covered
+        inst, _ = make(planted_h2_config())
+        assert reference_falsify(inst, seed=7, count=601, radius=1e6, max_recorded=5).truncated
+        cfg, seed, count, radius = FALSIFIER_CASES["log-y1-rare"]
+        inst, _ = make(cfg)
+        report = reference_falsify(inst, seed=seed, count=count, radius=radius, max_recorded=5)
+        hit = {j // 7 for _, j, _ in report.domain_errors}
+        assert report.truncated and 0 < len(hit) < -(-count // 7)
+        assert {a for a, _, _ in report.domain_errors} == {"H1a", "H1b", "H1d"}
+
+    def test_bad_seed_rejected_without_samples(self):
+        inst, _ = make(remark22_config())
+        with pytest.raises(ValueError):
+            q.falsify_assumptions(inst, seed=-1, count=0)
+        assert q.falsify_assumptions(inst, seed=0, count=0).clean
+
+    def test_memory_flat_in_sample_count(self):
+        # tracemalloc sees numpy's buffers; 16 blocks peak like 2 (one-shot: ~8x)
+        inst, _ = make(remark22_config())
+        block = q.certs._SAMPLE_BLOCK
+        peaks = []
+        for blocks in (2, 16):
+            tracemalloc.start()
+            try:
+                q.falsify_assumptions(inst, seed=1, count=blocks * block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+
+class TestNorm:
+    @pytest.mark.parametrize("shape, axes", [((9, 2, 3), 1), ((9, 2, 3), 2), ((5, 3), 1),
+                                             ((3,), 1), ((2, 4), 2), ((4, 3, 3), 2)])
+    def test_same_bits_as_inline_form(self, shape, axes):
+        a = np.random.default_rng(2).normal(size=shape) * 7.0
+        want = np.sqrt((a ** 2).sum(tuple(range(-axes, 0))))
+        assert _bits(q.certs._norm(a, axes)) == _bits(want)

@@ -96,6 +96,21 @@ class TestCertify:
         assert run("certify", "--config", remark_cfg, "--out", out, "--falsify", "-5") == 1
         assert "--falsify" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, argv, digest", [
+        (planted_h2_config(), ("500", "--seed", "7"),
+         "57e1cc11fdaf9befec240de8b8b105dce159bfab58e6343916d28e4020b0f26c"),
+        (structured_config(**{"generator.1.h": "log(y1)"}), ("300", "--seed", "2"),
+         "87488ffbca6666d37b5cd3fe93bd60d0c6076cfcd9354437499a271f4e445848"),
+    ], ids=["planted-h2", "log-y1"])
+    def test_falsifier_digest_across_blocks(self, tmp_path, monkeypatch, cfg, argv, digest):
+        # Digests recorded with the falsifier that tested every sample at once;
+        # blocks of 64 split the run into 8 and 5 blocks.
+        monkeypatch.setattr(certs, "_SAMPLE_BLOCK", 64)
+        path = str(write_config(tmp_path / "f.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("certify", "--config", path, "--out", str(out), "--falsify", *argv) == 0
+        assert hashlib.sha256((out / "certificate.txt").read_bytes()).hexdigest() == digest
+
     def test_deterministic_bytes(self, tmp_path, remark_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run("certify", "--config", remark_cfg, "--out", str(out1), "--falsify", "100")
@@ -387,6 +402,21 @@ class TestCheckWriter:
             header = "L,alpha,eps,z,residual"
         want = header + "\n" + "".join(",".join(row) + "\n" for row in reference_check_rows(scan))
         assert (out / "check.csv").read_bytes() == want.encode("utf-8")
+
+
+class TestMaxIterBelowOne:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--mode", "direct"), ("solve", "--mode", "picard"),
+        ("solve", "--mode", "stitched"), ("solve", "--mode", "triangular"),
+        ("compare", "--oracle", "joint"), ("compare", "--oracle", "joint", "--mode", "picard"),
+        ("compare", "--oracle", "joint", "--mode", "triangular"),
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    def test_usage_error(self, tmp_path, capsys, remark_cfg, argv, value):
+        out = tmp_path / "o"
+        assert run(*argv, "--config", remark_cfg, "--max-iter", value, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "usage error: --max-iter must be >= 1\n"
+        assert not out.exists()
 
 
 class TestCompareMaxIter:

@@ -96,6 +96,12 @@ class TestFrozenYContraction:
         assert len(trace.sub_intervals) == 4
         assert all(abs(length - 0.25) < 1e-12 for _, _, length in trace.sub_intervals)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_outer_limit_below_one_rejected(self, limit):
+        inst, lat = make(contraction_config(N=8))
+        with pytest.raises(ValueError, match="^max_outer must be >= 1"):
+            q.frozen_y_contraction(q.scalar_problem(inst, lat), 2.0, lat, max_outer=limit)
+
     def test_matches_backward_solve_on_linear_driver(self):
         inst, lat = make(linear_config(-1.0, 0.0, N=10))
         sp = q.scalar_problem(inst, lat)

@@ -415,6 +415,16 @@ class TestPicardSolve:
         with pytest.raises(PicardDivergenceError):
             q.picard_solve(inst, lat, tol=1e-10, max_iter=100)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_iteration_limit_below_one_rejected(self, limit):
+        inst, lat = make(remark22_config(N=4))
+        driver, y_dep = compile_driver(inst.generator)
+        term = engine.terminal_values(inst, lat)
+        with pytest.raises(ValueError, match="^max_iter must be >= 1"):
+            engine.picard_range(lat, driver, term, 0, 4, max_iter=limit)
+        with pytest.raises(ValueError, match="^inner_max_iter must be >= 1"):
+            backward_range(lat, driver, y_dep, term, 0, 4, inner_max_iter=limit)
+
 
 TRI_D2 = triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0}
 

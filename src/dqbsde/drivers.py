@@ -239,8 +239,10 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
     fields, reducing to a scalar equation in (y_i, z_i) handled by
     ``frozen_y_contraction`` with the instance's own-component Lipschitz
-    constant.  Each component's layers are released once copied into the
-    full field, so solving component i holds the full field and its iterate.
+    constant.  Solved components are held as their own layer lists, so
+    solving component i holds components 1..i-1 and its iterate; the full
+    field is joined layer by layer at the end, each component layer dropped
+    as it is joined.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -253,9 +255,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     N = lattice.grid.steps
     n, d = instance.n, instance.d
     term = terminal_values(instance, lattice)
-    y_full = [np.zeros((lattice.layer_size(k), n)) for k in range(N + 1)]
-    z_full = [np.zeros((lattice.layer_size(k), n, d)) for k in range(N)]
-    y_full[N] = term.copy()
+    solved_y, solved_z = [], []  # each solved component's layers, (m, 1) and (m, 1, d)
     traces = []
 
     for i in range(1, n + 1):
@@ -265,11 +265,12 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         def drv(k, t, y, z, _i=i, _expr=expr, _plan=plan):
             m = y.shape[0]
             Y = np.zeros((m, n))
-            Y[:, :_i - 1] = y_full[k][:, :_i - 1]
-            Y[:, _i - 1] = y[:, 0]
             Z = np.zeros((m, n, d))
-            if k < N:
-                Z[:, :_i - 1, :] = z_full[k][:, :_i - 1, :]
+            for c in range(_i - 1):
+                Y[:, c] = solved_y[c][k][:, 0]
+                if k < N:
+                    Z[:, c, :] = solved_z[c][k][:, 0, :]
+            Y[:, _i - 1] = y[:, 0]
             Z[:, _i - 1, :] = z[:, 0, :]
             values = _plan.run(t, Y, Z)
             out = values[0] if values is not None else eval_expr(_expr, EvalEnv(t=t, y=Y, z=Z))
@@ -284,16 +285,31 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         except SolverError as err:
             raise SolverError(f"component {i}: {err}") from err
         traces.append(trace)
-        for k in range(N + 1):
-            y_full[k][:, i - 1] = ys[k][:, 0]
-        for k in range(N):
-            z_full[k][:, i - 1, :] = zs[k][:, 0, :]
+        solved_y.append(ys)
+        solved_z.append(zs)
         del ys, zs
 
+    # Top layer down, z before y: each joined layer then fits in the heap
+    # the larger component layers above it left free.
+    y_full = [None] * (N + 1)
+    z_full = [None] * N
+    y_full[N] = _join_layer(solved_y, N)
+    for k in range(N - 1, -1, -1):
+        z_full[k] = _join_layer(solved_z, k)
+        y_full[k] = _join_layer(solved_y, k)
     meta = {"scheme": "triangular",
             "component_outer_iterations": [sum(len(c) for c in tr.changes) for tr in traces],
             "component_traces": traces}
     return SolutionField(y=y_full, z=z_full, metadata=meta)
+
+
+def _join_layer(components: list, k: int) -> np.ndarray:
+    """Join layer k of each component's layer list along axis 1, dropping
+    the component layers as they are joined."""
+    parts = [layers[k] for layers in components]
+    for layers in components:
+        layers[k] = None
+    return np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------

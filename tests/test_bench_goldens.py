@@ -1,6 +1,7 @@
-"""The benchmark's small solve inputs reproduce the artifact digests pinned
-in bench/goldens.json, so a change to solution.csv or report.txt bytes
-fails in the test suite as well as in the benchmark's own self-test."""
+"""The benchmark's small lattice inputs reproduce the artifact digests
+pinned in bench/goldens.json, so a change to solution.csv, report.txt or
+compare.txt bytes fails in the test suite as well as in the benchmark's own
+self-test."""
 
 import hashlib
 import json
@@ -12,24 +13,26 @@ from dqbsde.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# Subcommand arguments of the solve workloads in bench/run.py WORKLOADS; the
-# small inputs use grid.N = 20 for both.
+# Subcommand arguments and small grid.N of the lattice workloads in
+# bench/run.py WORKLOADS.
 SOLVE_WORKLOADS = {
-    "direct-r22": ["solve", "--mode", "direct"],
-    "stitched-r22": ["solve", "--mode", "stitched", "--horizon", "0.25"],
+    "direct-r22": (["solve", "--mode", "direct"], 20),
+    "stitched-r22": (["solve", "--mode", "stitched", "--horizon", "0.25"], 20),
+    "joint-tri3d": (["compare", "--oracle", "joint", "--mode", "triangular"], 8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_WORKLOADS))
 def test_small_solve_matches_goldens(tmp_path, name):
     goldens = json.loads((BENCH / "goldens.json").read_text())["small"][name]
+    args, small_n = SOLVE_WORKLOADS[name]
     # The substitution bench/run.py makes for its small inputs.
     lines = (BENCH / "configs" / f"{name}.cfg").read_text(encoding="utf-8").splitlines(True)
     config = tmp_path / f"{name}.cfg"
-    config.write_text("".join("grid.N = 20\n" if line.startswith("grid.N =") else line
+    config.write_text("".join(f"grid.N = {small_n}\n" if line.startswith("grid.N =") else line
                               for line in lines), encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*SOLVE_WORKLOADS[name], "--config", str(config), "--out", str(out)]) == 0
+    assert main([*args, "--config", str(config), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(goldens)
     for artifact, digest in goldens.items():
         assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact

@@ -244,19 +244,24 @@ def _live_ratio(solve):
 
 class TestLiveFields:
     """A fixed-point driver holds one live iterate plus a layer.  Each bound
-    sits between the ratio of the one-iterate driver (1.79, 1.78, 1.70,
-    1.68) and that of the driver that held a second field (2.93, 2.35, 2.33,
-    2.28), so holding the previous iterate whole fails it."""
+    sits between the ratio of the one-iterate driver (1.79, 1.78, 1.68) and
+    that of the driver that held a second field (2.93, 2.35, 2.28), so
+    holding the previous iterate whole fails it.  The triangular solve holds
+    the solved components and one component's iterate, and joins the full
+    field at the end (1.30); preallocating the full field beside a
+    component's result (1.70) fails its bound."""
 
     def test_picard_solve(self):
         inst, lat = make(remark22_config(N=60))
         assert _live_ratio(lambda: q.picard_solve(inst, lat)[0]) <= 2.3
 
-    @pytest.mark.parametrize("solve", [drivers.oracle_joint_picard, drivers.solve_triangular])
-    def test_joint_oracle_and_triangular(self, solve):
+    @pytest.mark.parametrize("solve, bound", [(drivers.oracle_joint_picard, 2.0),
+                                              (drivers.solve_triangular, 1.5)],
+                             ids=["oracle_joint_picard", "solve_triangular"])
+    def test_joint_oracle_and_triangular(self, solve, bound):
         inst, lat = make(triangular_demo_config(N=24)
                          | {"problem.d": 2, "triangular.lipBeta": 2.0})
-        assert _live_ratio(lambda: solve(inst, lat)) <= 2.0
+        assert _live_ratio(lambda: solve(inst, lat)) <= bound
 
     def test_frozen_y_contraction(self):
         inst, lat = make(contraction_config(N=24, lip_beta=0.25)

@@ -452,9 +452,39 @@ def _picard_outcome(picard, cfg, k_lo=0, shift=None, **kwargs):
         return "divergence", [], [], err.trace
 
 
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    for got_layers, want_layers in zip(got[1:3], want[1:3]):
+        assert len(got_layers) == len(want_layers)
+        assert all(_same_bits(a, b) for a, b in zip(got_layers, want_layers))
+    assert _same_bits(got[3], want[3])
+
+
+def _counted_outcome(monkeypatch, cfg, **kwargs):
+    """``picard_range``'s outcome on ``cfg`` and its number of ``project``
+    calls, beside the two-list driver's outcome."""
+    calls = []
+    project = engine.project
+
+    def counted(lattice, k, child_values):
+        calls.append(k)
+        return project(lattice, k, child_values)
+
+    monkeypatch.setattr(engine, "project", counted)
+    got = _picard_outcome(engine.picard_range, cfg, **kwargs)
+    monkeypatch.undo()
+    return got, _picard_outcome(_ref_picard_range, cfg, **kwargs), len(calls)
+
+
+# Triangular, y2's driver zero in time's upper half: the top layers settle
+# layer by layer while the lower half's Picard passes grow until they diverge.
+TRI_DIVERGING = triangular_demo_config(N=12) | {"generator.2.k": "y1 + y2*clamp(30*(0.5-t),0,30)"}
+
+
 class TestPicardReference:
-    """One live iterate gives the two-list driver's bits: every returned
-    layer, the trace and the nonconvergence partial field."""
+    """One live iterate, with layers whose inputs did not change left as
+    they are, gives the two-list driver's bits: every returned layer, the
+    trace and the nonconvergence partial field."""
 
     @pytest.mark.parametrize("cfg, kwargs", [
         (remark22_config(N=20), {}),
@@ -471,11 +501,58 @@ class TestPicardReference:
     def test_same_bits_as_two_list_driver(self, cfg, kwargs):
         got = _picard_outcome(engine.picard_range, cfg, **kwargs)
         want = _picard_outcome(_ref_picard_range, cfg, **kwargs)
-        assert got[0] == want[0]
-        for got_layers, want_layers in zip(got[1:3], want[1:3]):
-            assert len(got_layers) == len(want_layers)
-            assert all(_same_bits(a, b) for a, b in zip(got_layers, want_layers))
-        assert _same_bits(got[3], want[3])
+        _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("cfg, kwargs, outcome", [
+        (TRI_D2, {"tol": 1e-12, "max_iter": 2000}, "converged"),
+        (TRI_D2, {"tol": 1e-12, "max_iter": 8}, "nonconvergence"),
+        (TRI_DIVERGING, {"tol": 1e-12}, "divergence"),
+    ], ids=["joint-oracle-d2", "nonconvergence", "divergence"])
+    def test_stationary_layers_skipped(self, monkeypatch, cfg, kwargs, outcome):
+        got, want, projects = _counted_outcome(monkeypatch, cfg, **kwargs)
+        _assert_same_outcome(got, want)
+        assert got[0] == outcome
+        assert projects < len(got[3]) * cfg["grid.N"]  # some layer-passes were skipped
+
+    @pytest.mark.parametrize("converged", [True, False], ids=["converged-y", "zero-z-pass-y"])
+    def test_pass_zero_trusts_no_init(self, monkeypatch, converged):
+        # Pass 0's z is project(y) while init's is zero.  On the y-free
+        # pure-quadratic driver, a y taken from one pass at zero z comes out
+        # of pass 0 unchanged on every layer but 0, so it is not stationary.
+        cfg = pure_quadratic_config(N=20)
+        if converged:
+            _, init_y, _, _ = _picard_outcome(_ref_picard_range, cfg)
+        else:
+            init_y = list(_picard_outcome(_ref_picard_range, cfg, max_iter=1)[1])
+            init_y[0] = init_y[0] + 1.0
+        init_z = engine.zero_field(make(cfg)[1], 1).z
+        got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init_y, init_z=init_z)
+        _assert_same_outcome(got, want)
+        assert got[0] == "converged" and len(got[3]) > 2
+
+    def test_unchanged_y_under_a_changed_layer_is_rebuilt(self, monkeypatch):
+        # dt = 1/4 keeps the sums exact.  Pass 1 moves y_3 by +-dt/8 in turn
+        # across the nodes, which leaves every E[y_3 | node] and so y_2 as
+        # they were, but changes z_2 = project(y_3); pass 2 must rebuild y_2.
+        cfg = structured_config(**{"grid.N": 4, "generator.1.g": "norm(z1)",
+                                   "terminal.1": "abs(w1)*(2-abs(w1))"})
+        init = engine.zero_field(make(cfg)[1], 1)
+        init.z[3] = np.array([0.5, 1.5, 0.5, 1.5]).reshape(4, 1, 1)
+        init.z[2] = np.full((3, 1, 1), 0.25)
+        got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init.y, init_z=init.z)
+        _assert_same_outcome(got, want)
+        assert got[3] == [1.0, 0.125, 0.0625, 0.0]
+
+    def test_signed_zero_is_a_change(self, monkeypatch):
+        # y1 is +-0.0 everywhere and its sign flips from pass to pass, while
+        # y2 settles layer by layer and keeps the passes going.
+        cfg = (triangular_demo_config(N=12, terminal1="-0", terminal2="clamp(w1,-1,1)")
+               | {"generator.1.k": "-y1"})
+        got, want, _ = _counted_outcome(monkeypatch, cfg, tol=1e-12)
+        _assert_same_outcome(got, want)
+        y1 = np.concatenate([y[:, 0] for y in got[1]])
+        assert got[0] == "converged" and len(got[3]) > 4
+        assert np.all(y1 == 0.0) and 0 < np.signbit(y1).sum() < y1.size
 
     def test_init_is_neither_copied_nor_mutated(self):
         inst, lat = make(remark22_config(N=20))

@@ -309,10 +309,6 @@ def build_certificate(instance: ProblemInstance) -> Certificate:
 # Sample-based falsification of the structural conditions
 # ---------------------------------------------------------------------------
 
-STRUCTURED_ASSUMPTIONS = ("H1a", "H1b", "H1c", "H1d", "H2")
-TRIANGULAR_ASSUMPTIONS = ("A1", "A2")
-
-
 @dataclass(frozen=True)
 class Violation:
     assumption: str
@@ -504,17 +500,24 @@ class _Recorder:
             pass
         vals = np.full(m, np.nan)
         for j in range(m):
-            env_j = EvalEnv(
-                t=float(np.atleast_1d(env.t)[j]) if np.ndim(env.t) else env.t,
-                y=None if env.y is None else env.y[j],
-                z=None if env.z is None else env.z[j],
-                w=None if env.w is None else env.w[j],
-            )
             try:
-                vals[j] = eval_expr(expr, env_j)
+                vals[j] = eval_expr(expr, EvalEnv(t=float(env.t[j]), y=env.y[j], z=env.z[j]))
             except EvalError as err:
                 errors.append((assumption, self.start + j, str(err)))
         return vals
+
+
+class _SiteProbe(_Recorder):
+    """Keeps (lhs, rhs) of one (assumption, component) check of a one-row batch."""
+
+    def __init__(self, assumption: str, component: int):
+        super().__init__(0)
+        self.site = (assumption, component)
+        self.found = None
+
+    def add(self, assumption, component, t, lhs, rhs, **stored):
+        if (assumption, component) == self.site:
+            self.found = (float(lhs[0]), float(rhs[0]))
 
 
 def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
@@ -596,54 +599,23 @@ def reverify_violation(instance: ProblemInstance, v: Violation, tol: float = 1e-
 
 
 def evaluate_assumption(instance: ProblemInstance, v: Violation) -> tuple:
-    """Recompute (lhs, rhs) of one assumption inequality at a stored sample."""
-    p = instance.params
-    gen = instance.generator
-    i = v.component
-    t = v.t
+    """Recompute (lhs, rhs) of one assumption inequality at a stored sample
+    by running the falsifier's own check on a batch of one.
 
-    def ev(expr, y=None, z=None):
-        return float(eval_expr(expr, EvalEnv(t=t, y=y, z=z)))
+    Fields the violation does not store are zeros; its check does not read
+    them.  A2 stores the varied point as y2/z2, which rebuilds that same
+    point.  A failing evaluation gives NaN, as in the falsifier.
+    """
+    n, d = instance.n, instance.d
 
-    if v.assumption == "H1a":
-        row = _norm(v.z[i - 1])
-        return abs(ev(gen.g[i - 1], y=v.y, z=v.z)), p.gamma / 2.0 * row ** 2
-    if v.assumption == "H1b":
-        r1 = _norm(v.z[i - 1])
-        r2 = _norm(v.z2[i - 1])
-        dz = _norm(v.z[i - 1] - v.z2[i - 1])
-        lhs = abs(ev(gen.g[i - 1], z=v.z) - ev(gen.g[i - 1], z=v.z2))
-        return lhs, p.lip_k * (1.0 + r1 + r2) * dz
-    if v.assumption == "H1c":
-        zeros_y = np.zeros(instance.n)
-        zeros_z = np.zeros((instance.n, instance.d))
-        return abs(ev(gen.h[i - 1], y=zeros_y, z=zeros_z)), p.lip_k
-    if v.assumption == "H1d":
-        dy = _norm(v.y - v.y2)
-        dz = _norm(v.z - v.z2, 2)
-        f1 = _norm(v.z, 2)
-        f2 = _norm(v.z2, 2)
-        lhs = abs(ev(gen.h[i - 1], y=v.y, z=v.z) - ev(gen.h[i - 1], y=v.y2, z=v.z2))
-        return lhs, p.lip_k * dy + p.lip_k * (1.0 + f1 ** p.delta + f2 ** p.delta) * dz
-    if v.assumption == "H2":
-        frob = _norm(v.z, 2)
-        ynorm = _norm(v.y)
-        lhs = np.sign(v.y[i - 1]) * ev(gen.h[i - 1], y=v.y, z=v.z)
-        rhs = (p.alpha.value_at(t) + p.beta.value_at(t) * ynorm
-               + p.eta.value_at(t) * np.log1p(frob))
-        return float(lhs), float(rhs)
-    if v.assumption == "A1":
-        rows = _norm(v.z)
-        growth = (1.0 + np.abs(v.y[:i]).sum()
-                  + (rows[:i] ** (1.0 + p.power_alpha)).sum()
-                  + rows[i - 1] ** 2)
-        return abs(ev(gen.k[i - 1], y=v.y, z=v.z)), p.a1_c * growth
-    if v.assumption == "A2":
-        r1 = _norm(v.z[i - 1])
-        r2 = _norm(v.z2[i - 1])
-        dz = _norm(v.z[i - 1] - v.z2[i - 1])
-        lhs = abs(ev(gen.k[i - 1], y=v.y, z=v.z) - ev(gen.k[i - 1], y=v.y2, z=v.z2))
-        rhs = (p.lip_beta * abs(v.y[i - 1] - v.y2[i - 1])
-               + p.a2_c * (1.0 + r1 + r2) * dz)
-        return lhs, rhs
-    raise ValueError(f"unknown assumption {v.assumption!r}")
+    def row(a, shape):
+        return np.zeros((1,) + shape) if a is None else np.reshape(a, (1,) + shape)
+
+    probe = _SiteProbe(v.assumption, v.component)
+    falsify = _falsify_structured if instance.generator.kind == STRUCTURED else _falsify_triangular
+    falsify(instance, t=np.array([v.t]), yA=row(v.y, (n,)), yB=row(v.y2, (n,)),
+            zA=row(v.z, (n, d)), zB=row(v.z2, (n, d)), rec=probe)
+    if probe.found is None:
+        raise ValueError(f"no {v.assumption} check for component {v.component} "
+                         f"in a {instance.generator.kind} generator")
+    return probe.found

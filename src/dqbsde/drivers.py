@@ -80,9 +80,7 @@ class ScalarProblem:
 
 def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
                    horizon: Union[str, float] = "adaptive", mode: str = "picard",
-                   tol: float = 1e-10, max_iter: int = 200,
-                   inner_tol: float = 1e-12, inner_max_iter: int = 200,
-                   z_truncation: Optional[float] = None):
+                   tol: float = 1e-10, max_iter: int = 200):
     """Solve backward in chunks; returns (field, plan).
 
     ``horizon`` is a chunk length in time units aligned to grid layers, or
@@ -123,10 +121,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
                                              tol=tol, max_iter=max_iter)
                 iters, final = len(trace), trace[-1]
             else:
-                stats = {}
-                ys, zs = backward_range(lattice, driver, y_dep, term, k_lo, k_hi,
-                                        inner_tol=inner_tol, inner_max_iter=inner_max_iter,
-                                        z_truncation=z_truncation, stats=stats)
+                ys, zs = backward_range(lattice, driver, y_dep, term, k_lo, k_hi)
                 iters, final = 1, 0.0
         except (PicardNonconvergenceError, PicardDivergenceError):
             if not adaptive:
@@ -163,8 +158,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 # ---------------------------------------------------------------------------
 
 def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: LatticeModel,
-                         tol: float = 1e-10, max_outer: int = 200,
-                         inner_tol: float = 1e-12, inner_max_iter: int = 200):
+                         tol: float = 1e-10, max_outer: int = 200):
     """Solve a scalar equation by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns
     (y_layers, z_layers, trace) with layer lists covering 0..N.
@@ -204,8 +198,7 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
                 return problem.driver(k, t, _frozen[k - _k_lo], z)
 
             zs = None  # free the previous Z: the frozen map reads only the previous ys
-            ys, zs = backward_range(lattice, drv, False, term, k_lo, k_hi,
-                                    inner_tol=inner_tol, inner_max_iter=inner_max_iter)
+            ys, zs = backward_range(lattice, drv, False, term, k_lo, k_hi)
             change = max(float(np.abs(a - b).max()) for a, b in zip(ys, frozen))
             changes.append(change)
             frozen = ys
@@ -232,8 +225,7 @@ def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarPr
 
 
 def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
-                     tol: float = 1e-10, max_outer: int = 200,
-                     inner_tol: float = 1e-12, inner_max_iter: int = 200) -> SolutionField:
+                     tol: float = 1e-10, max_outer: int = 200) -> SolutionField:
     """Solve components in order, substituting solved components node-wise.
 
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
@@ -279,9 +271,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         problem = ScalarProblem(driver=drv, terminal=term[:, i - 1:i])
         try:
             ys, zs, trace = frozen_y_contraction(
-                problem, instance.params.lip_beta, lattice,
-                tol=tol, max_outer=max_outer,
-                inner_tol=inner_tol, inner_max_iter=inner_max_iter)
+                problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer)
         except SolverError as err:
             raise SolverError(f"component {i}: {err}") from err
         traces.append(trace)

@@ -87,10 +87,6 @@ class LatticeModel:
     d: int
     grid: TimeGrid
 
-    @property
-    def layers(self) -> int:
-        return self.grid.steps
-
     def layer_size(self, k: int) -> int:
         return (k + 1) ** self.d
 

@@ -4,6 +4,7 @@ Expected values are frozen from a 40-digit mpmath evaluation of the same
 closed forms, computed independently before the implementation.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import dqbsde as q
 
-from conftest import make, planted_h2_config, remark22_config, structured_config
+from conftest import (make, planted_h2_config, remark22_config, structured_config,
+                      triangular_demo_config)
 
 # frozen oracle values (mpmath, 40 digits)
 LOG_INEQ_111 = 0.9867597430533607
@@ -406,6 +408,205 @@ class TestFalsifier:
             (0.8804203509231936, 3.728035265746928, 0.0),
             (0.1707644989226259, 1.0578047290833046, 0.0),
         ]
+
+
+def reference_evaluate_assumption(instance, v):
+    """(lhs, rhs) of one assumption at a stored sample, each inequality
+    written out again for one point: the independent check of the falsifier."""
+    p = instance.params
+    gen = instance.generator
+    norm = q.certs._norm
+    i = v.component
+    t = v.t
+
+    def ev(expr, y=None, z=None):
+        return float(q.eval_expr(expr, q.EvalEnv(t=t, y=y, z=z)))
+
+    if v.assumption == "H1a":
+        row = norm(v.z[i - 1])
+        return abs(ev(gen.g[i - 1], y=v.y, z=v.z)), p.gamma / 2.0 * row ** 2
+    if v.assumption == "H1b":
+        r1 = norm(v.z[i - 1])
+        r2 = norm(v.z2[i - 1])
+        dz = norm(v.z[i - 1] - v.z2[i - 1])
+        lhs = abs(ev(gen.g[i - 1], z=v.z) - ev(gen.g[i - 1], z=v.z2))
+        return lhs, p.lip_k * (1.0 + r1 + r2) * dz
+    if v.assumption == "H1c":
+        zeros_y = np.zeros(instance.n)
+        zeros_z = np.zeros((instance.n, instance.d))
+        return abs(ev(gen.h[i - 1], y=zeros_y, z=zeros_z)), p.lip_k
+    if v.assumption == "H1d":
+        dy = norm(v.y - v.y2)
+        dz = norm(v.z - v.z2, 2)
+        f1 = norm(v.z, 2)
+        f2 = norm(v.z2, 2)
+        lhs = abs(ev(gen.h[i - 1], y=v.y, z=v.z) - ev(gen.h[i - 1], y=v.y2, z=v.z2))
+        return lhs, p.lip_k * dy + p.lip_k * (1.0 + f1 ** p.delta + f2 ** p.delta) * dz
+    if v.assumption == "H2":
+        frob = norm(v.z, 2)
+        ynorm = norm(v.y)
+        lhs = np.sign(v.y[i - 1]) * ev(gen.h[i - 1], y=v.y, z=v.z)
+        rhs = (p.alpha.value_at(t) + p.beta.value_at(t) * ynorm
+               + p.eta.value_at(t) * np.log1p(frob))
+        return float(lhs), float(rhs)
+    if v.assumption == "A1":
+        rows = norm(v.z)
+        growth = (1.0 + np.abs(v.y[:i]).sum()
+                  + (rows[:i] ** (1.0 + p.power_alpha)).sum()
+                  + rows[i - 1] ** 2)
+        return abs(ev(gen.k[i - 1], y=v.y, z=v.z)), p.a1_c * growth
+    if v.assumption == "A2":
+        r1 = norm(v.z[i - 1])
+        r2 = norm(v.z2[i - 1])
+        dz = norm(v.z[i - 1] - v.z2[i - 1])
+        lhs = abs(ev(gen.k[i - 1], y=v.y, z=v.z) - ev(gen.k[i - 1], y=v.y2, z=v.z2))
+        rhs = (p.lip_beta * abs(v.y[i - 1] - v.y2[i - 1])
+               + p.a2_c * (1.0 + r1 + r2) * dz)
+        return lhs, rhs
+    raise ValueError(f"unknown assumption {v.assumption!r}")
+
+
+def breaks_every_h_config():
+    """n = 2, d = 3 structured instance whose samples break H1a-H1d and H2."""
+    cfg = structured_config(**{"problem.n": 2, "problem.d": 3, "grid.N": 2,
+                               "terminal.1": "0", "terminal.2": "0", "terminal.bound": 0.0,
+                               "params.gamma": 1.0, "params.K": 0.2, "params.delta": 0.5,
+                               "params.alpha": "0=1", "params.beta": "0=1",
+                               "params.eta": "0=1"})
+    for i in (1, 2):
+        cfg[f"generator.{i}.g"] = f"norm2(z{i})*sin(log(norm(z{i})+1))"
+        cfg[f"generator.{i}.h"] = "1 + 3*normy + sin(pow(normz,1.5)) + log(normz+1)"
+    return cfg
+
+
+def breaks_a1_a2_config():
+    """n = 2, d = 2 triangular instance whose samples break A1 and A2."""
+    cfg = triangular_demo_config(N=2)
+    cfg.update({"problem.d": 2,
+                "generator.1.k": "norm2(z1)*sin(log(norm(z1)+1)) + y1",
+                "generator.2.k": "y1*y2 + sin(pow(norm(z2),1.5)) + norm2(z2)",
+                "triangular.C1": 0.2, "triangular.C2": 0.2,
+                "triangular.lipBeta": 0.5, "triangular.powerAlpha": 0.5})
+    return cfg
+
+
+# (config, seed, count, radius).  On an AVX-512 host the scalar re-evaluation
+# misses the recorded rhs by one ulp on one H1a violation of "every-h" and one
+# A1 violation of "a1-a2".
+REEVALUATE_CASES = {
+    "planted-h2": (planted_h2_config(), 11, 500, 1e6),
+    "every-h": (breaks_every_h_config(), 0, 100, 10.0),
+    "a1-a2": (breaks_a1_a2_config(), 27, 300, 3.0),
+}
+
+
+def hand_violation(assumption, component, y=None, z=None, y2=None, z2=None):
+    """A violation record at t = 0.5; evaluate_assumption reads only its sample."""
+    arrays = [None if a is None else np.array(a, dtype=float) for a in (y, z, y2, z2)]
+    return q.certs.Violation(assumption, component, 0.5, *arrays, math.nan, math.nan)
+
+
+def golden_h_instance():
+    """g = |z1|^2 and h = |y| + |z| + 2 with gamma = K = alpha = beta = 1 and
+    delta = eta = 0, so every side below is exact in binary."""
+    return make(structured_config(**{
+        "problem.d": 2, "generator.1.g": "norm2(z1)", "generator.1.h": "normy + normz + 2",
+        "params.alpha": "0=1", "params.beta": "0=1"}))[0]
+
+
+def golden_a_instance():
+    """k1 = |z1|^2, k2 = y1 + y2 + |z2|^2 with C1 = C2 = lipBeta = 1, powerAlpha 0."""
+    cfg = triangular_demo_config(N=2)
+    cfg.update({"problem.d": 2, "generator.1.k": "norm2(z1)",
+                "generator.2.k": "y1 + y2 + norm2(z2)",
+                "triangular.lipBeta": 1.0, "triangular.C1": 1.0, "triangular.C2": 1.0})
+    return make(cfg)[0]
+
+
+# sample rows (3, 4) and (0, 0): |z| = 5, |y| = 3
+H_GOLDENS = {
+    # |25| vs (1/2) 5^2
+    "H1a": (hand_violation("H1a", 1, y=[3.0], z=[[3.0, 4.0]]), (25.0, 12.5)),
+    # |25 - 0| vs 1 (1 + 5 + 0) 5
+    "H1b": (hand_violation("H1b", 1, z=[[3.0, 4.0]], z2=[[0.0, 0.0]]), (25.0, 30.0)),
+    # |h(0)| = 2 vs K
+    "H1c": (hand_violation("H1c", 1), (2.0, 1.0)),
+    # |10 - 2| vs 1 * 3 + 1 (1 + 5^0 + 0^0) 5
+    "H1d": (hand_violation("H1d", 1, y=[3.0], z=[[3.0, 4.0]], y2=[0.0], z2=[[0.0, 0.0]]),
+            (8.0, 18.0)),
+    # sign(3) * 10 vs 1 + 1 * 3 + 0 * log1p(5)
+    "H2": (hand_violation("H2", 1, y=[3.0], z=[[3.0, 4.0]]), (10.0, 4.0)),
+}
+A_GOLDENS = {
+    # |1 + 3 + 25| vs 1 (1 + (1 + 3) + (0 + 5) + 5^2)
+    "A1": (hand_violation("A1", 2, y=[1.0, 3.0], z=[[0.0, 0.0], [3.0, 4.0]]), (29.0, 35.0)),
+    # varied point (y2, z2): |29 - 1| vs 1 |3 - 0| + 1 (1 + 5 + 0) 5
+    "A2": (hand_violation("A2", 2, y=[1.0, 3.0], z=[[0.0, 0.0], [3.0, 4.0]],
+                          y2=[1.0, 0.0], z2=[[0.0, 0.0], [0.0, 0.0]]), (28.0, 33.0)),
+}
+
+
+class TestEvaluateAssumption:
+    """evaluate_assumption reruns the falsifier's own check on a batch of one."""
+
+    @pytest.fixture(scope="class", params=sorted(REEVALUATE_CASES))
+    def recorded(self, request):
+        cfg, seed, count, radius = REEVALUATE_CASES[request.param]
+        inst, _ = make(cfg)
+        report = q.falsify_assumptions(inst, seed=seed, count=count, radius=radius,
+                                       max_recorded=10 * count)
+        assert not report.truncated
+        return inst, report.violations
+
+    def test_cases_cover_every_assumption(self):
+        seen = set()
+        for cfg, seed, count, radius in REEVALUATE_CASES.values():
+            inst, _ = make(cfg)
+            report = q.falsify_assumptions(inst, seed=seed, count=count, radius=radius)
+            seen |= {v.assumption for v in report.violations}
+        assert seen == set(H_GOLDENS) | set(A_GOLDENS)
+
+    def test_same_bits_as_recorded(self, recorded):
+        inst, violations = recorded
+        for v in violations:
+            assert _bits(q.certs.evaluate_assumption(inst, v)) == _bits((v.lhs, v.rhs))
+
+    def test_close_to_reference(self, recorded):
+        inst, violations = recorded
+        for v in violations:
+            lhs, rhs = q.certs.evaluate_assumption(inst, v)
+            want_lhs, want_rhs = reference_evaluate_assumption(inst, v)
+            assert lhs == pytest.approx(want_lhs, rel=1e-12)
+            assert rhs == pytest.approx(want_rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(H_GOLDENS))
+    def test_structured_golden(self, name):
+        v, want = H_GOLDENS[name]
+        assert q.certs.evaluate_assumption(golden_h_instance(), v) == want
+
+    @pytest.mark.parametrize("name", sorted(A_GOLDENS))
+    def test_triangular_golden(self, name):
+        v, want = A_GOLDENS[name]
+        assert q.certs.evaluate_assumption(golden_a_instance(), v) == want
+
+    @pytest.mark.parametrize("component", [0, 2])
+    def test_component_out_of_range(self, component):
+        v, _ = H_GOLDENS["H1a"]
+        v = dataclasses.replace(v, component=component)
+        with pytest.raises(ValueError, match=f"H1a check for component {component}"):
+            q.certs.evaluate_assumption(golden_h_instance(), v)
+
+    def test_triangular_assumption_on_structured_instance(self):
+        v = hand_violation("A1", 1, y=[3.0], z=[[3.0, 4.0]])
+        with pytest.raises(ValueError, match="A1 check for component 1"):
+            q.certs.evaluate_assumption(golden_h_instance(), v)
+
+    def test_failing_evaluation_does_not_reverify(self):
+        inst, _ = make(structured_config(**{"generator.1.h": "log(y1)"}))
+        v = hand_violation("H2", 1, y=[-1.0], z=[[0.0]])
+        lhs, _ = q.certs.evaluate_assumption(inst, v)
+        assert math.isnan(lhs)
+        assert not q.reverify_violation(inst, v)
 
 
 class ReferenceRecorder:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gendsl import EvalEnv, EvalError, Expr, STRUCTURED, eval_expr, sum_squares
+from .gendsl import EvalEnv, EvalPlan, Expr, STRUCTURED, sum_squares
 from .model import CoefficientFunction, ProblemInstance
 
 _LOG_OVERFLOW = 709.0  # ln of the largest double, minus slack
@@ -465,6 +465,7 @@ class _Recorder:
         self.domain_errors = {}  # eval site -> [(assumption, sample index, message)]
         self.total = 0
         self.max_recorded = max(max_recorded, 0)
+        self.plans = {}          # id of an Expr of the instance -> its EvalPlan
         self.begin(0)
 
     def begin(self, start: int):
@@ -489,22 +490,20 @@ class _Recorder:
             ))
 
     def eval(self, assumption, expr: Expr, env: EvalEnv, m: int) -> np.ndarray:
-        """Batched evaluation; a block that raises is redone one sample at a
-        time.  A batch that passes passes on every row, since the batch-level
-        `pow` guard only weakens on subsets."""
+        """Batched evaluation through the expression's plan, compiled once
+        per recorder.  When the fast run gives up, the checked run gives
+        every row its value (NaN where it fails) and its ``EvalError`` in one
+        pass, as evaluating that row alone would."""
         errors = self.domain_errors.setdefault(self.evals, [])
         self.evals += 1
-        try:
-            return np.broadcast_to(np.asarray(eval_expr(expr, env), dtype=float), (m,)).copy()
-        except EvalError:
-            pass
-        vals = np.full(m, np.nan)
-        for j in range(m):
-            try:
-                vals[j] = eval_expr(expr, EvalEnv(t=float(env.t[j]), y=env.y[j], z=env.z[j]))
-            except EvalError as err:
-                errors.append((assumption, self.start + j, str(err)))
-        return vals
+        plan = self.plans.get(id(expr))
+        if plan is None:
+            plan = self.plans[id(expr)] = EvalPlan([expr.root])
+        out = plan.run(env.t, env.y, env.z)
+        if out is None:
+            out, failed = plan.rows(env.t, env.y, env.z, m)
+            errors.extend((assumption, self.start + j, str(err)) for j, err in failed)
+        return np.broadcast_to(np.asarray(out[0], dtype=float), (m,)).copy()
 
 
 class _SiteProbe(_Recorder):

@@ -30,8 +30,8 @@ from . import certs
 from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
                      SolutionField, SolverError, backward_range, compile_driver,
                      cond_exp, log_cond_exp, picard_range, terminal_values)
-from .gendsl import (Bin, EvalEnv, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED,
-                     TRIANGULAR, YVar, check_triangular_deps, eval_expr, sum_squares)
+from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
+                     check_triangular_deps, sum_squares)
 from .model import ProblemInstance
 
 
@@ -251,10 +251,9 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     traces = []
 
     for i in range(1, n + 1):
-        expr = gen.k[i - 1]
-        plan = EvalPlan([expr.root])
+        plan = EvalPlan([gen.k[i - 1].root])
 
-        def drv(k, t, y, z, _i=i, _expr=expr, _plan=plan):
+        def drv(k, t, y, z, _i=i, _plan=plan):
             m = y.shape[0]
             Y = np.zeros((m, n))
             Z = np.zeros((m, n, d))
@@ -264,8 +263,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
                     Z[:, c, :] = solved_z[c][k][:, 0, :]
             Y[:, _i - 1] = y[:, 0]
             Z[:, _i - 1, :] = z[:, 0, :]
-            values = _plan.run(t, Y, Z)
-            out = values[0] if values is not None else eval_expr(_expr, EvalEnv(t=t, y=Y, z=Z))
+            out = _plan.evaluate(t, Y, Z)[0]
             return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
 
         problem = ScalarProblem(driver=drv, terminal=term[:, i - 1:i])

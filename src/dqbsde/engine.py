@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .gendsl import (Bin, EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
+from .gendsl import (EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
                      sum_squares)
 from .model import ProblemInstance, TimeGrid
 
@@ -256,24 +256,16 @@ def compile_driver(gen: GeneratorModel) -> tuple:
     the plan's t/z stage of its last call, keyed on k, t and the identity
     of z, so the inner y-iteration reruns only the y-dependent ops.
     Callers must therefore not mutate z in place between calls that pass
-    the same array; a new array is always recomputed.  Whenever the plan
-    gives up, the call is evaluated by the interpreter, which raises the
-    ``EvalError``.
+    the same array; a new array is always recomputed.  Whenever the fast
+    run gives up, the plan's checked run evaluates the call and raises the
+    ``EvalError``.  A structured component is g + h added outside the plan
+    with a plain add, so an overflow there is a non-finite value for the
+    solver to report, not an ``EvalError``.
     """
     n = gen.n
-    if gen.kind == STRUCTURED:
-        plan = EvalPlan([Bin("+", g.root, h.root) for g, h in zip(gen.g, gen.h)])
-    else:
-        plan = EvalPlan([e.root for e in gen.k])
+    structured = gen.kind == STRUCTURED
+    plan = EvalPlan([e.root for e in (gen.g + gen.h if structured else gen.k)])
     last = [None, None, None, None]  # k, t, z and the t/z stage
-
-    def interpreted(t, y, z):
-        env = EvalEnv(t=t, y=y, z=z)
-        for i in range(n):
-            if gen.kind == STRUCTURED:
-                yield np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
-            else:
-                yield eval_expr(gen.k[i], env)
 
     def driver(k, t, y, z):
         if last[2] is not z or last[0] != k or last[1] != t:
@@ -281,10 +273,13 @@ def compile_driver(gen: GeneratorModel) -> tuple:
             last[3] = plan.stage_tz(t, z)
         values = None if last[3] is None else plan.stage_y(last[3], y)
         if values is None:
-            values = interpreted(t, y, z)
+            values = plan.evaluate(t, y, z)
         out = np.empty((y.shape[0], n))
-        for i, v in enumerate(values):
-            out[:, i] = v
+        for i in range(n):
+            if structured:
+                np.add(values[i], values[n + i], out=out[:, i])
+            else:
+                out[:, i] = values[i]
         return out
 
     return driver, gen.y_dependent()
@@ -298,7 +293,10 @@ def terminal_values(instance: ProblemInstance, lattice: LatticeModel) -> np.ndar
     m = W.shape[0]
     cols = []
     for i, expr in enumerate(instance.terminal.exprs, start=1):
-        v = np.broadcast_to(np.asarray(eval_expr(expr, env), dtype=float), (m,))
+        try:
+            v = np.broadcast_to(np.asarray(eval_expr(expr, env), dtype=float), (m,))
+        except EvalError as err:
+            raise ValueError(f"terminal component {i}: {err}") from err
         if not np.all(np.isfinite(v)):
             raise ValueError(f"terminal component {i} is non-finite at a lattice node")
         cols.append(v)

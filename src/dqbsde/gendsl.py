@@ -37,7 +37,7 @@ GENERATOR = "generator"
 TERMINAL = "terminal"
 
 UNARY_FUNCS = ("sin", "cos", "exp", "log", "abs", "sign", "sqrt")
-_KEYWORDS = set(UNARY_FUNCS) | {"t", "normz", "normy", "pow", "clamp", "norm", "norm2"}
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -171,9 +171,7 @@ def depth(node: Node) -> int:
 
 
 def _children(node: Node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.arg,)
-    if isinstance(node, Func):
+    if isinstance(node, (Neg, Func)):
         return (node.arg,)
     if isinstance(node, Bin):
         return (node.left, node.right)
@@ -205,20 +203,8 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in "+-*/":
-            tokens.append(_Token("OP", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("LPAREN", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("RPAREN", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("COMMA", c, i))
+        if c in "+-*/(),":
+            tokens.append(_Token(_PUNCT.get(c, "OP"), c, i))
             i += 1
             continue
         m = _NUM_RE.match(text, i)
@@ -322,26 +308,11 @@ class _Parser:
             self._require_generator(tok)
             return NormY(pos=tok.pos)
         if name in UNARY_FUNCS:
-            self.expect("LPAREN", "'('")
-            arg = self.expr()
-            self.expect("RPAREN", "')'")
-            return Func(name, arg, pos=tok.pos)
+            return Func(name, *self.call_args(1), pos=tok.pos)
         if name == "pow":
-            self.expect("LPAREN", "'('")
-            base = self.expr()
-            self.expect("COMMA", "','")
-            exponent = self.expr()
-            self.expect("RPAREN", "')'")
-            return Pow(base, exponent, pos=tok.pos)
+            return Pow(*self.call_args(2), pos=tok.pos)
         if name == "clamp":
-            self.expect("LPAREN", "'('")
-            arg = self.expr()
-            self.expect("COMMA", "','")
-            lo = self.expr()
-            self.expect("COMMA", "','")
-            hi = self.expr()
-            self.expect("RPAREN", "')'")
-            return Clamp(arg, lo, hi, pos=tok.pos)
+            return Clamp(*self.call_args(3), pos=tok.pos)
         if name in ("norm", "norm2"):
             self.expect("LPAREN", "'('")
             row = self.zrow()
@@ -363,6 +334,16 @@ class _Parser:
                 return WVar(idx, pos=tok.pos)
             raise ParseError("z row reference outside norm()/norm2()", tok.pos, name)
         raise ParseError("unknown identifier", tok.pos, name)
+
+    def call_args(self, count: int) -> list:
+        """'(' expr (',' expr){count-1} ')'"""
+        self.expect("LPAREN", "'('")
+        args = [self.expr()]
+        for _ in range(count - 1):
+            self.expect("COMMA", "','")
+            args.append(self.expr())
+        self.expect("RPAREN", "')'")
+        return args
 
     def zrow(self) -> ZRow:
         tok = self.expect("IDENT", "z row reference")
@@ -425,12 +406,8 @@ def _pp(node: Node, min_prec: int) -> str:
         s = "-" + _pp(node.arg, _PREC_NEG + 1)
         return f"({s})" if min_prec > _PREC_NEG else s
     if isinstance(node, Bin):
-        if node.op in "+-":
-            prec = _PREC_ADD
-            s = _pp(node.left, prec) + node.op + _pp(node.right, prec + 1)
-        else:
-            prec = _PREC_MUL
-            s = _pp(node.left, prec) + node.op + _pp(node.right, prec + 1)
+        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+        s = _pp(node.left, prec) + node.op + _pp(node.right, prec + 1)
         return f"({s})" if min_prec > prec else s
     raise TypeError(f"unknown node {node!r}")
 
@@ -453,22 +430,20 @@ class EvalEnv:
     w: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.y is not None:
-            self.y = np.asarray(self.y, dtype=float)
-        if self.z is not None:
-            self.z = np.asarray(self.z, dtype=float)
-        if self.w is not None:
-            self.w = np.asarray(self.w, dtype=float)
+        for name in ("y", "z", "w"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 def eval_expr(expr: Expr, env: EvalEnv):
     """Evaluate; returns a float for scalar input, ndarray for batched input.
 
+    Runs a one-root ``EvalPlan``; raises the ``EvalError`` of the first
+    node, in post-order, that fails on any row.
     Pure function of (expr, env): no state, safe to call concurrently.
     """
     _check_dims(expr, env)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _ev(expr.root, env)
+    out = EvalPlan([expr.root]).evaluate(env.t, env.y, env.z, env.w)[0]
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -483,79 +458,6 @@ def _check_dims(expr: Expr, env: EvalEnv) -> None:
     else:
         if env.w is not None and env.w.shape[-1:] != (expr.d,):
             raise ValueError(f"env.w last axis must have length d={expr.d}")
-
-
-def _finite(value, node: Node):
-    if not np.all(np.isfinite(value)):
-        raise EvalError("non-finite result", node.pos)
-    return value
-
-
-def _ev(node: Node, env: EvalEnv):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Bin):
-        a = _ev(node.left, env)
-        b = _ev(node.right, env)
-        if node.op == "+":
-            return _finite(np.add(a, b), node)
-        if node.op == "-":
-            return _finite(np.subtract(a, b), node)
-        if node.op == "*":
-            return _finite(np.multiply(a, b), node)
-        if np.any(np.equal(b, 0.0)):
-            raise EvalError("division by zero", node.pos)
-        return _finite(np.divide(a, b), node)
-    if isinstance(node, Norm):
-        s = sum_squares(_need(env.z, node, "z")[..., node.row.index - 1, :])
-        return s if node.squared else np.sqrt(s)
-    if isinstance(node, NormZ):
-        return np.sqrt(sum_squares(_need(env.z, node, "z"), 2))
-    if isinstance(node, NormY):
-        return np.sqrt(sum_squares(_need(env.y, node, "y")))
-    if isinstance(node, YVar):
-        return _need(env.y, node, "y")[..., node.index - 1]
-    if isinstance(node, WVar):
-        return _need(env.w, node, "w")[..., node.index - 1]
-    if isinstance(node, TVar):
-        return env.t
-    if isinstance(node, Neg):
-        return np.negative(_ev(node.arg, env))
-    if isinstance(node, Func):
-        x = _ev(node.arg, env)
-        name = node.name
-        if name == "log":
-            if np.any(np.less_equal(x, 0.0)):
-                raise EvalError("log of nonpositive value", node.pos)
-            return np.log(x)
-        if name == "sqrt":
-            if np.any(np.less(x, 0.0)):
-                raise EvalError("sqrt of negative value", node.pos)
-            return np.sqrt(x)
-        if name == "exp":
-            return _finite(np.exp(x), node)
-        if name == "sin":
-            return np.sin(x)
-        if name == "cos":
-            return np.cos(x)
-        if name == "abs":
-            return np.abs(x)
-        return np.sign(x)
-    if isinstance(node, Pow):
-        base = _ev(node.base, env)
-        expo = _ev(node.exponent, env)
-        if np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))):
-            raise EvalError("pow of negative base with non-integer exponent", node.pos)
-        return _finite(np.power(base, expo), node)
-    if isinstance(node, Clamp):
-        return np.clip(_ev(node.arg, env), _ev(node.lo, env), _ev(node.hi, env))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _need(value, node: Node, what: str):
-    if value is None:
-        raise EvalError(f"{what} not available in this context", node.pos)
-    return value
 
 
 def sum_squares(a: np.ndarray, axes: int = 1):
@@ -581,98 +483,112 @@ def sum_squares(a: np.ndarray, axes: int = 1):
 # Compiled evaluation plans
 # ---------------------------------------------------------------------------
 
-class _Fallback(Exception):
-    """The plan cannot vouch for its result; the interpreter must evaluate."""
-
-
-def _leaf(value):
-    if not np.isfinite(value).all():
-        raise _Fallback
-    return value
-
-
-def _pow(base, expo):
-    # The interpreter's guard is batch-level: a negative base anywhere and a
+def _negative_base(base, expo) -> bool:
+    # The guard is batch-level: a negative base anywhere and a
     # non-integral exponent anywhere, not necessarily in the same row.
-    if np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))):
-        raise _Fallback
-    return np.power(base, expo)
+    return bool(np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))))
 
 
 _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-        "neg": np.negative, "pow": _pow, "clamp": np.clip,
+        "neg": np.negative, "pow": np.power, "clamp": np.clip,
         "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
         "abs": np.abs, "sign": np.sign, "sqrt": np.sqrt}
 
-_T, _Z, _Y = 0, 1, 2  # input slots
+# The reference checks: a domain check on the arguments, as a row mask,
+# with its message, then a non-finite result.  The other ops and the leaves
+# are unchecked.  A norm's sqrt shares the "sqrt" key, but its argument, a
+# sum of squares, never fails the check.
+_DOMAIN = {"/": (lambda a, b: np.equal(b, 0.0), "division by zero"),
+           "log": (lambda x: np.less_equal(x, 0.0), "log of nonpositive value"),
+           "sqrt": (lambda x: np.less(x, 0.0), "sqrt of negative value"),
+           "pow": (lambda b, e: np.less(b, 0.0) & np.not_equal(e, np.floor(e)),
+                   "pow of negative base with non-integer exponent")}
+_NONFINITE = frozenset(("+", "-", "*", "/", "exp", "pow"))
+_LEAVES = frozenset(("num", "t", "y", "w", "norm2", "squares"))
+_PASS = 1 << 62  # failure key of a row that passed
+
+_T, _Z, _Y, _W = 0, 1, 2, 3  # input slots
 _NUMPY_CACHED_BYTES = 1024  # numpy caches freed data buffers below this size
 
 
 class EvalPlan:
-    """Generator formulas compiled once into flat numpy ops over integer slots.
+    """Formulas compiled once into flat numpy ops over integer slots: the
+    package's one evaluator.
 
     Structurally equal subtrees share one slot across all roots; ``Num`` is
-    keyed on ``repr`` so 0.0 and -0.0 stay apart.  The ops split in two
-    stages: ``stage_tz`` runs those that read only t and z, ``stage_y`` the
-    rest, so a caller holding z fixed runs the first stage once.  Each stage
-    drops a slot after its last reader; what ``stage_tz`` returns keeps only
-    the slots that ``stage_y`` reads and the outputs.  When those kept
-    arrays are smaller than ``_NUMPY_CACHED_BYTES``, each is copied, as it is
-    made, into a row of one block: numpy keeps up to seven freed buffers of
-    each such size, and every lattice layer has new sizes, so one small buffer
-    per kept value would stay allocated for every layer.
+    keyed on ``repr`` so 0.0 and -0.0 stay apart.  Slots are numbered in the
+    order of their first occurrence in a post-order walk over the roots in
+    order: the order in which a tree walk that checks each node as it makes
+    it (the reference evaluator of the tests) meets them.
 
-    The plan checks no domain itself.  It runs under one errstate that
+    The fast run splits the ops in two stages: ``stage_tz`` runs those that
+    read no y, ``stage_y`` the rest, so a caller holding z fixed runs the
+    first stage once.  Each stage drops a slot after its last reader; what
+    ``stage_tz`` returns keeps only the slots that ``stage_y`` reads and the
+    outputs.  When those kept arrays are smaller than ``_NUMPY_CACHED_BYTES``,
+    each is copied, as it is made, into a row of one block: numpy keeps up to
+    seven freed buffers of each such size, and every lattice layer has new
+    sizes, so one small buffer per kept value would stay allocated for every
+    layer.  The fast run checks no domain: it runs under one errstate that
     raises on overflow, invalid and divide, and gives up (returns None) on
-    any such error, on a non-finite leaf (t, a y column, a sum of squares,
-    a non-finite literal) or on the batch-level ``pow`` guard.  When it
-    finishes, the interpreter would have passed every check and returned
-    the same bits; when it gives up, the interpreter must evaluate, and it
-    raises the ``EvalError`` if there is one.
+    any such error, on a non-finite leaf or on the batch-level ``pow`` guard.
+    When it finishes, every check passes.
+
+    The checked run runs the ops in walk order under errstate(all="ignore")
+    and applies the reference checks as row masks.  A row gets what that
+    tree walk gives on the row alone (``rows``); a batch gets the
+    ``EvalError`` of its earliest failing op, or of a ``pow`` whose
+    batch-level guard fails although no single row does (``evaluate``).
     """
 
     def __init__(self, roots: Sequence[Node]):
         self._keys = {}
-        self._init = [None, None, None]
-        self._ops = []  # (out, fn, args)
+        self._init = [None, None, None, None]
+        self._ops = []    # (out, name, fn, args) in walk order
+        self._where = {}  # op slot -> (name, args, position of its first occurrence)
         self._y_slots = {_Y}
         self.outputs = tuple(self._visit(r) for r in roots)
+        self._inputs = {a for _, _, _, args in self._ops for a in args if a <= _W}
+        self._walk = _with_releases(self._ops, set(self.outputs))
         tz_ops = [op for op in self._ops if op[0] not in self._y_slots]
         y_ops = [op for op in self._ops if op[0] in self._y_slots]
-        keep = set(self.outputs).union(*(args for _, _, args in y_ops))
+        keep = set(self.outputs).union(*(op[-1] for op in y_ops))
         self._tz = _with_releases(tz_ops, keep)
         self._y = _with_releases(y_ops, set(self.outputs))
-        self._rows = {slot: r for r, slot in enumerate(o for o, _, _ in tz_ops if o in keep)}
+        self._rows = {slot: r for r, slot in enumerate(op[0] for op in tz_ops if op[0] in keep)}
 
-    def _slot(self, key, fn=None, args=(), value=None):
+    def _slot(self, key, pos, fn=None, args=(), value=None):
         slot = self._keys.get(key)
         if slot is None:
             slot = self._keys[key] = len(self._init)
             self._init.append(value)
             if fn is not None:
-                self._ops.append((slot, fn, args))
+                self._ops.append((slot, key[0], fn, args))
+                self._where[slot] = (key[0], args, pos)
                 if self._y_slots.intersection(args):
                     self._y_slots.add(slot)
         return slot
 
     def _visit(self, node: Node) -> int:
+        pos = node.pos
         if isinstance(node, Num):
             if math.isfinite(node.value):
-                return self._slot(("num", repr(node.value)), value=node.value)
-            return self._slot(("num", repr(node.value)), lambda v=node.value: _leaf(v))
+                return self._slot(("num", repr(node.value)), pos, value=node.value)
+            return self._slot(("num", repr(node.value)), pos, lambda v=node.value: v)
         if isinstance(node, TVar):
-            return self._slot(("t",), _leaf, (_T,))
-        if isinstance(node, YVar):
+            return self._slot(("t",), pos, lambda t: t, (_T,))
+        if isinstance(node, (YVar, WVar)):
+            name, src = ("y", _Y) if isinstance(node, YVar) else ("w", _W)
             j = node.index - 1
-            return self._slot(("y", j), lambda y: _leaf(y[..., j]), (_Y,))
+            return self._slot((name, j), pos, lambda x: x[..., j], (src,))
         if isinstance(node, Norm):
             j = node.row.index - 1
-            s = self._slot(("norm2", j), lambda z: _leaf(sum_squares(z[..., j, :])), (_Z,))
-            return s if node.squared else self._slot(("sqrt", s), np.sqrt, (s,))
+            s = self._slot(("norm2", j), pos, lambda z: sum_squares(z[..., j, :]), (_Z,))
+            return s if node.squared else self._slot(("sqrt", s), pos, np.sqrt, (s,))
         if isinstance(node, (NormZ, NormY)):
             src, axes = (_Z, 2) if isinstance(node, NormZ) else (_Y, 1)
-            s = self._slot(("squares", src), lambda x: _leaf(sum_squares(x, axes)), (src,))
-            return self._slot(("sqrt", s), np.sqrt, (s,))
+            s = self._slot(("squares", src), pos, lambda x: sum_squares(x, axes), (src,))
+            return self._slot(("sqrt", s), pos, np.sqrt, (s,))
         if isinstance(node, Neg):
             name, kids = "neg", (node.arg,)
         elif isinstance(node, Func):
@@ -686,64 +602,133 @@ class EvalPlan:
         else:
             raise TypeError(f"cannot compile node {node!r}")
         args = tuple(self._visit(k) for k in kids)
-        return self._slot((name,) + args, _OPS[name], args)
+        return self._slot((name,) + args, pos, _OPS[name], args)
 
-    def stage_tz(self, t, z) -> Optional[list]:
-        """Slot values after the t/z ops, or None if the plan gave up.
-        t is a float or an array of the batch shape, z a (..., n, d) array."""
+    def stage_tz(self, t, z, w=None) -> Optional[list]:
+        """Slot values after the fast run of the ops that read no y, or None
+        if it gave up.  t is a float or an array of the batch shape, z a
+        (..., n, d) array, w a (..., d) array or None."""
         v = list(self._init)
-        v[_T], v[_Z] = t, z
-        batch = np.shape(z)[:-2]
+        v[_T], v[_Z], v[_W] = t, z, w
+        batch = np.shape(z)[:-2] if z is not None else np.shape(w)[:-1]
         block = (np.empty((len(self._rows),) + batch)
                  if 8 * math.prod(batch) < _NUMPY_CACHED_BYTES else None)
         if not _run(self._tz, v, self._rows, block):
             return None
-        v[_T] = v[_Z] = None
+        v[_T] = v[_Z] = v[_W] = None
         return v
 
     def stage_y(self, tz: list, y) -> Optional[list]:
-        """The outputs from ``stage_tz``'s values and y, or None if the plan
-        gave up; y is a (..., n) array.  ``tz`` itself is left unchanged."""
+        """The outputs from ``stage_tz``'s values and y, or None if the fast
+        run gave up; y is a (..., n) array.  ``tz`` itself is left unchanged."""
         v = list(tz)
         v[_Y] = y
         if not _run(self._y, v):
             return None
         return [v[o] for o in self.outputs]
 
-    def run(self, t, y, z) -> Optional[list]:
-        """Both stages at once."""
-        tz = self.stage_tz(t, z)
+    def run(self, t, y, z, w=None) -> Optional[list]:
+        """The fast run, both stages at once."""
+        tz = self.stage_tz(t, z, w)
         return None if tz is None else self.stage_y(tz, y)
+
+    def evaluate(self, t, y, z, w=None) -> list:
+        """The outputs over the whole batch: the fast run or, when it gives
+        up, the checked run, which raises the ``EvalError``.  Only here may
+        an input that an op reads be None; that op then fails."""
+        inputs = (t, z, y, w)
+        out = (None if any(inputs[i] is None for i in self._inputs)
+               else self.run(t, y, z, w))
+        if out is None:
+            out, first, batch = self._check(t, y, z, w)
+            key = min(int(np.min(first, initial=_PASS)), batch)
+            if key < _PASS:
+                raise self._error(key)
+        return out
+
+    def rows(self, t, y, z, m: int) -> tuple:
+        """The checked run over m rows: each output as an (m,) array with NaN
+        on the rows that fail, and [(row, EvalError)] for those rows in order."""
+        out, first, _ = self._check(t, y, z, None)
+        first = np.broadcast_to(first, (m,))
+        bad = np.nonzero(first < _PASS)[0]
+        values = [np.broadcast_to(np.asarray(v, dtype=float), (m,)).copy() for v in out]
+        for v in values:
+            v[bad] = np.nan
+        keys = first[bad].tolist()
+        errors = {k: self._error(k) for k in set(keys)}
+        return values, [(j, errors[k]) for j, k in zip(bad.tolist(), keys)]
+
+    def _check(self, t, y, z, w) -> tuple:
+        """(outputs, first, batch): ``first`` holds per row the key 2*slot + c
+        of the row's first failing op in walk order (c = 1 for a non-finite
+        result, else 0; ``_PASS`` if the row passed), ``batch`` the key of
+        the first ``pow`` whose batch-level guard fails."""
+        v = list(self._init)
+        v[_T], v[_Z], v[_Y], v[_W] = t, z, y, w
+        first = batch = _PASS
+        with np.errstate(all="ignore"):
+            for out, name, fn, args, dead in self._walk:
+                x = [v[a] for a in args]
+                if any(a is None for a in x):  # an input the caller did not give
+                    v[out] = np.nan
+                    first = np.minimum(first, 2 * out)
+                    continue
+                v[out] = fn(*x)
+                if name in _DOMAIN:
+                    first = np.minimum(first, np.where(_DOMAIN[name][0](*x), 2 * out, _PASS))
+                if name in _NONFINITE:
+                    first = np.minimum(first, np.where(np.isfinite(v[out]), _PASS, 2 * out + 1))
+                if name == "pow" and batch == _PASS and _negative_base(*x):
+                    batch = 2 * out
+                for slot in dead:
+                    v[slot] = None
+        return [v[o] for o in self.outputs], first, batch
+
+    def _error(self, key: int) -> EvalError:
+        slot, nonfinite = divmod(int(key), 2)
+        name, args, pos = self._where[slot]
+        if nonfinite:
+            return EvalError("non-finite result", pos)
+        if name in _DOMAIN:
+            return EvalError(_DOMAIN[name][1], pos)
+        return EvalError(f"{'tzyw'[args[0]]} not available in this context", pos)
 
 
 def _with_releases(ops: list, keep: set) -> list:
-    """(out, fn, args, dead) with ``dead`` the op slots whose last reader in
-    ``ops`` this one is, leaving out ``keep`` and the input slots."""
+    """Each op (out, name, fn, args) extended by ``dead``, the op slots whose
+    last reader in ``ops`` it is, leaving out ``keep`` and the input slots."""
     last = {}
-    for i, (_, _, args) in enumerate(ops):
-        for a in args:
+    for i, op in enumerate(ops):
+        for a in op[-1]:
             last[a] = i
     dead = [[] for _ in ops]
     for slot, i in last.items():
-        if slot > _Y and slot not in keep:
+        if slot > _W and slot not in keep:
             dead[i].append(slot)
-    return [(out, fn, args, tuple(d)) for (out, fn, args), d in zip(ops, dead)]
+    return [op + (tuple(d),) for op, d in zip(ops, dead)]
 
 
 def _run(ops: list, v: list, rows: Optional[dict] = None, block=None) -> bool:
-    """Run ``ops`` over the slot values ``v``; with a ``block``, an op whose
-    slot has a row in ``rows`` and whose value has a row's shape moves there."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            for out, fn, args, dead in ops:
-                v[out] = fn(*[v[a] for a in args])
+    """The fast run of ``ops`` over the slot values ``v``; with a ``block``, an
+    op whose slot has a row in ``rows`` and whose value has a row's shape moves
+    there."""
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        try:
+            for out, name, fn, args, dead in ops:
+                x = [v[a] for a in args]
+                if name == "pow" and _negative_base(*x):
+                    return False
+                v[out] = fn(*x)
+                if name in _LEAVES and not np.isfinite(v[out]).all():
+                    return False
                 if block is not None and out in rows and np.shape(v[out]) == block.shape[1:]:
                     block[rows[out]] = v[out]
                     v[out] = block[rows[out]]
                 for slot in dead:
                     v[slot] = None
-    except (FloatingPointError, _Fallback):
-        return False
+        except FloatingPointError:
+            return False
     return True
 
 

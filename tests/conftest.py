@@ -1,8 +1,11 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and the reference DSL evaluator of the test suite."""
 
+import numpy as np
 import pytest
 
 import dqbsde as q
+from dqbsde.gendsl import (Bin, Clamp, EvalError, Func, Neg, Norm, NormY, NormZ, Num, Pow,
+                           TVar, WVar, YVar, sum_squares)
 
 
 def structured_config(**overrides):
@@ -92,6 +95,89 @@ def write_config(path, cfg):
     lines = [f"{k} = {v}" for k, v in cfg.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def reference_eval(expr, env):
+    """The tree-walking interpreter that ``gendsl.EvalPlan`` replaced, kept
+    as the reference: it walks the tree in post-order, checks each node as
+    it is made and raises the ``EvalError`` of the first node that fails on
+    any row.  Returns a float for scalar input, an ndarray for a batch."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _ev(expr.root, env)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _finite(value, node):
+    if not np.all(np.isfinite(value)):
+        raise EvalError("non-finite result", node.pos)
+    return value
+
+
+def _ev(node, env):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Bin):
+        a = _ev(node.left, env)
+        b = _ev(node.right, env)
+        if node.op == "+":
+            return _finite(np.add(a, b), node)
+        if node.op == "-":
+            return _finite(np.subtract(a, b), node)
+        if node.op == "*":
+            return _finite(np.multiply(a, b), node)
+        if np.any(np.equal(b, 0.0)):
+            raise EvalError("division by zero", node.pos)
+        return _finite(np.divide(a, b), node)
+    if isinstance(node, Norm):
+        s = sum_squares(_need(env.z, node, "z")[..., node.row.index - 1, :])
+        return s if node.squared else np.sqrt(s)
+    if isinstance(node, NormZ):
+        return np.sqrt(sum_squares(_need(env.z, node, "z"), 2))
+    if isinstance(node, NormY):
+        return np.sqrt(sum_squares(_need(env.y, node, "y")))
+    if isinstance(node, YVar):
+        return _need(env.y, node, "y")[..., node.index - 1]
+    if isinstance(node, WVar):
+        return _need(env.w, node, "w")[..., node.index - 1]
+    if isinstance(node, TVar):
+        return env.t
+    if isinstance(node, Neg):
+        return np.negative(_ev(node.arg, env))
+    if isinstance(node, Func):
+        x = _ev(node.arg, env)
+        name = node.name
+        if name == "log":
+            if np.any(np.less_equal(x, 0.0)):
+                raise EvalError("log of nonpositive value", node.pos)
+            return np.log(x)
+        if name == "sqrt":
+            if np.any(np.less(x, 0.0)):
+                raise EvalError("sqrt of negative value", node.pos)
+            return np.sqrt(x)
+        if name == "exp":
+            return _finite(np.exp(x), node)
+        if name == "sin":
+            return np.sin(x)
+        if name == "cos":
+            return np.cos(x)
+        if name == "abs":
+            return np.abs(x)
+        return np.sign(x)
+    if isinstance(node, Pow):
+        base = _ev(node.base, env)
+        expo = _ev(node.exponent, env)
+        if np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))):
+            raise EvalError("pow of negative base with non-integer exponent", node.pos)
+        return _finite(np.power(base, expo), node)
+    if isinstance(node, Clamp):
+        return np.clip(_ev(node.arg, env), _ev(node.lo, env), _ev(node.hi, env))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _need(value, node, what):
+    if value is None:
+        raise EvalError(f"{what} not available in this context", node.pos)
+    return value
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import dqbsde as q
 
-from conftest import (make, planted_h2_config, remark22_config, structured_config,
-                      triangular_demo_config)
+from conftest import (make, planted_h2_config, reference_eval, remark22_config,
+                      structured_config, triangular_demo_config)
 
 # frozen oracle values (mpmath, 40 digits)
 LOG_INEQ_111 = 0.9867597430533607
@@ -420,7 +420,7 @@ def reference_evaluate_assumption(instance, v):
     t = v.t
 
     def ev(expr, y=None, z=None):
-        return float(q.eval_expr(expr, q.EvalEnv(t=t, y=y, z=z)))
+        return float(reference_eval(expr, q.EvalEnv(t=t, y=y, z=z)))
 
     if v.assumption == "H1a":
         row = norm(v.z[i - 1])
@@ -611,7 +611,8 @@ class TestEvaluateAssumption:
 
 class ReferenceRecorder:
     """The recorder the block-streaming falsifier replaced: one list in call
-    order, and a failed batch redone one sample at a time over all samples."""
+    order, and a failed batch redone one sample at a time over all samples,
+    all through the reference interpreter."""
 
     def __init__(self, max_recorded):
         self.violations = []
@@ -637,7 +638,7 @@ class ReferenceRecorder:
 
     def eval(self, assumption, expr, env, m):
         try:
-            return np.broadcast_to(np.asarray(q.eval_expr(expr, env), dtype=float), (m,)).copy()
+            return np.broadcast_to(np.asarray(reference_eval(expr, env), dtype=float), (m,)).copy()
         except q.EvalError:
             pass
         vals = np.full(m, np.nan)
@@ -649,7 +650,7 @@ class ReferenceRecorder:
                 w=None if env.w is None else env.w[j],
             )
             try:
-                vals[j] = q.eval_expr(expr, env_j)
+                vals[j] = reference_eval(expr, env_j)
             except q.EvalError as err:
                 self.domain_errors.append((assumption, j, str(err)))
         return vals
@@ -696,12 +697,23 @@ def rare_domain_error_config():
                                 "generator.1.g": "sqrt(norm(z1)-0.2)*norm2(z1)"})
 
 
+def every_block_error_config():
+    """Domain errors in every block, at different nodes on different rows:
+    component 1 fails at log(y1), at sqrt(y2) or at the pow; component 2's
+    pow fails only the batch-level guard, never a single row."""
+    return remark22_config() | {
+        "generator.1.h": "log(y1) + sqrt(y2) + pow(y1 - y2, 1.5)",
+        "generator.2.h": "normy + pow(y2, 1.25 + 0.25*sign(y2))",
+    }
+
+
 # (config, seed, count, radius); no count is a multiple of 7 or 64
 FALSIFIER_CASES = {
     "planted-h2": (planted_h2_config(), 7, 601, 1e6),
     "triangular-a1": (triangular_a1_config(), 3, 500, 2.0),
     "remark22": (remark22_config(), 0, 450, 10.0),
     "log-y1-rare": (rare_domain_error_config(), 4, 900, 10.0),
+    "every-block": (every_block_error_config(), 5, 300, 10.0),
 }
 
 
@@ -731,6 +743,16 @@ class TestBlockStreaming:
         hit = {j // 7 for _, j, _ in report.domain_errors}
         assert report.truncated and 0 < len(hit) < -(-count // 7)
         assert {a for a, _, _ in report.domain_errors} == {"H1a", "H1b", "H1d"}
+
+    def test_every_block_fails_at_several_nodes(self):
+        cfg, seed, count, radius = FALSIFIER_CASES["every-block"]
+        inst, _ = make(cfg)
+        report = reference_falsify(inst, seed=seed, count=count, radius=radius)
+        assert {j // 7 for _, j, _ in report.domain_errors} == set(range(-(-count // 7)))
+        assert {m for _, _, m in report.domain_errors} == {
+            "log of nonpositive value at position 0",
+            "sqrt of negative value at position 10",
+            "pow of negative base with non-integer exponent at position 21"}
 
     def test_bad_seed_rejected_without_samples(self):
         inst, _ = make(remark22_config())

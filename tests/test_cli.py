@@ -462,6 +462,21 @@ class TestSignedOptionValues:
         assert "expected one argument" in capsys.readouterr().err
 
 
+class TestTerminalFailure:
+    """A terminal formula that fails to evaluate on the lattice is a config
+    error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--mode", "direct"), ("compare", "--oracle", "pure_quadratic"),
+        ("compare", "--oracle", "joint"),
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    def test_config_error(self, tmp_path, capsys, argv):
+        path = str(write_config(tmp_path / "t.cfg", pure_quadratic_config(N=4, terminal="log(w1)")))
+        assert run(*argv, "--config", path, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "config error: terminal component 1: log of nonpositive value at position 0\n")
+
+
 class TestSolverFailure:
     """A solver failure mid-solve exits 3 with a partial report.  The stderr
     lines of driver domain errors were recorded with the tree-walking

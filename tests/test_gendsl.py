@@ -12,6 +12,8 @@ from dqbsde.gendsl import (Bin, Clamp, EvalEnv, EvalError, EvalPlan, Expr, Func,
                            catalog_generator, check_triangular_deps, depth,
                            eval_expr, parse_expr, pretty, scan_refs, sum_squares)
 
+from conftest import reference_eval
+
 REMARK_TEXT = "norm2(z1)*sin(log(norm(z1)+1)) + normy + sin(pow(normz,1.5)) + log(normz+1)"
 
 
@@ -149,6 +151,26 @@ class TestEval:
             e = parse_expr(f"{a!r}+{b!r}*{c!r}", 1, 1)
             assert eval_expr(e, env()) == a + b * c
 
+    @pytest.mark.parametrize("text, want", [
+        ("y1 + log(0-1)", ("y not available in this context", 0)),
+        ("log(0-1) + y1", ("log of nonpositive value", 0)),
+        ("t + norm(z2)*normy", ("z not available in this context", 4)),
+    ])
+    def test_missing_input_fails_in_walk_order(self, text, want):
+        e = parse_expr(text, 2, 2)
+        for evaluate in (eval_expr, reference_eval):
+            with pytest.raises(EvalError) as exc:
+                evaluate(e, env(t=1.0))
+            assert (exc.value.message, exc.value.position) == want
+
+    def test_terminal_formula_over_w(self):
+        e = parse_expr("clamp(w1,-1,1) + log(w2)", 1, 2, context=g.TERMINAL)
+        w = np.array([[0.5, 2.0], [-3.0, 1.0]])
+        assert bits(eval_expr(e, env(t=1.0, w=w))) == bits(reference_eval(e, env(t=1.0, w=w)))
+        with pytest.raises(EvalError) as exc:
+            eval_expr(e, env(t=1.0, w=w[:, ::-1]))
+        assert (exc.value.message, exc.value.position) == ("log of nonpositive value", 17)
+
     def test_env_dimension_mismatch(self):
         e = parse_expr("normy", 2, 1)
         with pytest.raises(ValueError):
@@ -283,10 +305,12 @@ def bits(value):
     return a.shape, a.view(np.uint64).tolist()
 
 
-def interpreted(root, env, n=2, d=2):
-    """("ok", bits) or ("error", message, position) from the interpreter."""
+def interpreted(root, env, n=2, d=2, shape=None):
+    """("ok", bits) or ("error", message, position) from the reference
+    interpreter; with a shape, a value is broadcast to it."""
     try:
-        return ("ok", bits(eval_expr(Expr(root, n, d, g.GENERATOR, ""), env)))
+        value = reference_eval(Expr(root, n, d, g.GENERATOR, ""), env)
+        return ("ok", bits(value if shape is None else np.broadcast_to(value, shape)))
     except EvalError as err:
         return ("error", err.message, err.position)
 
@@ -299,12 +323,20 @@ def reference_driver(gen):
         cols = []
         for i in range(gen.n):
             if gen.kind == g.STRUCTURED:
-                v = np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
+                v = (np.asarray(reference_eval(gen.g[i], env))
+                     + np.asarray(reference_eval(gen.h[i], env)))
             else:
-                v = np.asarray(eval_expr(gen.k[i], env))
+                v = np.asarray(reference_eval(gen.k[i], env))
             cols.append(np.broadcast_to(np.asarray(v, dtype=float), (m,)))
         return np.stack(cols, axis=-1)
     return driver
+
+
+def plan_outcome(plan, t, y, z, w=None):
+    try:
+        return [("ok", bits(v)) for v in plan.evaluate(t, y, z, w)]
+    except EvalError as err:
+        return ("error", err.message, err.position)
 
 
 def driver_outcome(driver, t, y, z):
@@ -372,11 +404,32 @@ class TestPlan:
         roots = roots + [Bin("+", roots[0], roots[-1])]
         env = EvalEnv(t=t, y=y, z=z)
         want = [interpreted(r, env) for r in roots]
-        got = EvalPlan(roots).run(t, y, z)
-        # The plan may give up where the interpreter succeeds, but never
-        # finishes where it fails, and a finished plan has the same bits.
-        if got is not None:
-            assert want == [("ok", bits(v)) for v in got]
+        errors = [w for w in want if w[0] == "error"]
+        # A batch gives the first root's error, or every root's bits.
+        assert plan_outcome(EvalPlan(roots), t, y, z) == (errors[0] if errors else want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ast_strategy(), min_size=1, max_size=3), _batch())
+    def test_rows_match_interpreter_per_row(self, roots, batch):
+        t, y, z = batch
+        m = y.shape[0]
+        ts = np.full(m, t)
+        values, failed = EvalPlan(roots).rows(ts, y, z, m)
+        failed = dict(failed)
+        for j in range(m):
+            # The row alone as a batch of one: numpy's clip, for one, can
+            # give a row of a batch another signed zero than the bare scalar.
+            row = slice(j, j + 1)
+            env = EvalEnv(t=ts[row], y=y[row], z=z[row])
+            want = [interpreted(r, env, shape=(1,)) for r in roots]
+            errors = [w for w in want if w[0] == "error"]
+            if errors:
+                err = failed.pop(j)
+                assert ("error", err.message, err.position) == errors[0]
+                assert all(np.isnan(v[j]) for v in values)
+            else:
+                assert [("ok", bits(v[row])) for v in values] == want
+        assert not failed
 
     @settings(max_examples=200, deadline=None)
     @given(_ast_strategy(), _ast_strategy(), _batch())
@@ -404,7 +457,7 @@ class TestPlan:
         plan = EvalPlan(roots)
         # Two own-row parts of 6 ops each, one shared h of 10 ops, two sums.
         assert len(plan._ops) == 2 * 6 + 10 + 2
-        stage_y = [out for out, _, _, _ in plan._y]
+        stage_y = [op[0] for op in plan._y]
         assert len(stage_y) == 2 + 2 + 2  # normy, two adds in h, g + h twice
 
     def test_stage_y_keeps_only_what_it_reads(self):
@@ -418,14 +471,16 @@ class TestPlan:
         env = EvalEnv(t=0.5, y=np.ones((3, 2)), z=z)
         got = plan.stage_y(tz, env.y)
         for i in range(2):
-            want = np.asarray(eval_expr(gen.g[i], env)) + np.asarray(eval_expr(gen.h[i], env))
+            want = (np.asarray(reference_eval(gen.g[i], env))
+                    + np.asarray(reference_eval(gen.h[i], env)))
             assert bits(got[i]) == bits(want)
         # Rows of 1 KiB and up are not numpy-cached, so they stay separate.
         big = plan.stage_tz(0.5, np.ones((128, 2, 1)))
         assert all(v.base is None for v in big[3:] if isinstance(v, np.ndarray))
 
     def pinned(self, text, t=0.0, y=None, z=None):
-        """Plan result (or None) and the driver and interpreter outcomes."""
+        """Fast-run result (or None) and the interpreter's outcome, which the
+        driver and the plan's checked run must both give."""
         n, d = 2, 2
         y = np.zeros((2, n)) if y is None else np.asarray(y, dtype=float)
         z = np.zeros((2, n, d)) if z is None else np.asarray(z, dtype=float)
@@ -434,12 +489,19 @@ class TestPlan:
         driver, _ = compile_driver(gen)
         want = driver_outcome(reference_driver(gen), t, y, z)
         assert driver_outcome(driver, t, y, z) == want
-        return EvalPlan([expr.root]).run(t, y, z), want
+        plan = EvalPlan([expr.root])
+        alone = interpreted(expr.root, EvalEnv(t=t, y=y, z=z))
+        assert plan_outcome(plan, t, y, z) == (alone if alone[0] == "error" else [alone])
+        return plan.run(t, y, z), want
 
     def test_pow_guard_is_batch_level(self):
         got, want = self.pinned("pow(y1,y2)", y=[[-1.0, 2.0], [2.0, 0.5]])
         assert got is None
         assert want == ("error", "pow of negative base with non-integer exponent", 0)
+        # No single row fails it.
+        values, failed = EvalPlan([parse_expr("pow(y1,y2)", 2, 2).root]).rows(
+            0.0, np.array([[-1.0, 2.0], [2.0, 0.5]]), np.zeros((2, 2, 2)), 2)
+        assert failed == [] and bits(values[0]) == bits([1.0, 2.0 ** 0.5])
 
     @pytest.mark.parametrize("y1", [1.0, 0.0, -0.0])
     def test_division_by_zero(self, y1):
@@ -477,4 +539,4 @@ class TestPlan:
         expr = parse_expr(REMARK_TEXT, 2, 1)
         got = EvalPlan([expr.root]).run(0.3, y, z)
         assert got is not None
-        assert bits(got[0]) == bits(eval_expr(expr, EvalEnv(t=0.3, y=y, z=z)))
+        assert bits(got[0]) == bits(reference_eval(expr, EvalEnv(t=0.3, y=y, z=z)))

@@ -11,7 +11,8 @@ Three construction strategies sit on top of the engine core:
   already-solved components node-wise, each via ``frozen_y_contraction``.
 * ``frozen_y_contraction`` — iterate the map that freezes the y-argument
   and solves the resulting y-independent equation; contraction holds on
-  sub-intervals no longer than 1/(2 beta).
+  sub-intervals no longer than 1/(2 beta).  It marches through them with
+  the same ``_march`` as ``solve_stitched``.
 
 The oracles (exponential transform, linear closed form, tight joint
 Picard) run on the same lattice as the solver under test, so comparisons
@@ -43,7 +44,6 @@ class AdaptiveFloorError(SolverError):
 class ChunkRecord:
     start_layer: int   # terminal side (high)
     end_layer: int     # boundary side (low)
-    horizon: float
     iterations: int
     final_change: float
     sup_y: float
@@ -53,10 +53,6 @@ class ChunkRecord:
 class StitchPlan:
     chunks: list
     halvings: list     # (horizon_before, horizon_after)
-    mode: str
-    lambda_bound: float
-    sup_y: float
-    within_lambda: bool
 
 
 @dataclass
@@ -75,8 +71,45 @@ class ScalarProblem:
 
 
 # ---------------------------------------------------------------------------
-# Stitched global solve
+# The backward march and the stitched global solve
 # ---------------------------------------------------------------------------
+
+def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
+           solve_chunk: Callable, adaptive: bool = False):
+    """Solve layers N..0 in chunks of at most L layers, terminal side first;
+    returns (y_layers, z_layers, records, halvings).  ``solve_chunk(term,
+    k_lo, k_hi)`` returns (ys, zs, record) and its ys[0] is the next chunk's
+    terminal.  With ``adaptive`` a chunk whose Picard iteration fails is
+    retried at half the length, down to one layer."""
+    N = lattice.grid.steps
+    dt = lattice.grid.dt
+    ys_full = [None] * (N + 1)
+    zs_full = [None] * N
+    ys_full[N] = terminal
+    records = []
+    halvings = []
+
+    k_hi = N
+    while k_hi > 0:
+        k_lo = max(0, k_hi - L)
+        try:
+            ys, zs, record = solve_chunk(terminal, k_lo, k_hi)
+        except (PicardNonconvergenceError, PicardDivergenceError):
+            if not adaptive:
+                raise
+            if L <= 1:
+                raise AdaptiveFloorError(
+                    "chunk of one layer still fails to converge") from None
+            halvings.append((L * dt, L // 2 * dt))
+            L //= 2
+            continue
+        ys_full[k_lo:k_hi + 1] = ys
+        zs_full[k_lo:k_hi] = zs
+        records.append(record)
+        terminal = ys[0]
+        k_hi = k_lo
+    return ys_full, zs_full, records, halvings
+
 
 def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
                    horizon: Union[str, float] = "adaptive", mode: str = "picard",
@@ -90,11 +123,10 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
     """
     if mode not in ("picard", "direct"):
         raise ValueError(f"unknown stitch mode {mode!r}")
-    N = lattice.grid.steps
     dt = lattice.grid.dt
     adaptive = horizon == "adaptive"
     if adaptive or dt == 0.0:
-        L = N
+        L = lattice.grid.steps
     else:
         ratio = float(horizon) / dt
         L = int(round(ratio))
@@ -104,53 +136,22 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
             raise ValueError(f"chunk horizon {horizon} does not align with grid layers")
 
     driver, y_dep = compile_driver(instance.generator)
-    term = terminal_values(instance, lattice)
-    n = instance.n
-    ys_full = [None] * (N + 1)
-    zs_full = [None] * N
-    ys_full[N] = term
-    chunks = []
-    halvings = []
 
-    k_hi = N
-    while k_hi > 0:
-        k_lo = max(0, k_hi - L)
-        try:
-            if mode == "picard":
-                ys, zs, trace = picard_range(lattice, driver, term, k_lo, k_hi,
-                                             tol=tol, max_iter=max_iter)
-                iters, final = len(trace), trace[-1]
-            else:
-                ys, zs = backward_range(lattice, driver, y_dep, term, k_lo, k_hi)
-                iters, final = 1, 0.0
-        except (PicardNonconvergenceError, PicardDivergenceError):
-            if not adaptive:
-                raise
-            if L <= 1:
-                raise AdaptiveFloorError(
-                    "chunk of one layer still fails to converge") from None
-            new_L = max(1, L // 2)
-            halvings.append((L * dt, new_L * dt))
-            L = new_L
-            continue
-        ys_full[k_lo:k_hi + 1] = ys
-        zs_full[k_lo:k_hi] = zs
+    def solve_chunk(term, k_lo, k_hi):
+        if mode == "picard":
+            ys, zs, trace = picard_range(lattice, driver, term, k_lo, k_hi,
+                                         tol=tol, max_iter=max_iter)
+            iters, final = len(trace), trace[-1]
+        else:
+            ys, zs = backward_range(lattice, driver, y_dep, term, k_lo, k_hi)
+            iters, final = 1, 0.0
         sup = max(float(np.sqrt(sum_squares(a)).max()) for a in ys)
-        chunks.append(ChunkRecord(start_layer=k_hi, end_layer=k_lo,
-                                  horizon=(k_hi - k_lo) * dt,
-                                  iterations=iters, final_change=final, sup_y=sup))
-        term = ys[0]
-        k_hi = k_lo
+        return ys, zs, ChunkRecord(start_layer=k_hi, end_layer=k_lo, iterations=iters,
+                                   final_change=final, sup_y=sup)
 
-    cert = certs.build_certificate(instance)
-    sup_total = max((c.sup_y for c in chunks), default=float(np.sqrt(sum_squares(term)).max()))
-    plan = StitchPlan(chunks=chunks, halvings=halvings, mode=mode,
-                      lambda_bound=cert.lambda_bound, sup_y=sup_total,
-                      within_lambda=all(c.sup_y <= cert.lambda_bound for c in chunks))
-    meta = {"scheme": f"stitched/{mode}", "chunks": len(chunks),
-            "halvings": len(halvings)}
-    field_ = SolutionField(y=ys_full, z=zs_full, metadata=meta)
-    return field_, plan
+    ys, zs, chunks, halvings = _march(lattice, terminal_values(instance, lattice), L,
+                                      solve_chunk, adaptive)
+    return SolutionField(y=ys, z=zs), StitchPlan(chunks=chunks, halvings=halvings)
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +170,22 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
         raise ValueError("lip_beta must be >= 0")
     if max_outer < 1:
         raise ValueError("max_outer must be >= 1")
-    N = lattice.grid.steps
     dt = lattice.grid.dt
-    horizon = lattice.grid.horizon
     H = certs.contraction_horizon(lip_beta)
-    if dt == 0.0 or not math.isfinite(H) or H >= horizon:
-        L = N
+    if dt == 0.0 or not math.isfinite(H) or H >= lattice.grid.horizon:
+        L = lattice.grid.steps
     else:
         L = int(math.floor(H / dt + 1e-9))
         if L < 1:
             raise ValueError(
                 f"contraction horizon {H} is shorter than one grid step {dt}")
 
-    ys_full = [None] * (N + 1)
-    zs_full = [None] * N
-    term = np.asarray(problem.terminal, dtype=float)
-    ys_full[N] = term
-    trace = ContractionTrace(sub_intervals=[], changes=[])
-
-    k_hi = N
-    while k_hi > 0:
-        k_lo = max(0, k_hi - L)
-        span = k_hi - k_lo
-        frozen = [np.zeros((lattice.layer_size(k_lo + j), 1)) for j in range(span + 1)]
+    def solve_chunk(term, k_lo, k_hi):
+        frozen = [np.zeros((lattice.layer_size(k), 1)) for k in range(k_lo, k_hi + 1)]
         changes = []
-        for outer in range(max_outer):
-            def drv(k, t, y, z, _frozen=frozen, _k_lo=k_lo):
-                return problem.driver(k, t, _frozen[k - _k_lo], z)
+        for _ in range(max_outer):
+            def drv(k, t, y, z, _frozen=frozen):
+                return problem.driver(k, t, _frozen[k - k_lo], z)
 
             zs = None  # free the previous Z: the frozen map reads only the previous ys
             ys, zs = backward_range(lattice, drv, False, term, k_lo, k_hi)
@@ -203,17 +193,13 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             changes.append(change)
             frozen = ys
             if change <= tol:
-                break
-        else:
-            raise PicardNonconvergenceError(changes)
-        trace.sub_intervals.append((k_lo, k_hi, span * dt))
-        trace.changes.append(changes)
-        ys_full[k_lo:k_hi + 1] = ys
-        zs_full[k_lo:k_hi] = zs
-        term = ys[0]
-        k_hi = k_lo
+                return ys, zs, ((k_lo, k_hi, (k_hi - k_lo) * dt), changes)
+        raise PicardNonconvergenceError(changes)
 
-    return ys_full, zs_full, trace
+    ys, zs, records, _ = _march(lattice, np.asarray(problem.terminal, dtype=float), L,
+                                solve_chunk)
+    return ys, zs, ContractionTrace(sub_intervals=[r[0] for r in records],
+                                    changes=[r[1] for r in records])
 
 
 def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarProblem:
@@ -248,7 +234,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     n, d = instance.n, instance.d
     term = terminal_values(instance, lattice)
     solved_y, solved_z = [], []  # each solved component's layers, (m, 1) and (m, 1, d)
-    traces = []
+    outer = []
 
     for i in range(1, n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
@@ -272,7 +258,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
                 problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer)
         except SolverError as err:
             raise SolverError(f"component {i}: {err}") from err
-        traces.append(trace)
+        outer.append(sum(len(c) for c in trace.changes))
         solved_y.append(ys)
         solved_z.append(zs)
         del ys, zs
@@ -285,10 +271,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     for k in range(N - 1, -1, -1):
         z_full[k] = _join_layer(solved_z, k)
         y_full[k] = _join_layer(solved_y, k)
-    meta = {"scheme": "triangular",
-            "component_outer_iterations": [sum(len(c) for c in tr.changes) for tr in traces],
-            "component_traces": traces}
-    return SolutionField(y=y_full, z=z_full, metadata=meta)
+    return SolutionField(y=y_full, z=z_full,
+                         metadata={"component_outer_iterations": outer})
 
 
 def _join_layer(components: list, k: int) -> np.ndarray:
@@ -351,10 +335,9 @@ def oracle_joint_picard(instance: ProblemInstance, lattice: LatticeModel,
     with a raised iteration budget; no structural shortcuts."""
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    ys, zs, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                                 tol=tight_tol, max_iter=max_iter)
-    return SolutionField(y=ys, z=zs,
-                         metadata={"scheme": "joint_picard", "iterations": len(trace)})
+    ys, zs, _ = picard_range(lattice, driver, term, 0, lattice.grid.steps,
+                             tol=tight_tol, max_iter=max_iter)
+    return SolutionField(y=ys, z=zs)
 
 
 # ---------------------------------------------------------------------------

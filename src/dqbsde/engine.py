@@ -474,8 +474,7 @@ def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
     ys, zs = backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
                             inner_tol=inner_tol, inner_max_iter=inner_max_iter,
                             z_truncation=z_truncation, stats=stats)
-    meta = {"scheme": "direct", **stats}
-    return SolutionField(y=ys, z=zs, metadata=meta)
+    return SolutionField(y=ys, z=zs, metadata=stats)
 
 
 def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
@@ -490,9 +489,7 @@ def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
     ys, zs, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
                                  tol=tol, max_iter=max_iter,
                                  init_y=init_y, init_z=init_z)
-    meta = {"scheme": "picard", "iterations": len(trace),
-            "final_change": trace[-1] if trace else 0.0}
-    return SolutionField(y=ys, z=zs, metadata=meta), trace
+    return SolutionField(y=ys, z=zs), trace
 
 
 def _check_dims(instance: ProblemInstance, lattice: LatticeModel) -> None:

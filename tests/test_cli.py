@@ -525,7 +525,13 @@ class TestSolverFailure:
         (pure_quadratic_config(gamma=80.0, N=4),
          ("--mode", "stitched", "--horizon", "adaptive", "--max-iter", "50"),
          "chunk of one layer still fails to converge", ()),
-    ], ids=["picard-divergence", "picard-nonconvergence", "adaptive-floor"])
+        # A fixed-horizon chunk is not halved: its own failure ends the run.
+        (remark22_config(N=20),
+         ("--mode", "stitched", "--horizon", "0.5", "--tol", "1e-12", "--max-iter", "3"),
+         "Picard iteration did not converge in 3 iterations (last change 8.579e-02)",
+         ("0.25", "0.2751586650550648", "0.08579214739376068")),
+    ], ids=["picard-divergence", "picard-nonconvergence", "adaptive-floor",
+            "stitched-fixed-horizon"])
     def test_picard_failures(self, tmp_path, capsys, cfg, argv, message, trace):
         path = str(write_config(tmp_path / "fail.cfg", cfg))
         out = tmp_path / "o"

@@ -200,12 +200,12 @@ def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.Latti
         for k in range(steps + 1):
             t_text = repr(lattice.grid.time(k))
             tail = "\n" if k < steps else "," * (n * d) + "\n"
-            W = lattice.brownian(k)
+            W, rows = lattice.brownian(k), lattice.rows(k)
             for lo in range(0, len(W), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
-                cells = [W[block], field.y[k][block]]
+                cells = [W[block], field.y[rows][block]]
                 if k < steps:
-                    cells.append(field.z[k][block].reshape(-1, n * d))
+                    cells.append(field.z[rows][block].reshape(-1, n * d))
                 yield "".join(f"{k},{idx},{t_text},{','.join(map(repr, row))}{tail}"
                               for idx, row in enumerate(np.concatenate(cells, 1).tolist(), lo))
 
@@ -299,7 +299,7 @@ def cmd_compare(args) -> int:
                               "the form c*norm2(z1) with h = 0")
         term = engine.terminal_values(instance, lattice)[:, 0]
         _, oracle_layers = drivers.oracle_pure_quadratic(gamma, term, lattice)
-        oracle_y = [a[:, None] for a in oracle_layers]
+        oracle_y = np.concatenate(oracle_layers)[:, None]
     elif args.oracle == "linear":
         shape = drivers.match_linear(gen)
         if shape is None or instance.n != 1:
@@ -307,7 +307,7 @@ def cmd_compare(args) -> int:
                               "a*y1 + c with g = 0")
         term = engine.terminal_values(instance, lattice)[:, 0]
         oracle_layers = drivers.oracle_linear(shape[0], shape[1], term, lattice)
-        oracle_y = [a[:, None] for a in oracle_layers]
+        oracle_y = np.concatenate(oracle_layers)[:, None]
     else:  # joint
         # Only Y is compared; dropping the oracle's Z frees it before the solve below.
         oracle_y = drivers.oracle_joint_picard(instance, lattice,
@@ -324,8 +324,9 @@ def cmd_compare(args) -> int:
                                       inner_max_iter=args.max_iter)
 
     max_diff, at_layer, at_node = 0.0, 0, 0
-    for k, (ya, yb) in enumerate(zip(field.y, oracle_y)):
-        diff = np.abs(ya - yb).max(axis=-1)
+    for k in range(lattice.grid.steps + 1):
+        rows = lattice.rows(k)
+        diff = abs(field.y[rows] - oracle_y[rows]).max(axis=-1)
         node = int(np.argmax(diff))
         if float(diff[node]) >= max_diff:
             max_diff, at_layer, at_node = float(diff[node]), k, node
@@ -381,7 +382,7 @@ def cmd_converge(args) -> int:
         lattice = engine.build_lattice(grid, instance.d, max_nodes=args.max_nodes)
         inst_n = replace(instance, grid=grid)
         field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol)
-        y0 = float(field.y[0][0, 0])
+        y0 = float(field.y[0, 0])
         err = abs(y0 - reference)
         rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n")
         errors.append(err)

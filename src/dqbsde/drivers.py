@@ -28,11 +28,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import certs
-from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
-                     SolutionField, SolverError, backward_range, compile_driver,
-                     cond_exp, log_cond_exp, picard_range, terminal_values)
+from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceError, SolutionField,
+                     SolverError, backward_range, compile_driver, cond_exp, log_cond_exp,
+                     picard_range, sup_norm_y, terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
-                     check_triangular_deps, sum_squares)
+                     check_triangular_deps)
 from .model import ProblemInstance
 
 
@@ -75,17 +75,16 @@ class ScalarProblem:
 # ---------------------------------------------------------------------------
 
 def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
-           solve_chunk: Callable, adaptive: bool = False):
-    """Solve layers N..0 in chunks of at most L layers, terminal side first;
-    returns (y_layers, z_layers, records, halvings).  ``solve_chunk(term,
-    k_lo, k_hi)`` returns (ys, zs, record) and its ys[0] is the next chunk's
-    terminal.  With ``adaptive`` a chunk whose Picard iteration fails is
-    retried at half the length, down to one layer."""
+           solve_chunk: Callable, y: np.ndarray, z: np.ndarray, adaptive: bool = False):
+    """Solve layers N..0 into the field rows y, z in chunks of at most L
+    layers, terminal side first; returns (records, halvings).
+    ``solve_chunk(term, k_lo, k_hi, ys, zs)`` writes the chunk into its rows
+    ys, zs (laid out as ``backward_range``'s) and returns its record; layer
+    k_lo's rows are the next chunk's terminal.  With ``adaptive`` a chunk
+    whose Picard iteration fails is retried at half the length, down to one
+    layer."""
     N = lattice.grid.steps
     dt = lattice.grid.dt
-    ys_full = [None] * (N + 1)
-    zs_full = [None] * N
-    ys_full[N] = terminal
     records = []
     halvings = []
 
@@ -93,7 +92,8 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
     while k_hi > 0:
         k_lo = max(0, k_hi - L)
         try:
-            ys, zs, record = solve_chunk(terminal, k_lo, k_hi)
+            record = solve_chunk(terminal, k_lo, k_hi,
+                                 y[lattice.rows(k_lo, k_hi + 1)], z[lattice.rows(k_lo, k_hi)])
         except (PicardNonconvergenceError, PicardDivergenceError):
             if not adaptive:
                 raise
@@ -103,12 +103,10 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
             halvings.append((L * dt, L // 2 * dt))
             L //= 2
             continue
-        ys_full[k_lo:k_hi + 1] = ys
-        zs_full[k_lo:k_hi] = zs
         records.append(record)
-        terminal = ys[0]
+        terminal = y[lattice.rows(k_lo)]
         k_hi = k_lo
-    return ys_full, zs_full, records, halvings
+    return records, halvings
 
 
 def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
@@ -137,21 +135,21 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 
     driver, y_dep = compile_driver(instance.generator)
 
-    def solve_chunk(term, k_lo, k_hi):
+    def solve_chunk(term, k_lo, k_hi, ys, zs):
         if mode == "picard":
-            ys, zs, trace = picard_range(lattice, driver, term, k_lo, k_hi,
-                                         tol=tol, max_iter=max_iter)
+            trace = picard_range(lattice, driver, term, k_lo, k_hi,
+                                 tol=tol, max_iter=max_iter, out=(ys, zs))[2]
             iters, final = len(trace), trace[-1]
         else:
-            ys, zs = backward_range(lattice, driver, y_dep, term, k_lo, k_hi)
+            backward_range(lattice, driver, y_dep, term, k_lo, k_hi, out=(ys, zs))
             iters, final = 1, 0.0
-        sup = max(float(np.sqrt(sum_squares(a)).max()) for a in ys)
-        return ys, zs, ChunkRecord(start_layer=k_hi, end_layer=k_lo, iterations=iters,
-                                   final_change=final, sup_y=sup)
+        return ChunkRecord(start_layer=k_hi, end_layer=k_lo, iterations=iters,
+                           final_change=final, sup_y=sup_norm_y(SolutionField(ys, zs)))
 
-    ys, zs, chunks, halvings = _march(lattice, terminal_values(instance, lattice), L,
-                                      solve_chunk, adaptive)
-    return SolutionField(y=ys, z=zs), StitchPlan(chunks=chunks, halvings=halvings)
+    field_ = zero_field(lattice, instance.n)
+    chunks, halvings = _march(lattice, terminal_values(instance, lattice), L, solve_chunk,
+                              field_.y, field_.z, adaptive)
+    return field_, StitchPlan(chunks=chunks, halvings=halvings)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +157,16 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 # ---------------------------------------------------------------------------
 
 def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: LatticeModel,
-                         tol: float = 1e-10, max_outer: int = 200):
+                         tol: float = 1e-10, max_outer: int = 200, out: Optional[tuple] = None):
     """Solve a scalar equation by iterating the y-freezing map on
-    sub-intervals of length min(1/(2*lip_beta), T); returns
-    (y_layers, z_layers, trace) with layer lists covering 0..N.
-    An outer iteration holds the previous ys, which the frozen map reads, and
-    not the previous zs; no array is written in place.
+    sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
+    with y, z in flat storage covering layers 0..N.  They are ``out`` when
+    the function that owns the field passes its (y, z) there, such as one
+    component's column views.  The chunk's y rows hold the frozen iterate
+    (zero at first), and each outer iteration writes its layers over it in
+    place: ``backward_range`` calls the driver at layer k after writing
+    layer k+1 and before writing layer k, so the map reads the old y_k from
+    the rows, keeps it until the next call and then takes layer k's change.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -180,26 +182,38 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             raise ValueError(
                 f"contraction horizon {H} is shorter than one grid step {dt}")
 
-    def solve_chunk(term, k_lo, k_hi):
-        frozen = [np.zeros((lattice.layer_size(k), 1)) for k in range(k_lo, k_hi + 1)]
+    def solve_chunk(term, k_lo, k_hi, ys, zs):
+        ys[lattice.rows(k_lo, k_hi, k_lo)] = 0.0
+        change = float(np.abs(term).max())  # the terminal against the zero iterate
+        held = None  # (k, old y_k) until layer k is written
         changes = []
-        for _ in range(max_outer):
-            def drv(k, t, y, z, _frozen=frozen):
-                return problem.driver(k, t, _frozen[k - k_lo], z)
 
-            zs = None  # free the previous Z: the frozen map reads only the previous ys
-            ys, zs = backward_range(lattice, drv, False, term, k_lo, k_hi)
-            change = max(float(np.abs(a - b).max()) for a, b in zip(ys, frozen))
+        def settle():
+            nonlocal change
+            if held is not None:
+                k, old = held
+                change = max(change, float(np.abs(ys[lattice.rows(k, base=k_lo)] - old).max()))
+
+        def drv(k, t, y, z):
+            nonlocal held
+            settle()
+            held = k, ys[lattice.rows(k, base=k_lo)].copy()
+            return problem.driver(k, t, held[1], z)
+
+        for _ in range(max_outer):
+            backward_range(lattice, drv, False, term, k_lo, k_hi, out=(ys, zs))
+            settle()
             changes.append(change)
-            frozen = ys
             if change <= tol:
-                return ys, zs, ((k_lo, k_hi, (k_hi - k_lo) * dt), changes)
+                return (k_lo, k_hi, (k_hi - k_lo) * dt), changes
+            change, held = 0.0, None  # the terminal's rows no longer change
         raise PicardNonconvergenceError(changes)
 
-    ys, zs, records, _ = _march(lattice, np.asarray(problem.terminal, dtype=float), L,
-                                solve_chunk)
-    return ys, zs, ContractionTrace(sub_intervals=[r[0] for r in records],
-                                    changes=[r[1] for r in records])
+    field_ = zero_field(lattice, 1) if out is None else SolutionField(*out)
+    records, _ = _march(lattice, np.asarray(problem.terminal, dtype=float), L, solve_chunk,
+                        field_.y, field_.z)
+    return field_.y, field_.z, ContractionTrace(sub_intervals=[r[0] for r in records],
+                                                changes=[r[1] for r in records])
 
 
 def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarProblem:
@@ -217,10 +231,11 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
     fields, reducing to a scalar equation in (y_i, z_i) handled by
     ``frozen_y_contraction`` with the instance's own-component Lipschitz
-    constant.  Solved components are held as their own layer lists, so
-    solving component i holds components 1..i-1 and its iterate; the full
-    field is joined layer by layer at the end, each component layer dropped
-    as it is joined.
+    constant.  The full field is allocated once and component i's solve
+    writes straight into its columns ``y[:, i-1:i]`` and ``z[:, i-1:i, :]``.
+    The driver therefore evaluates on the field's own rows of layer k: when
+    ``frozen_y_contraction`` calls it there, column i-1 holds the y and z it
+    passes, and the columns of components after i still hold zeros.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -230,58 +245,29 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         msgs = "; ".join(f"component {v.component} references {v.name}" for v in violations)
         raise ValueError(f"triangular dependency violation: {msgs}")
 
-    N = lattice.grid.steps
-    n, d = instance.n, instance.d
-    term = terminal_values(instance, lattice)
-    solved_y, solved_z = [], []  # each solved component's layers, (m, 1) and (m, 1, d)
+    field_ = zero_field(lattice, instance.n)
+    top = lattice.rows(lattice.grid.steps)
+    field_.y[top] = terminal_values(instance, lattice)
     outer = []
 
-    for i in range(1, n + 1):
+    for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
 
-        def drv(k, t, y, z, _i=i, _plan=plan):
+        def drv(k, t, y, z, _plan=plan):
             m = y.shape[0]
-            Y = np.zeros((m, n))
-            Z = np.zeros((m, n, d))
-            for c in range(_i - 1):
-                Y[:, c] = solved_y[c][k][:, 0]
-                if k < N:
-                    Z[:, c, :] = solved_z[c][k][:, 0, :]
-            Y[:, _i - 1] = y[:, 0]
-            Z[:, _i - 1, :] = z[:, 0, :]
-            out = _plan.evaluate(t, Y, Z)[0]
+            out = _plan.evaluate(t, field_.y[lattice.rows(k)], field_.z[lattice.rows(k)])[0]
             return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
 
-        problem = ScalarProblem(driver=drv, terminal=term[:, i - 1:i])
+        problem = ScalarProblem(driver=drv, terminal=field_.y[top, i - 1:i])
         try:
-            ys, zs, trace = frozen_y_contraction(
-                problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer)
+            trace = frozen_y_contraction(
+                problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer,
+                out=(field_.y[:, i - 1:i], field_.z[:, i - 1:i]))[2]
         except SolverError as err:
             raise SolverError(f"component {i}: {err}") from err
         outer.append(sum(len(c) for c in trace.changes))
-        solved_y.append(ys)
-        solved_z.append(zs)
-        del ys, zs
-
-    # Top layer down, z before y: each joined layer then fits in the heap
-    # the larger component layers above it left free.
-    y_full = [None] * (N + 1)
-    z_full = [None] * N
-    y_full[N] = _join_layer(solved_y, N)
-    for k in range(N - 1, -1, -1):
-        z_full[k] = _join_layer(solved_z, k)
-        y_full[k] = _join_layer(solved_y, k)
-    return SolutionField(y=y_full, z=z_full,
-                         metadata={"component_outer_iterations": outer})
-
-
-def _join_layer(components: list, k: int) -> np.ndarray:
-    """Join layer k of each component's layer list along axis 1, dropping
-    the component layers as they are joined."""
-    parts = [layers[k] for layers in components]
-    for layers in components:
-        layers[k] = None
-    return np.concatenate(parts, axis=1)
+    field_.metadata["component_outer_iterations"] = outer
+    return field_
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +321,10 @@ def oracle_joint_picard(instance: ProblemInstance, lattice: LatticeModel,
     with a raised iteration budget; no structural shortcuts."""
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    ys, zs, _ = picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                             tol=tight_tol, max_iter=max_iter)
-    return SolutionField(y=ys, z=zs)
+    field_ = zero_field(lattice, instance.n)
+    picard_range(lattice, driver, term, 0, lattice.grid.steps,
+                 tol=tight_tol, max_iter=max_iter, out=(field_.y, field_.z))
+    return field_
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,8 +91,19 @@ class LatticeModel:
     def layer_size(self, k: int) -> int:
         return (k + 1) ** self.d
 
+    @cached_property
+    def _offsets(self) -> tuple:
+        # Layer k's first row in a flat field, k = 0..N+1 (the last is the row count).
+        return tuple(accumulate(map(self.layer_size, range(self.grid.steps + 1)), initial=0))
+
+    def rows(self, k: int, stop: Optional[int] = None, base: int = 0) -> slice:
+        """Rows of layers k .. stop-1 (layer k alone by default) in flat
+        storage whose row 0 is the first node of layer base."""
+        o = self._offsets
+        return slice(o[k] - o[base], o[k + 1 if stop is None else stop] - o[base])
+
     @property
-    def total_nodes(self) -> int:
+    def total_nodes(self) -> int:  # no offsets yet: build_lattice checks the budget first
         return sum(self.layer_size(k) for k in range(self.grid.steps + 1))
 
     @property
@@ -156,11 +168,12 @@ def log_cond_exp(lattice: LatticeModel, k: int, child_log_values) -> np.ndarray:
     return gather(reduce(np.logaddexp, windows)) + math.log(lattice.child_weight)
 
 
-def project(lattice: LatticeModel, k: int, child_values):
+def project(lattice: LatticeModel, k: int, child_values, out=None):
     """One-step conditional expectation and increment regression.
 
     Returns (cond_exp, z) where z_j = sum of weight * child * dW_j / dt;
-    z has one trailing axis of length d beyond the child value shape.
+    z has one trailing axis of length d beyond the child value shape and is
+    written into ``out`` when one is given.
     """
     windows, gather = _corner_windows(lattice, k, child_values)
     if lattice.grid.dt == 0.0:
@@ -174,7 +187,7 @@ def project(lattice: LatticeModel, k: int, child_values):
         np.multiply(window, q, out=tmp)
         for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
             (np.add if i >> (lattice.d - 1 - j) & 1 else np.subtract)(column, tmp, out=column)
-    z = np.empty((lattice.layer_size(k),) + tmp.shape[1:] + (lattice.d,))
+    z = np.empty((lattice.layer_size(k),) + tmp.shape[1:] + (lattice.d,)) if out is None else out
     for j, column in enumerate(columns):
         gather(column, z[..., j])
     return gather(expectation), z
@@ -182,48 +195,38 @@ def project(lattice: LatticeModel, k: int, child_values):
 
 @dataclass
 class SolutionField:
-    """Per-layer solution values: y[k] has shape ((k+1)^d, n) for k = 0..N,
-    z[k] has shape ((k+1)^d, n, d) for k = 0..N-1."""
+    """Solution values in flat storage: y has shape (total_nodes, n) and z
+    shape (total_nodes - (N+1)^d, n, d), and layer k is the row range
+    ``lattice.rows(k)`` of each (z has no rows for the terminal layer N)."""
 
-    y: list
-    z: list
+    y: np.ndarray
+    z: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.y[0].shape[-1]
-
-    def copy(self) -> "SolutionField":
-        return SolutionField([a.copy() for a in self.y], [a.copy() for a in self.z],
-                             dict(self.metadata))
+        return self.y.shape[-1]
 
     def shifted(self, delta: float) -> "SolutionField":
-        out = self.copy()
-        out.y = [a + delta for a in out.y]
-        return out
+        return SolutionField(self.y + delta, self.z.copy(), dict(self.metadata))
 
 
 def zero_field(lattice: LatticeModel, n: int) -> SolutionField:
     N = lattice.grid.steps
-    return SolutionField(
-        y=[np.zeros((lattice.layer_size(k), n)) for k in range(N + 1)],
-        z=[np.zeros((lattice.layer_size(k), n, lattice.d)) for k in range(N)],
-    )
+    return SolutionField(np.zeros((lattice.total_nodes, n)),
+                         np.zeros((lattice.rows(0, N).stop, n, lattice.d)))
 
 
 def field_sup_diff(a: SolutionField, b: SolutionField) -> float:
-    """Sup over (layer, node, component) of |Y_a - Y_b|."""
-    return max(float(np.max(np.abs(ya - yb))) if ya.size else 0.0
-               for ya, yb in zip(a.y, b.y))
+    """Sup over (node, component) of |Y_a - Y_b|."""
+    return float(np.abs(a.y - b.y).max()) if a.y.size else 0.0
 
 
 def sup_norm_y(field_: SolutionField) -> float:
-    """Max over (layer, node) of the Euclidean norm of the Y vector."""
-    best = 0.0
-    for ya in field_.y:
-        if ya.size:
-            best = max(best, float(np.sqrt(sum_squares(ya)).max()))
-    return best
+    """Max over nodes of the Euclidean norm of the Y vector, reduced in
+    blocks of rows: whole-field temporaries would set a solve's peak memory."""
+    return math.sqrt(max(float(sum_squares(field_.y[i:i + 4096]).max())
+                         for i in range(0, len(field_.y), 4096)))
 
 
 def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
@@ -238,7 +241,7 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
     acc = np.zeros(lattice.layer_size(N))
     best = 0.0
     for k in range(N - 1, -1, -1):
-        quad = sum_squares(field_.z[k], 2) * dt
+        quad = sum_squares(field_.z[lattice.rows(k)], 2) * dt
         acc = quad + cond_exp(lattice, k, acc)
         best = max(best, float(acc.max()))
     return math.sqrt(best)
@@ -256,7 +259,8 @@ def compile_driver(gen: GeneratorModel) -> tuple:
     the plan's t/z stage of its last call, keyed on k, t and the identity
     of z, so the inner y-iteration reruns only the y-dependent ops.
     Callers must therefore not mutate z in place between calls that pass
-    the same array; a new array is always recomputed.  Whenever the fast
+    the same array; a new array, such as a new view of rows written over
+    since, is always recomputed.  Whenever the fast
     run gives up, the plan's checked run evaluates the call and raises the
     ``EvalError``.  A structured component is g + h added outside the plan
     with a plain add, so an overflow there is a non-finite value for the
@@ -325,38 +329,41 @@ def _truncate_rows(z: np.ndarray, threshold: float) -> int:
     return count
 
 
-def _degenerate_layers(lattice: LatticeModel, terminal: np.ndarray, k_lo: int, k_hi: int):
+def _degenerate_layers(lattice: LatticeModel, terminal: np.ndarray, k_lo: int, k_hi: int,
+                       ys: np.ndarray, zs: np.ndarray):
     # dt = 0: every node sits at W = 0 and the driver integral vanishes.
-    n = terminal.shape[-1]
-    ys = [np.tile(terminal[0], (lattice.layer_size(k), 1)) for k in range(k_lo, k_hi)]
-    ys.append(np.asarray(terminal, dtype=float))
-    zs = [np.zeros((lattice.layer_size(k), n, lattice.d)) for k in range(k_lo, k_hi)]
+    ys[lattice.rows(k_lo, k_hi, k_lo)] = terminal[0]
+    ys[lattice.rows(k_hi, base=k_lo)] = terminal
+    zs[...] = 0.0
     return ys, zs
 
 
 def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
-                   terminal: np.ndarray, k_lo: int, k_hi: int,
+                   terminal: np.ndarray, k_lo: int, k_hi: int, *, out: tuple,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
                    z_truncation: Optional[float] = None, stats: Optional[dict] = None):
     """Backward induction on layers k_hi .. k_lo with given terminal values.
 
-    Returns (ys, zs) where ys[j] is layer k_lo + j (so ys[-1] is the given
-    terminal) and zs[j] pairs with ys[j] for j < k_hi - k_lo.
+    Writes each layer once into ``out`` = (ys, zs), rows that the function
+    owning the field passes down, and returns them: the y rows of layers
+    k_lo..k_hi (the last layer's are the given terminal) and the z rows of
+    layers k_lo..k_hi-1, in flat storage whose row 0 is layer k_lo's first
+    node (``lattice.rows(k, base=k_lo)``).
     """
     if inner_max_iter < 1:
         raise ValueError("inner_max_iter must be >= 1")
     dt = lattice.grid.dt
+    ys, zs = out
     if dt == 0.0:
-        return _degenerate_layers(lattice, terminal, k_lo, k_hi)
+        return _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs)
     stats = stats if stats is not None else {}
     stats.setdefault("inner_iterations", 0)
     stats.setdefault("z_clips", 0)
-    ys = [None] * (k_hi - k_lo + 1)
-    zs = [None] * (k_hi - k_lo)
-    ys[-1] = np.asarray(terminal, dtype=float)
+    ys[lattice.rows(k_hi, base=k_lo)] = terminal
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
         for k in range(k_hi - 1, k_lo - 1, -1):
-            expectation, z = project(lattice, k, ys[k - k_lo + 1])
+            r = lattice.rows(k, base=k_lo)
+            expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)], out=zs[r])
             if z_truncation is not None:
                 stats["z_clips"] += _truncate_rows(z, z_truncation)
             t_k = lattice.grid.time(k)
@@ -374,28 +381,30 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                     else:
                         node = int(np.argmax(delta_vec.max(axis=-1)))
                         raise InnerNonconvergenceError(k, node, delta)
+                    ys[r] = y
                 else:
-                    y = expectation + driver(k, t_k, expectation, z) * dt
+                    y = np.add(expectation, driver(k, t_k, expectation, z) * dt, out=ys[r])
                     stats["inner_iterations"] += 1
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
             if not np.all(np.isfinite(y)):
                 node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                 raise NonFiniteError(k, node)
-            ys[k - k_lo] = y
-            zs[k - k_lo] = z
     return ys, zs
 
 
 def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
-                 k_lo: int, k_hi: int, tol: float = 1e-10, max_iter: int = 200,
-                 init_y: Optional[list] = None, init_z: Optional[list] = None):
+                 k_lo: int, k_hi: int, *, out: tuple, tol: float = 1e-10,
+                 max_iter: int = 200, init_y: Optional[np.ndarray] = None,
+                 init_z: Optional[np.ndarray] = None):
     """Fixed-point iteration: each pass solves the linear equation obtained by
     freezing the driver arguments at the previous field.
 
-    One iterate is live: a pass replaces layer k of the previous field once
-    it has built the new one (it reads only old layer k and new layer k+1),
-    and no array is written in place, so ``init`` is neither copied nor mutated.
+    ``out``, ``init_y``/``init_z`` and the result are rows laid out as
+    ``backward_range``'s.  One iterate is live, in ``out``: a pass writes
+    layer k over the previous field once it has built it (it reads only old
+    layer k and new layer k+1).  ``init`` is copied into those rows once and
+    never written, so the result does not alias it.
 
     A layer whose three inputs are bit-identical to those of the previous
     pass is not rebuilt, since its output would be the previous pass's.
@@ -411,46 +420,48 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     dt = lattice.grid.dt
-    if dt == 0.0:
-        ys, zs = _degenerate_layers(lattice, terminal, k_lo, k_hi)
-        return ys, zs, [0.0]
     span = k_hi - k_lo
-    n = terminal.shape[-1]
-    ys = (list(init_y) if init_y is not None
-          else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
-    zs = (list(init_z) if init_z is not None
-          else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
+    ys, zs = out
+    if dt == 0.0:
+        return _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs) + ([0.0],)
+    # Only init is read in pass 0, never what the rows held (terminal may be their top rows).
+    top, below = lattice.rows(k_hi, base=k_lo), lattice.rows(k_lo, k_hi, k_lo)
+    ys[below] = 0.0 if init_y is None else init_y[below]
+    zs[...] = 0.0 if init_z is None else init_z
     term = np.asarray(terminal, dtype=float)
     trace = []
     same = [False] * (span + 1)
     kept = [False] * span
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
         for m in range(max_iter):
-            change = float(np.abs(term - ys[-1]).max()) if term.size else 0.0
-            ys[-1] = term
+            prev = ys[top] if m > 0 else 0.0 if init_y is None else init_y[top]
+            change = float(np.abs(term - prev).max()) if term.size else 0.0
+            ys[top] = term
             same[-1] = m > 0
             for k in range(k_hi - 1, k_lo - 1, -1):
                 j = k - k_lo
                 if same[j + 1] and kept[j]:  # adds |y - y| = 0 to the change
                     same[j] = True
                     continue
-                expectation, z = project(lattice, k, ys[j + 1])
+                r = lattice.rows(k, base=k_lo)
                 t_k = lattice.grid.time(k)
-                try:
-                    f_val = driver(k, t_k, ys[j], zs[j])
+                try:  # reads old y_k and z_k, before project writes the new z_k over them
+                    f_dt = driver(k, t_k, ys[r], zs[r]) * dt
                 except EvalError as err:
                     raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
-                y = expectation + f_val * dt
+                expectation, _ = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
+                                         out=zs[r])
+                y = expectation + f_dt
                 if not np.all(np.isfinite(y)):
                     node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                     raise NonFiniteError(k, node)
-                delta = float(np.abs(y - ys[j]).max())
+                delta = float(np.abs(y - ys[r]).max())
                 change = max(change, delta)
                 # delta > 0 settles it; delta == 0 also holds for 0.0 against -0.0.
                 # Bytes rather than a uint64 view, whose numpy loops cost ~0.15 MB RSS.
-                same[j] = m > 0 and delta == 0.0 and y.tobytes() == ys[j].tobytes()
+                same[j] = m > 0 and delta == 0.0 and y.tobytes() == ys[r].tobytes()
                 kept[j] = same[j] and same[j + 1]
-                ys[j], zs[j] = y, z
+                ys[r] = y
             trace.append(change)
             if change <= tol:
                 return ys, zs, trace
@@ -470,11 +481,11 @@ def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
     _check_dims(instance, lattice)
     driver, y_dep = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    stats = {}
-    ys, zs = backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
-                            inner_tol=inner_tol, inner_max_iter=inner_max_iter,
-                            z_truncation=z_truncation, stats=stats)
-    return SolutionField(y=ys, z=zs, metadata=stats)
+    field_ = zero_field(lattice, instance.n)
+    backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
+                   inner_tol=inner_tol, inner_max_iter=inner_max_iter,
+                   z_truncation=z_truncation, stats=field_.metadata, out=(field_.y, field_.z))
+    return field_
 
 
 def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
@@ -486,10 +497,11 @@ def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
     term = terminal_values(instance, lattice)
     init_y = init.y if init is not None else None
     init_z = init.z if init is not None else None
-    ys, zs, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                                 tol=tol, max_iter=max_iter,
-                                 init_y=init_y, init_z=init_z)
-    return SolutionField(y=ys, z=zs), trace
+    field_ = zero_field(lattice, instance.n)
+    _, _, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
+                               tol=tol, max_iter=max_iter,
+                               init_y=init_y, init_z=init_z, out=(field_.y, field_.z))
+    return field_, trace
 
 
 def _check_dims(instance: ProblemInstance, lattice: LatticeModel) -> None:

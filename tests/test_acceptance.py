@@ -89,7 +89,7 @@ def test_04_convergence_order():
     for N in n_list:
         inst, lat = make(pure_quadratic_config(N=N))
         f = q.backward_solve(inst, lat)
-        errors.append(abs(f.y[0][0, 0] - reference))
+        errors.append(abs(f.y[0, 0] - reference))
         dts.append(lat.grid.dt)
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -104,7 +104,7 @@ def test_05_one_step_closed_form():
     term = q.terminal_values(inst, lat)[:, 0]
     y0_oracle, _ = q.oracle_pure_quadratic(1.0, term, lat)
     f = q.backward_solve(inst, lat)
-    y0_solver = f.y[0][0, 0]
+    y0_solver = f.y[0, 0]
     lncosh1 = 0.4337808304830272
     gap = abs(y0_solver - y0_oracle)
     ok = (abs(y0_oracle - lncosh1) <= 1e-12
@@ -146,8 +146,8 @@ def test_07_pasting_identity():
         one = q.backward_solve(inst, lat)
         two, plan = q.solve_stitched(inst, lat, horizon=0.5, mode="direct")
         assert len(plan.chunks) == 2
-        dy = max(float(np.abs(a - b).max()) for a, b in zip(one.y, two.y))
-        dz = max(float(np.abs(a - b).max()) for a, b in zip(one.z, two.z))
+        dy = float(np.abs(one.y - two.y).max())
+        dz = float(np.abs(one.z - two.z).max())
         worst = max(worst, dy, dz)
     ok = worst == 0.0
     report(7, "two-chunk pasting identity", ok,

@@ -242,6 +242,24 @@ class TestCompare:
                    "--out", out) == 2
 
 
+class TestCompareTieRule:
+    def test_last_layer_then_first_node(self, tmp_path, remark_cfg, monkeypatch):
+        """atLayer is the last layer that reaches the largest difference and
+        atNode the first node of that layer that reaches it."""
+        _, lat = make(remark22_config(N=20))
+        oracle, solved = q.zero_field(lat, 2), q.zero_field(lat, 2)
+        for k, node, col, value in [(5, 0, 1, 0.5), (5, 3, 0, -0.5), (8, 2, 0, 0.25),
+                                    (12, 7, 1, -0.5), (12, 9, 0, 0.5), (15, 1, 1, 0.125)]:
+            solved.y[lat.rows(k).start + node, col] = value
+        monkeypatch.setattr(cli.drivers, "oracle_joint_picard", lambda *a, **kw: oracle)
+        monkeypatch.setattr(cli.engine, "backward_solve", lambda *a, **kw: solved)
+        out = tmp_path / "o"
+        assert run("compare", "--config", remark_cfg, "--oracle", "joint", "--mode", "direct",
+                   "--tolerance", "1", "--out", str(out)) == 0
+        lines = (out / "compare.txt").read_text().splitlines()
+        assert {"maxAbsDiff = 0.5", "atLayer = 12", "atNode = 7"} <= set(lines)
+
+
 class TestConverge:
     def test_short_n_list_rejected(self, tmp_path, pq_cfg):
         assert run("converge", "--config", pq_cfg, "--n-list", "25,50",
@@ -288,9 +306,9 @@ def reference_solution_csv(path, field, lattice):
             for idx in range(lattice.layer_size(k)):
                 row = [str(k), str(idx), repr(float(t_k))]
                 row += [repr(float(w)) for w in W[idx]]
-                row += [repr(float(v)) for v in field.y[k][idx]]
+                row += [repr(float(v)) for v in field.y[lattice.rows(k)][idx]]
                 if has_z:
-                    row += [repr(float(v)) for v in field.z[k][idx].reshape(-1)]
+                    row += [repr(float(v)) for v in field.z[lattice.rows(k)][idx].reshape(-1)]
                 else:
                     row += [""] * (n * d)
                 fh.write(",".join(row) + "\n")
@@ -337,7 +355,7 @@ def synthetic_field(lattice, n, offset=0):
         if k < lattice.grid.steps:
             z, at = cells((m, n, lattice.d), at)
             zs.append(z)
-    return engine.SolutionField(ys, zs)
+    return engine.SolutionField(np.concatenate(ys), np.concatenate(zs))
 
 
 class TestSolutionWriter:

@@ -64,21 +64,40 @@ def _ref_project(lattice, k, child_values):
     return expectation, np.stack(z_parts, axis=-1)
 
 
+def _layers(lattice, rows, k_lo, k_hi):
+    """Layers k_lo..k_hi-1 of flat rows whose row 0 is layer k_lo's first node."""
+    return [rows[lattice.rows(k, base=k_lo)] for k in range(k_lo, k_hi)]
+
+
+def _out_rows(lattice, n, k_lo, k_hi, fill="zeros", term=None):
+    """Destination rows of layers k_lo..k_hi for backward_range and
+    picard_range, holding NaN, zeros, or zeros under ``term`` in the top
+    rows ("terminal"), as the rows of a stitched chunk below the first do."""
+    value = np.nan if fill == "nan" else 0.0
+    ys = np.full((lattice.rows(k_lo, k_hi + 1, k_lo).stop, n), value)
+    zs = np.full((lattice.rows(k_lo, k_hi, k_lo).stop, n, lattice.d), value)
+    if fill == "terminal":
+        ys[lattice.rows(k_hi, base=k_lo)] = term
+    return ys, zs
+
+
 # The two-list Picard driver that the one-live-iterate driver replaced: a pass
-# builds fresh lists beside a private copy of the previous field.  It is the
-# bit-for-bit reference of TestPicardReference.
+# builds fresh per-layer lists beside a private copy of the previous field.
+# It is the bit-for-bit reference of TestPicardReference; init_y and init_z
+# are flat rows, as picard_range takes them.
 
 def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter=200,
-                      init_y=None, init_z=None):
+                      init_y=None, init_z=None, out=None):  # out is not read
     dt = lattice.grid.dt
-    if dt == 0.0:
-        ys, zs = engine._degenerate_layers(lattice, terminal, k_lo, k_hi)
-        return ys, zs, [0.0]
     span = k_hi - k_lo
     n = terminal.shape[-1]
-    y_prev = ([a.copy() for a in init_y] if init_y is not None
+    if dt == 0.0:
+        ys = [np.tile(terminal[0], (lattice.layer_size(k), 1)) for k in range(k_lo, k_hi)]
+        zs = [np.zeros((lattice.layer_size(k), n, lattice.d)) for k in range(k_lo, k_hi)]
+        return ys + [terminal], zs, [0.0]
+    y_prev = ([a.copy() for a in _layers(lattice, init_y, k_lo, k_hi + 1)] if init_y is not None
               else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
-    z_prev = ([a.copy() for a in init_z] if init_z is not None
+    z_prev = ([a.copy() for a in _layers(lattice, init_z, k_lo, k_hi)] if init_z is not None
               else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
     term = np.asarray(terminal, dtype=float)
     trace = []
@@ -262,55 +281,50 @@ class TestBackwardSolve:
     def test_brownian_terminal(self):
         inst, lat = make(structured_config())
         f = q.backward_solve(inst, lat)
-        assert f.y[0][0, 0] == 0.0
-        assert all(np.all(zk == 1.0) for zk in f.z)
+        assert f.y[0, 0] == 0.0
+        assert np.all(f.z == 1.0)
 
     def test_linear_decay_recursion(self):
         cfg = structured_config(**{"grid.N": 10, "generator.1.h": "-1.0*y1 + 0.0",
                                    "terminal.1": "1", "terminal.bound": 1.0})
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat, inner_tol=1e-15)
-        assert f.y[0][0, 0] == pytest.approx((1 + 0.1) ** -10, abs=1e-12)
+        assert f.y[0, 0] == pytest.approx((1 + 0.1) ** -10, abs=1e-12)
 
     def test_constant_solution(self):
         cfg = structured_config(**{"grid.N": 8, "generator.1.h": "y1 - 1.0",
                                    "terminal.1": "1", "terminal.bound": 1.0})
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat, inner_tol=1e-15)
-        for yk in f.y:
-            assert np.allclose(yk, 1.0, atol=1e-12)
-        for zk in f.z:
-            assert np.allclose(zk, 0.0, atol=1e-12)
+        assert np.allclose(f.y, 1.0, atol=1e-12)
+        assert np.allclose(f.z, 0.0, atol=1e-12)
 
     def test_martingale_identity_for_zero_generator(self):
         cfg = structured_config(**{"grid.N": 6, "terminal.1": "sin(w1)"})
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat)
         for k in range(6):
-            assert np.array_equal(f.y[k], q.cond_exp(lat, k, f.y[k + 1]))
+            assert np.array_equal(f.y[lat.rows(k)], q.cond_exp(lat, k, f.y[lat.rows(k + 1)]))
 
     def test_determinism_bitwise(self):
         inst, lat = make(remark22_config(N=20))
         a = q.backward_solve(inst, lat)
         b = q.backward_solve(inst, lat)
-        for xa, xb in zip(a.y + a.z, b.y + b.z):
-            assert xa.tobytes() == xb.tobytes()
+        assert a.y.tobytes() == b.y.tobytes() and a.z.tobytes() == b.z.tobytes()
 
     def test_degenerate_horizon(self):
         cfg = structured_config(**{"problem.T": 0.0, "grid.N": 3,
                                    "terminal.1": "cos(w1)", "terminal.bound": 1.0})
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat)
-        for yk in f.y:
-            assert np.all(yk == 1.0)  # cos(0)
-        for zk in f.z:
-            assert np.all(zk == 0.0)
+        assert np.all(f.y == 1.0)  # cos(0)
+        assert f.z.shape == (6, 1, 1) and np.all(f.z == 0.0)
 
     def test_z_truncation_counts(self):
         inst, lat = make(structured_config())
         f = q.backward_solve(inst, lat, z_truncation=0.5)
         assert f.metadata["z_clips"] == 1
-        assert np.all(np.abs(f.z[0]) <= 0.5 + 1e-15)
+        assert np.all(np.abs(f.z[lat.rows(0)]) <= 0.5 + 1e-15)
 
     @pytest.mark.parametrize("cfg", [
         remark22_config(N=20),
@@ -324,8 +338,8 @@ class TestBackwardSolve:
         inst, lat = make(cfg)
         projected, project = {}, engine.project
 
-        def recording(lattice, k, child_values):
-            expectation, z = project(lattice, k, child_values)
+        def recording(lattice, k, child_values, out=None):
+            expectation, z = project(lattice, k, child_values, out=out)
             projected[k] = child_values.copy(), z.copy()
             return expectation, z
 
@@ -334,15 +348,16 @@ class TestBackwardSolve:
         monkeypatch.undo()
         clipped = 0
         for k, (child, raw) in projected.items():
-            assert f.y[k + 1].tobytes() == child.tobytes()
+            assert f.y[lat.rows(k + 1)].tobytes() == child.tobytes()
             norms = np.sqrt(sum_squares(raw))
             over = norms > c
             clipped += int(over.sum())
-            assert f.z[k][~over].tobytes() == raw[~over].tobytes()
-            assert np.allclose(f.z[k][over], raw[over] * (c / norms[over])[:, None],
+            z = f.z[lat.rows(k)]
+            assert z[~over].tobytes() == raw[~over].tobytes()
+            assert np.allclose(z[over], raw[over] * (c / norms[over])[:, None],
                                rtol=4 * np.finfo(float).eps, atol=0)
-            assert np.all(np.sqrt(sum_squares(f.z[k])) <= c * (1 + 4 * np.finfo(float).eps))
-        assert 0 < clipped < sum(z.shape[0] * z.shape[1] for z in f.z)
+            assert np.all(np.sqrt(sum_squares(z)) <= c * (1 + 4 * np.finfo(float).eps))
+        assert 0 < clipped < f.z.shape[0] * f.z.shape[1]
         assert f.metadata["z_clips"] == clipped
 
     def test_inner_nonconvergence_reports_location(self):
@@ -371,15 +386,15 @@ class TestBackwardSolve:
         inst, lat = make(pure_quadratic_config(N=40))
         driver, y_dep = compile_driver(inst.generator)
         term = q.terminal_values(inst, lat)
-        one_y, one_z = backward_range(lat, driver, y_dep, term, 0, 40)
-        top_y, top_z = backward_range(lat, driver, y_dep, term, 15, 40)
-        bot_y, bot_z = backward_range(lat, driver, y_dep, top_y[0], 0, 15)
-        stitched_y = bot_y[:-1] + top_y
-        stitched_z = bot_z + top_z
-        for a, b in zip(one_y, stitched_y):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(one_z, stitched_z):
-            assert a.tobytes() == b.tobytes()
+        one_y, one_z = backward_range(lat, driver, y_dep, term, 0, 40,
+                                      out=_out_rows(lat, 1, 0, 40))
+        top_y, top_z = backward_range(lat, driver, y_dep, term, 15, 40,
+                                      out=_out_rows(lat, 1, 15, 40))
+        bot_y, bot_z = backward_range(lat, driver, y_dep, top_y[lat.rows(15, base=15)], 0, 15,
+                                      out=_out_rows(lat, 1, 0, 15))
+        assert one_y[lat.rows(0, 16)].tobytes() == bot_y.tobytes()
+        assert one_y[lat.rows(15, 41)].tobytes() == top_y.tobytes()
+        assert one_z.tobytes() == bot_z.tobytes() + top_z.tobytes()
 
 
 class TestPicardSolve:
@@ -421,9 +436,11 @@ class TestPicardSolve:
         driver, y_dep = compile_driver(inst.generator)
         term = engine.terminal_values(inst, lat)
         with pytest.raises(ValueError, match="^max_iter must be >= 1"):
-            engine.picard_range(lat, driver, term, 0, 4, max_iter=limit)
+            engine.picard_range(lat, driver, term, 0, 4, out=_out_rows(lat, 2, 0, 4),
+                                max_iter=limit)
         with pytest.raises(ValueError, match="^inner_max_iter must be >= 1"):
-            backward_range(lat, driver, y_dep, term, 0, 4, inner_max_iter=limit)
+            backward_range(lat, driver, y_dep, term, 0, 4, out=_out_rows(lat, 2, 0, 4),
+                           inner_max_iter=limit)
 
 
 TRI_D2 = triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0}
@@ -434,22 +451,28 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _picard_outcome(picard, cfg, k_lo=0, shift=None, **kwargs):
+def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", **kwargs):
     """Run ``picard`` on layers k_lo..N of ``cfg`` with a fresh compiled
-    driver; returns (outcome, ys, zs, trace), where ys, zs is the last
-    complete pass when the iteration does not converge."""
+    driver, into destination rows set to ``fill``; returns (outcome, ys, zs,
+    trace), where ys, zs are per-layer lists, the last complete pass when
+    the iteration does not converge."""
     inst, lat = make(cfg)
+    N = lat.grid.steps
     driver, _ = compile_driver(inst.generator)
     term = engine.terminal_values(inst, lat)
+    kwargs["out"] = _out_rows(lat, inst.n, k_lo, N, fill, term)
     if shift is not None:
         init = engine.zero_field(lat, inst.n).shifted(shift)
-        kwargs.update(init_y=init.y[k_lo:], init_z=init.z[k_lo:])
+        kwargs.update(init_y=init.y[lat.rows(k_lo, N + 1)], init_z=init.z[lat.rows(k_lo, N)])
     try:
-        return ("converged",) + picard(lat, driver, term, k_lo, lat.grid.steps, **kwargs)
+        outcome, (ys, zs, trace) = "converged", picard(lat, driver, term, k_lo, N, **kwargs)
     except PicardNonconvergenceError as err:
-        return ("nonconvergence",) + err.partial + (err.trace,)
+        outcome, (ys, zs), trace = "nonconvergence", err.partial, err.trace
     except PicardDivergenceError as err:
         return "divergence", [], [], err.trace
+    if isinstance(ys, np.ndarray):
+        ys, zs = _layers(lat, ys, k_lo, N + 1), _layers(lat, zs, k_lo, N)
+    return outcome, ys, zs, trace
 
 
 def _assert_same_outcome(got, want):
@@ -466,9 +489,9 @@ def _counted_outcome(monkeypatch, cfg, **kwargs):
     calls = []
     project = engine.project
 
-    def counted(lattice, k, child_values):
+    def counted(lattice, k, child_values, out=None):
         calls.append(k)
-        return project(lattice, k, child_values)
+        return project(lattice, k, child_values, out=out)
 
     monkeypatch.setattr(engine, "project", counted)
     got = _picard_outcome(engine.picard_range, cfg, **kwargs)
@@ -496,12 +519,30 @@ class TestPicardReference:
         (TRI_D2, {"shift": 1.0, "tol": 1e-12}),
         (remark22_config(N=20), {"tol": 1e-12, "max_iter": 3}),
         (remark22_config(N=20), {"k_lo": 5, "shift": 0.5, "tol": 1e-12, "max_iter": 2}),
+        (remark22_config(N=20), {"k_lo": 19}),
     ], ids=["remark22", "remark22-chunk", "pure-quadratic", "divergence", "joint-oracle-d2",
-            "shifted-init", "shifted-init-d2", "nonconvergence", "nonconvergence-shifted"])
+            "shifted-init", "shifted-init-d2", "nonconvergence", "nonconvergence-shifted",
+            "one-layer"])
     def test_same_bits_as_two_list_driver(self, cfg, kwargs):
         got = _picard_outcome(engine.picard_range, cfg, **kwargs)
         want = _picard_outcome(_ref_picard_range, cfg, **kwargs)
         _assert_same_outcome(got, want)
+
+    def test_one_layer_stitched_chunks(self):
+        # With horizon = dt each chunk is one layer, so every Picard pass of a
+        # chunk calls the shared driver at the same (k, t); a kept t/z stage
+        # of a z whose rows were written over since would give other bits.
+        inst, lat = make(remark22_config(N=20))
+        field, plan = q.solve_stitched(inst, lat, horizon=lat.grid.dt)
+        assert len(plan.chunks) == 20 and min(c.iterations for c in plan.chunks) > 2
+        term = engine.terminal_values(inst, lat)
+        for chunk, k in zip(plan.chunks, range(20, 0, -1)):
+            ys, zs, trace = _ref_picard_range(lat, compile_driver(inst.generator)[0],
+                                              term, k - 1, k)
+            assert field.y[lat.rows(k - 1, k + 1)].tobytes() == np.concatenate(ys).tobytes()
+            assert field.z[lat.rows(k - 1)].tobytes() == zs[0].tobytes()
+            assert (chunk.iterations, chunk.final_change) == (len(trace), trace[-1])
+            term = ys[0]
 
     @pytest.mark.parametrize("cfg, kwargs, outcome", [
         (TRI_D2, {"tol": 1e-12, "max_iter": 2000}, "converged"),
@@ -525,6 +566,7 @@ class TestPicardReference:
         else:
             init_y = list(_picard_outcome(_ref_picard_range, cfg, max_iter=1)[1])
             init_y[0] = init_y[0] + 1.0
+        init_y = np.concatenate(init_y)
         init_z = engine.zero_field(make(cfg)[1], 1).z
         got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init_y, init_z=init_z)
         _assert_same_outcome(got, want)
@@ -536,9 +578,10 @@ class TestPicardReference:
         # they were, but changes z_2 = project(y_3); pass 2 must rebuild y_2.
         cfg = structured_config(**{"grid.N": 4, "generator.1.g": "norm(z1)",
                                    "terminal.1": "abs(w1)*(2-abs(w1))"})
-        init = engine.zero_field(make(cfg)[1], 1)
-        init.z[3] = np.array([0.5, 1.5, 0.5, 1.5]).reshape(4, 1, 1)
-        init.z[2] = np.full((3, 1, 1), 0.25)
+        lat = make(cfg)[1]
+        init = engine.zero_field(lat, 1)
+        init.z[lat.rows(3)] = np.array([0.5, 1.5, 0.5, 1.5]).reshape(4, 1, 1)
+        init.z[lat.rows(2)] = 0.25
         got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init.y, init_z=init.z)
         _assert_same_outcome(got, want)
         assert got[3] == [1.0, 0.125, 0.0625, 0.0]
@@ -554,22 +597,20 @@ class TestPicardReference:
         assert got[0] == "converged" and len(got[3]) > 4
         assert np.all(y1 == 0.0) and 0 < np.signbit(y1).sum() < y1.size
 
-    def test_init_is_neither_copied_nor_mutated(self):
+    def test_init_is_not_mutated_or_aliased(self):
         inst, lat = make(remark22_config(N=20))
         init = engine.zero_field(lat, inst.n).shifted(0.5)
-        for a in init.y + init.z:
+        for a in (init.y, init.z):
             a.flags.writeable = False  # a write in place would raise
-        before_y, before_z = list(init.y), list(init.z)
-        values = [a.copy() for a in init.y + init.z]
+        values = init.y.copy(), init.z.copy()
 
         def unchanged():
-            return (len(init.y) == len(before_y) and len(init.z) == len(before_z)
-                    and all(a is b for a, b in zip(init.y + init.z, before_y + before_z))
-                    and all(_same_bits(a, b) for a, b in zip(init.y + init.z, values)))
+            return _same_bits(init.y, values[0]) and _same_bits(init.z, values[1])
 
         field_, trace = q.picard_solve(inst, lat, init=init)
         assert unchanged() and len(trace) > 2
-        assert not any(a is b for a, b in zip(field_.y[:-1] + field_.z, init.y + init.z))
+        assert not any(np.shares_memory(a, b) for a in (field_.y, field_.z)
+                       for b in (init.y, init.z))
 
         driver, _ = compile_driver(inst.generator)
         calls = []
@@ -582,8 +623,59 @@ class TestPicardReference:
 
         term = engine.terminal_values(inst, lat)
         with pytest.raises(SolverError, match="failed at layer 10: planted failure"):
-            engine.picard_range(lat, failing, term, 0, 20, init_y=init.y, init_z=init.z)
+            engine.picard_range(lat, failing, term, 0, 20, out=_out_rows(lat, inst.n, 0, 20),
+                                init_y=init.y, init_z=init.z)
         assert unchanged()
+
+
+FILLS = ["nan", "terminal", "zeros"]
+
+
+class TestDestinationIndependence:
+    """What the destination rows held before a solve never reaches its
+    result.  In particular picard_range's pass 0 measures the terminal's
+    change against init (zero by default), never against the top rows,
+    which in a stitched chunk below the first already hold the terminal."""
+
+    @pytest.mark.parametrize("fill", FILLS)
+    def test_backward_range(self, fill):
+        inst, lat = make(remark22_config(N=20))
+        driver, y_dep = compile_driver(inst.generator)
+        term = engine.terminal_values(inst, lat)
+        ys, zs = backward_range(lat, driver, y_dep, term, 0, 20,
+                                out=_out_rows(lat, inst.n, 0, 20, fill, term))
+        want = q.backward_solve(inst, lat)
+        assert ys.tobytes() == want.y.tobytes() and zs.tobytes() == want.z.tobytes()
+
+    @pytest.mark.parametrize("fill", FILLS)
+    @pytest.mark.parametrize("cfg, kwargs", [
+        (pure_quadratic_config(N=20), {}),
+        (pure_quadratic_config(gamma=12.0, N=50), {"max_iter": 100}),
+        (remark22_config(N=20), {"k_lo": 5, "shift": 0.5, "tol": 1e-12, "max_iter": 2}),
+    ], ids=["pure-quadratic", "divergence", "nonconvergence-shifted"])
+    def test_picard_range(self, cfg, kwargs, fill):
+        got = _picard_outcome(engine.picard_range, cfg, fill=fill, **kwargs)
+        _assert_same_outcome(got, _picard_outcome(_ref_picard_range, cfg, **kwargs))
+
+    @pytest.mark.parametrize("fill", FILLS)
+    def test_stitched_chunk(self, fill):
+        # The chunk below layer 12 gets its terminal as a view of its own top
+        # rows, as _march passes it.  Pass 0's change is max |y_12| there: on
+        # this driver each lower layer of pass 0 averages y_12 down.
+        inst, lat = make(pure_quadratic_config(N=20))
+        upper = _ref_picard_range(lat, compile_driver(inst.generator)[0],
+                                  engine.terminal_values(inst, lat), 12, 20)
+        term = upper[0][0]
+        ys, zs = _out_rows(lat, 1, 0, 12, fill, term)
+        top = ys[lat.rows(12)]
+        top[...] = term
+        got_y, got_z, got_trace = engine.picard_range(
+            lat, compile_driver(inst.generator)[0], top, 0, 12, out=(ys, zs))
+        want = _ref_picard_range(lat, compile_driver(inst.generator)[0], term, 0, 12)
+        _assert_same_outcome(
+            ("converged", _layers(lat, got_y, 0, 13), _layers(lat, got_z, 0, 12), got_trace),
+            ("converged",) + want)
+        assert got_trace[0] == float(np.abs(term).max())
 
 
 class TestFieldStatistics:
@@ -604,8 +696,7 @@ class TestFieldStatistics:
     def test_bmo_homogeneity(self):
         inst, lat = make(remark22_config(N=12))
         f = q.backward_solve(inst, lat)
-        doubled = f.copy()
-        doubled.z = [2.0 * zk for zk in doubled.z]
+        doubled = q.SolutionField(f.y, 2.0 * f.z)
         assert q.estimate_bmo(doubled, lat) == pytest.approx(
             2.0 * q.estimate_bmo(f, lat), rel=1e-12)
 

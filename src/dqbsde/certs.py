@@ -341,7 +341,6 @@ class FalsificationReport:
 # can promote to float64 under any numpy's casting rules.
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
 _PHILOX_ROUNDS = 10
-_MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 # the two round multipliers, each with its low and high 32-bit limbs
@@ -362,15 +361,21 @@ def _philox_round_keys(seed: int) -> list:
 
 
 def _mulhilo(a: np.ndarray, mult) -> tuple:
-    """(hi, lo) words of the 128-bit product of uint64 `a` and a round
-    multiplier; lo wraps, hi is assembled from 32-bit limbs."""
+    """(hi, lo) words of the 128-bit product of uint64 `a` and a multiplier
+    (m, its low and its high 32 bits); lo wraps, hi is assembled from
+    32-bit limbs.  A low limb is x - (x >> 32 << 32), not x & mask: the CSV
+    writers share this and run no bitwise numpy loop."""
     m, m_lo, m_hi = mult
-    a_lo = a & _MASK32
     a_hi = a >> _SHIFT32
-    hi_lo = a_hi * m_lo
-    lo_hi = a_lo * m_hi
-    mid = ((a_lo * m_lo) >> _SHIFT32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    hi = a_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
+    a_lo = a - (a_hi << _SHIFT32)
+    mid = (a_lo * m_lo) >> _SHIFT32
+    cross = a_hi * m_lo
+    hi = cross >> _SHIFT32
+    mid += cross - (hi << _SHIFT32)
+    cross = a_lo * m_hi
+    cross_hi = cross >> _SHIFT32
+    mid += cross - (cross_hi << _SHIFT32)
+    hi += cross_hi + a_hi * m_hi + (mid >> _SHIFT32)
     return hi, a * m
 
 

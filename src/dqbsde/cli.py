@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certs, drivers, engine
+from . import certs, csvrows, drivers, engine
 from .gendsl import ParseError
 from .model import ConfigError, ProblemInstance, assemble_problem, build_time_grid, read_config_file
 
@@ -31,9 +31,9 @@ EXIT_STRICT = 4
 
 RESIDUAL_SLACK = -1e-9
 
-# Rows per chunk of CSV text: a writer holds the strings of one block of rows,
-# never those of a whole layer or table.
-CSV_BLOCK_ROWS = 64
+# Rows per chunk of CSV text: a writer holds one block of rows as a matrix of
+# NUL-padded cells (csvrows), under 128 KiB for the benchmarked tables.
+CSV_BLOCK_ROWS = 512
 
 
 class UsageError(Exception):
@@ -78,18 +78,9 @@ def _write_report(path: Path, pairs) -> None:
 
 def _write_csv(path: Path, header, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(chunks)
-
-
-def _float_rows(*columns):
-    """CSV lines whose cells are the broadcast float columns in C order, as
-    shortest round-trip reprs, a block of rows per chunk."""
-    columns = np.broadcast_arrays(*columns)
-    for lo in range(0, columns[0].size, CSV_BLOCK_ROWS):
-        block = np.stack([c.flat[lo:lo + CSV_BLOCK_ROWS] for c in columns], -1).tolist()
-        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _parse_range(text: str, name: str):
@@ -162,7 +153,8 @@ def cmd_check(args) -> int:
                 _parse_range(args.yrange, "yrange"),
                 _parse_range(args.crange, "crange"))
             X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
-            _write_csv(out, ("x", "y", "C", "residual"), _float_rows(X, Y, C, scan.residuals))
+            _write_csv(out, ("x", "y", "C", "residual"),
+                       csvrows.float_rows(CSV_BLOCK_ROWS, X, Y, C, scan.residuals))
             print(f"minResidual = {_fmt(scan.min_residual)} at "
                   f"x={_fmt(scan.argmin[0])} y={_fmt(scan.argmin[1])} C={_fmt(scan.argmin[2])}")
             print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
@@ -176,7 +168,7 @@ def cmd_check(args) -> int:
             _parse_range(args.zrange, "zrange"))
         A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
         _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
-                   _float_rows(L, A, E, Z, scan.residuals))
+                   csvrows.float_rows(CSV_BLOCK_ROWS, L, A, E, Z, scan.residuals))
         print(f"minResidual = {_fmt(scan.min_residual)} at "
               f"L={_fmt(scan.argmin[0])} alpha={_fmt(scan.argmin[1])} "
               f"eps={_fmt(scan.argmin[2])} z={_fmt(scan.argmin[3])}")
@@ -190,26 +182,12 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.LatticeModel):
-    n, d, steps = field.n, lattice.d, lattice.grid.steps
+    n, d = field.n, lattice.d
     header = (["layer", "nodeIndex", "t"]
               + [f"W_{j}" for j in range(1, d + 1)]
               + [f"Y_{i}" for i in range(1, n + 1)]
               + [f"Z_{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)])
-
-    def lines():
-        for k in range(steps + 1):
-            t_text = repr(lattice.grid.time(k))
-            tail = "\n" if k < steps else "," * (n * d) + "\n"
-            W, rows = lattice.brownian(k), lattice.rows(k)
-            for lo in range(0, len(W), CSV_BLOCK_ROWS):
-                block = slice(lo, lo + CSV_BLOCK_ROWS)
-                cells = [W[block], field.y[rows][block]]
-                if k < steps:
-                    cells.append(field.z[rows][block].reshape(-1, n * d))
-                yield "".join(f"{k},{idx},{t_text},{','.join(map(repr, row))}{tail}"
-                              for idx, row in enumerate(np.concatenate(cells, 1).tolist(), lo))
-
-    _write_csv(path, header, lines())
+    _write_csv(path, header, csvrows.solution_rows(CSV_BLOCK_ROWS, field, lattice))
 
 
 def cmd_solve(args) -> int:
@@ -384,7 +362,7 @@ def cmd_converge(args) -> int:
         field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol)
         y0 = float(field.y[0, 0])
         err = abs(y0 - reference)
-        rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n")
+        rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n".encode())
         errors.append(err)
         dts.append(grid.dt)
     _write_csv(Path(args.out) / "converge.csv", ("N", "dt", "y0", "error"), rows)

@@ -394,15 +394,37 @@ class TestSolutionWriter:
         lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
         assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=1, offset=3), lattice)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_blocks_across_layers(self, tmp_path, monkeypatch, d, n, block):
+        # Layer sizes (k+1)**d fall below, on and above the block, so blocks
+        # start and end mid-layer, span several layers, run from layer N-1
+        # into the terminal layer and start inside it (empty Z cells).
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
+        terminal, total = lattice.rows(5).start, lattice.total_nodes
+        starts = range(0, total, block)
+        assert any(terminal < lo for lo in starts)
+        assert any(lo < terminal < lo + block for lo in starts)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=block), lattice)
+        field = q.backward_solve(*make(dict(
+            remark22_config(N=5) if n == 2 else pure_quadratic_config(N=5),
+            **{"problem.d": d, "problem.T": 0.7, "terminal.1": f"0.25*clamp(w{d},-1,1)"})))
+        assert_same_solution_csv(tmp_path, field, lattice)
+
+
+CHECK_ARGVS = [
+    ["--inequality", "log", "--xrange", "1e-6:1e6:13", "--yrange", "1e-3:1e3:7",
+     "--crange", "1e-2:1e4:5"],
+    ["--inequality", "young"],
+    ["--inequality", "young", "--alphas=-0.5,0.3", "--lrange", "1:1:1",
+     "--erange", "1e-1:1e1:3", "--zrange", "1e-1:1e1:70"],
+]
+
 
 class TestCheckWriter:
-    @pytest.mark.parametrize("argv", [
-        ["--inequality", "log", "--xrange", "1e-6:1e6:13", "--yrange", "1e-3:1e3:7",
-         "--crange", "1e-2:1e4:5"],
-        ["--inequality", "young"],
-        ["--inequality", "young", "--alphas=-0.5,0.3", "--lrange", "1:1:1",
-         "--erange", "1e-1:1e1:3", "--zrange", "1e-1:1e1:70"],
-    ])
+    @pytest.mark.parametrize("argv", CHECK_ARGVS)
     def test_matches_reference_rows(self, tmp_path, argv):
         out = tmp_path / "o"
         assert run("check", *argv, "--out", str(out)) == 0
@@ -420,6 +442,12 @@ class TestCheckWriter:
             header = "L,alpha,eps,z,residual"
         want = header + "\n" + "".join(",".join(row) + "\n" for row in reference_check_rows(scan))
         assert (out / "check.csv").read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", CHECK_ARGVS)
+    def test_blocks_of_seven_rows(self, tmp_path, monkeypatch, argv):
+        # Blocks that end mid-table, the last one short.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        self.test_matches_reference_rows(tmp_path, argv)
 
 
 class TestMaxIterBelowOne:

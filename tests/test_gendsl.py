@@ -494,6 +494,20 @@ class TestPlan:
         assert plan_outcome(plan, t, y, z) == (alone if alone[0] == "error" else [alone])
         return plan.run(t, y, z), want
 
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_clamp_of_signed_zero_with_batch_bounds(self, n):
+        # Pinned as it is: with array bounds np.clip(-0.0, -0.0, 0.0) gives
+        # +0.0, in every row of a batch and in a batch of one, which is how
+        # the solvers and the falsifier evaluate (scalar bounds give -0.0).
+        t = -np.arange(n, dtype=float)
+        t[n // 2] = -0.0
+        plan = EvalPlan([parse_expr("clamp(t,t,0)", 1, 1).root])
+        got = plan.run(t, np.zeros((n, 1)), np.zeros((n, 1, 1)))[0]
+        assert bits(got) == bits(np.where(t == 0.0, 0.0, t))
+        y = np.full((n, 1), -0.0)
+        got = eval_expr(parse_expr("clamp(y1,y1,0)", 1, 1), env(y=y, z=np.zeros((n, 1, 1))))
+        assert bits(got) == bits(np.zeros(n))
+
     def test_pow_guard_is_batch_level(self):
         got, want = self.pinned("pow(y1,y2)", y=[[-1.0, 2.0], [2.0, 0.5]])
         assert got is None

@@ -276,30 +276,28 @@ def cmd_compare(args) -> int:
             raise ConfigError("pure_quadratic oracle needs a scalar driver of "
                               "the form c*norm2(z1) with h = 0")
         term = engine.terminal_values(instance, lattice)[:, 0]
-        _, oracle_layers = drivers.oracle_pure_quadratic(gamma, term, lattice)
-        oracle_y = np.concatenate(oracle_layers)[:, None]
+        oracle_y = drivers.oracle_pure_quadratic(gamma, term, lattice)[1][:, None]
     elif args.oracle == "linear":
         shape = drivers.match_linear(gen)
         if shape is None or instance.n != 1:
             raise ConfigError("linear oracle needs a scalar driver of the form "
                               "a*y1 + c with g = 0")
         term = engine.terminal_values(instance, lattice)[:, 0]
-        oracle_layers = drivers.oracle_linear(shape[0], shape[1], term, lattice)
-        oracle_y = np.concatenate(oracle_layers)[:, None]
+        oracle_y = drivers.oracle_linear(shape[0], shape[1], term, lattice)[:, None]
     else:  # joint
-        # Only Y is compared; dropping the oracle's Z frees it before the solve below.
         oracle_y = drivers.oracle_joint_picard(instance, lattice,
                                                tight_tol=args.tol / 100.0).y
 
+    # Only Y is compared, so no solver here keeps Z.
     if args.mode == "triangular":
         field = drivers.solve_triangular(instance, lattice, tol=args.tol,
-                                         max_outer=args.max_iter)
+                                         max_outer=args.max_iter, keep_z=False)
     elif args.mode == "picard":
         field, _ = engine.picard_solve(instance, lattice, tol=args.tol,
-                                       max_iter=args.max_iter)
+                                       max_iter=args.max_iter, keep_z=False)
     else:
         field = engine.backward_solve(instance, lattice, inner_tol=args.inner_tol,
-                                      inner_max_iter=args.max_iter)
+                                      inner_max_iter=args.max_iter, keep_z=False)
 
     max_diff, at_layer, at_node = 0.0, 0, 0
     for k in range(lattice.grid.steps + 1):
@@ -347,8 +345,7 @@ def cmd_converge(args) -> int:
     ref_instance = replace(instance, grid=ref_grid)
     ref_term = engine.terminal_values(ref_instance, ref_lattice)[:, 0]
     if is_zero:
-        layers = drivers.oracle_linear(0.0, 0.0, ref_term, ref_lattice)
-        reference = float(layers[0][0])
+        reference = float(drivers.oracle_linear(0.0, 0.0, ref_term, ref_lattice)[0])
     else:
         reference, _ = drivers.oracle_pure_quadratic(gamma, ref_term, ref_lattice)
 
@@ -359,7 +356,7 @@ def cmd_converge(args) -> int:
         grid = build_time_grid(instance.grid.horizon, N)
         lattice = engine.build_lattice(grid, instance.d, max_nodes=args.max_nodes)
         inst_n = replace(instance, grid=grid)
-        field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol)
+        field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol, keep_z=False)
         y0 = float(field.y[0, 0])
         err = abs(y0 - reference)
         rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n".encode())

@@ -32,7 +32,7 @@ from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceEr
                      SolverError, backward_range, compile_driver, cond_exp, log_cond_exp,
                      picard_range, sup_norm_y, terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
-                     check_triangular_deps)
+                     check_triangular_deps, scan_refs)
 from .model import ProblemInstance
 
 
@@ -79,7 +79,8 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
     """Solve layers N..0 into the field rows y, z in chunks of at most L
     layers, terminal side first; returns (records, halvings).
     ``solve_chunk(term, k_lo, k_hi, ys, zs)`` writes the chunk into its rows
-    ys, zs (laid out as ``backward_range``'s) and returns its record; layer
+    ys, zs (laid out as ``backward_range``'s; a z with no rows gives each
+    chunk a zs with none, which declines Z) and returns its record; layer
     k_lo's rows are the next chunk's terminal.  With ``adaptive`` a chunk
     whose Picard iteration fails is retried at half the length, down to one
     layer."""
@@ -162,11 +163,12 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
     with y, z in flat storage covering layers 0..N.  They are ``out`` when
     the function that owns the field passes its (y, z) there, such as one
-    component's column views.  The chunk's y rows hold the frozen iterate
-    (zero at first), and each outer iteration writes its layers over it in
-    place: ``backward_range`` calls the driver at layer k after writing
-    layer k+1 and before writing layer k, so the map reads the old y_k from
-    the rows, keeps it until the next call and then takes layer k's change.
+    component's column views; a z with no rows declines Z.  The chunk's y
+    rows hold the frozen iterate (zero at first), and each outer iteration
+    writes its layers over it in place: ``backward_range`` calls the driver
+    at layer k after writing layer k+1 and before writing layer k, so the
+    map reads the old y_k from the rows, keeps it until the next call and
+    then takes layer k's change.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -225,7 +227,8 @@ def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarPr
 
 
 def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
-                     tol: float = 1e-10, max_outer: int = 200) -> SolutionField:
+                     tol: float = 1e-10, max_outer: int = 200,
+                     keep_z: bool = True) -> SolutionField:
     """Solve components in order, substituting solved components node-wise.
 
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
@@ -236,6 +239,12 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     The driver therefore evaluates on the field's own rows of layer k: when
     ``frozen_y_contraction`` calls it there, column i-1 holds the y and z it
     passes, and the columns of components after i still hold zeros.
+
+    With ``keep_z`` false the field's z has no rows, unless a component
+    reads the z of an earlier one (``normz`` reads every z): the driver
+    then gets layer k's z from one layer buffer whose column i-1 holds the
+    z it is passed.  Its other columns are never read, since component i
+    may read no later z and here reads no earlier one.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -245,17 +254,27 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         msgs = "; ".join(f"component {v.component} references {v.name}" for v in violations)
         raise ValueError(f"triangular dependency violation: {msgs}")
 
-    field_ = zero_field(lattice, instance.n)
+    reads_earlier_z = any(refs.uses_normz and i > 1 or min(refs.z_indices, default=i) < i
+                          for i, refs in enumerate(map(scan_refs, (e.root for e in gen.k)), 1))
+    keep_z = keep_z or reads_earlier_z
+    field_ = zero_field(lattice, instance.n, keep_z)
     top = lattice.rows(lattice.grid.steps)
     field_.y[top] = terminal_values(instance, lattice)
+    z_layer = None if keep_z else np.empty((lattice.layer_size(lattice.grid.steps - 1),)
+                                           + field_.z.shape[1:])
     outer = []
 
     for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
 
-        def drv(k, t, y, z, _plan=plan):
+        def drv(k, t, y, z, _plan=plan, _i=i):
             m = y.shape[0]
-            out = _plan.evaluate(t, field_.y[lattice.rows(k)], field_.z[lattice.rows(k)])[0]
+            if keep_z:
+                z_k = field_.z[lattice.rows(k)]
+            else:
+                z_k = z_layer[:m]
+                z_k[:, _i - 1:_i] = z
+            out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]
             return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
 
         problem = ScalarProblem(driver=drv, terminal=field_.y[top, i - 1:i])
@@ -277,7 +296,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 def oracle_pure_quadratic(gamma: float, terminal: np.ndarray, lattice: LatticeModel):
     """Exponential-transform solution of the driver (gamma/2)|z|^2 (scalar):
     Y = (1/gamma) log E[exp(gamma xi) | node], exact lattice sums carried in
-    log space.  Returns (y0, y_layers) with y_layers[k] of shape (m_k,).
+    log space.  Returns (y0, y) with y of shape (total_nodes,), layer k at
+    ``lattice.rows(k)``.
 
     This is the continuous-time solution evaluated on the lattice measure,
     so lattice schemes must converge to it as the grid refines.
@@ -286,42 +306,44 @@ def oracle_pure_quadratic(gamma: float, terminal: np.ndarray, lattice: LatticeMo
         raise ValueError("gamma must be > 0")
     term = np.asarray(terminal, dtype=float).reshape(-1)
     N = lattice.grid.steps
-    logs = [None] * (N + 1)
-    logs[N] = gamma * term
-    for k in range(N - 1, -1, -1):
-        logs[k] = log_cond_exp(lattice, k, logs[k + 1])
-    ys = [lv / gamma for lv in logs]
-    return float(ys[0][0]), ys
+    y = np.empty(lattice.total_nodes)
+    logs = gamma * term
+    for k in range(N, -1, -1):
+        if k < N:
+            logs = log_cond_exp(lattice, k, logs)
+        np.divide(logs, gamma, out=y[lattice.rows(k)])
+    return float(y[0]), y
 
 
 def oracle_linear(a: float, c: float, terminal: np.ndarray, lattice: LatticeModel):
     """Closed form for the scalar driver f = a y + c:
     Y_t = e^{a (T-t)} E[xi | node] + (c/a)(e^{a (T-t)} - 1), with the a -> 0
-    limit c (T-t); returns y_layers with y_layers[k] of shape (m_k,)."""
+    limit c (T-t); returns y of shape (total_nodes,), layer k at
+    ``lattice.rows(k)``."""
     term = np.asarray(terminal, dtype=float).reshape(-1)
     N = lattice.grid.steps
-    expectations = [None] * (N + 1)
-    expectations[N] = term
-    for k in range(N - 1, -1, -1):
-        expectations[k] = cond_exp(lattice, k, expectations[k + 1])
-    ys = []
-    for k in range(N + 1):
+    y = np.empty(lattice.total_nodes)
+    expectation = term
+    for k in range(N, -1, -1):
+        if k < N:
+            expectation = cond_exp(lattice, k, expectation)
         tau = lattice.grid.horizon - lattice.grid.time(k)
         if a == 0.0:
-            ys.append(expectations[k] + c * tau)
+            y[lattice.rows(k)] = expectation + c * tau
         else:
             factor = math.exp(a * tau)
-            ys.append(factor * expectations[k] + c / a * (factor - 1.0))
-    return ys
+            y[lattice.rows(k)] = factor * expectation + c / a * (factor - 1.0)
+    return y
 
 
 def oracle_joint_picard(instance: ProblemInstance, lattice: LatticeModel,
                         tight_tol: float = 1e-12, max_iter: int = 2000) -> SolutionField:
     """Brute-force reference: whole-system fixed point at a tight tolerance
-    with a raised iteration budget; no structural shortcuts."""
+    with a raised iteration budget; no structural shortcuts.  Only Y is
+    kept: the field's z has no rows."""
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    field_ = zero_field(lattice, instance.n)
+    field_ = zero_field(lattice, instance.n, keep_z=False)
     picard_range(lattice, driver, term, 0, lattice.grid.steps,
                  tol=tight_tol, max_iter=max_iter, out=(field_.y, field_.z))
     return field_

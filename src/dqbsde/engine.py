@@ -197,7 +197,8 @@ def project(lattice: LatticeModel, k: int, child_values, out=None):
 class SolutionField:
     """Solution values in flat storage: y has shape (total_nodes, n) and z
     shape (total_nodes - (N+1)^d, n, d), and layer k is the row range
-    ``lattice.rows(k)`` of each (z has no rows for the terminal layer N)."""
+    ``lattice.rows(k)`` of each (z has no rows for the terminal layer N).
+    A solver asked not to keep Z returns a z of shape (0, n, d)."""
 
     y: np.ndarray
     z: np.ndarray
@@ -211,10 +212,9 @@ class SolutionField:
         return SolutionField(self.y + delta, self.z.copy(), dict(self.metadata))
 
 
-def zero_field(lattice: LatticeModel, n: int) -> SolutionField:
-    N = lattice.grid.steps
-    return SolutionField(np.zeros((lattice.total_nodes, n)),
-                         np.zeros((lattice.rows(0, N).stop, n, lattice.d)))
+def zero_field(lattice: LatticeModel, n: int, keep_z: bool = True) -> SolutionField:
+    z_rows = lattice.rows(0, lattice.grid.steps).stop if keep_z else 0
+    return SolutionField(np.zeros((lattice.total_nodes, n)), np.zeros((z_rows, n, lattice.d)))
 
 
 def field_sup_diff(a: SolutionField, b: SolutionField) -> float:
@@ -238,6 +238,8 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
     """
     N = lattice.grid.steps
     dt = lattice.grid.dt
+    if N and not len(field_.z):
+        raise ValueError("estimate_bmo needs Z, and this field was solved without it")
     acc = np.zeros(lattice.layer_size(N))
     best = 0.0
     for k in range(N - 1, -1, -1):
@@ -260,7 +262,9 @@ def compile_driver(gen: GeneratorModel) -> tuple:
     of z, so the inner y-iteration reruns only the y-dependent ops.
     Callers must therefore not mutate z in place between calls that pass
     the same array; a new array, such as a new view of rows written over
-    since, is always recomputed.  Whenever the fast
+    since, is always recomputed.  The solvers obey this by slicing a new
+    view for every layer they build, also from a reused layer buffer and
+    for rows that ``project`` has just written over.  Whenever the fast
     run gives up, the plan's checked run evaluates the call and raises the
     ``EvalError``.  A structured component is g + h added outside the plan
     with a plain add, so an overflow there is a non-finite value for the
@@ -338,6 +342,13 @@ def _degenerate_layers(lattice: LatticeModel, terminal: np.ndarray, k_lo: int, k
     return ys, zs
 
 
+def _layer_buffer(lattice: LatticeModel, zs: np.ndarray, k_hi: int) -> Callable:
+    """view(k): a new view of layer k's z in one buffer sized for the largest
+    layer below k_hi, with zs's trailing shape."""
+    buf = np.empty((lattice.layer_size(k_hi - 1),) + zs.shape[1:])
+    return lambda k: buf[:lattice.layer_size(k)]
+
+
 def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                    terminal: np.ndarray, k_lo: int, k_hi: int, *, out: tuple,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
@@ -348,7 +359,8 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     owning the field passes down, and returns them: the y rows of layers
     k_lo..k_hi (the last layer's are the given terminal) and the z rows of
     layers k_lo..k_hi-1, in flat storage whose row 0 is layer k_lo's first
-    node (``lattice.rows(k, base=k_lo)``).
+    node (``lattice.rows(k, base=k_lo)``).  A zs with no rows declines Z:
+    each layer's z then lives in one layer buffer and zs comes back empty.
     """
     if inner_max_iter < 1:
         raise ValueError("inner_max_iter must be >= 1")
@@ -359,11 +371,13 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     stats = stats if stats is not None else {}
     stats.setdefault("inner_iterations", 0)
     stats.setdefault("z_clips", 0)
+    z_layer = None if len(zs) else _layer_buffer(lattice, zs, k_hi)
     ys[lattice.rows(k_hi, base=k_lo)] = terminal
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
         for k in range(k_hi - 1, k_lo - 1, -1):
             r = lattice.rows(k, base=k_lo)
-            expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)], out=zs[r])
+            expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
+                                     out=zs[r] if z_layer is None else z_layer(k))
             if z_truncation is not None:
                 stats["z_clips"] += _truncate_rows(z, z_truncation)
             t_k = lattice.grid.time(k)
@@ -393,6 +407,16 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     return ys, zs
 
 
+def _drive(driver: DriverFn, k: int, t: float, y, z, dt: float, out) -> Optional[EvalError]:
+    """Write driver(k, t, y, z) * dt into out; return the EvalError instead
+    of raising it."""
+    try:
+        np.multiply(driver(k, t, y, z), dt, out=out)
+    except EvalError as err:
+        return err
+    return None
+
+
 def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                  k_lo: int, k_hi: int, *, out: tuple, tol: float = 1e-10,
                  max_iter: int = 200, init_y: Optional[np.ndarray] = None,
@@ -401,10 +425,23 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     freezing the driver arguments at the previous field.
 
     ``out``, ``init_y``/``init_z`` and the result are rows laid out as
-    ``backward_range``'s.  One iterate is live, in ``out``: a pass writes
-    layer k over the previous field once it has built it (it reads only old
-    layer k and new layer k+1).  ``init`` is copied into those rows once and
-    never written, so the result does not alias it.
+    ``backward_range``'s, and a zs with no rows declines Z as there.  One
+    iterate is live, in ``out``: a pass writes layer k over the previous
+    field once it has built it (it reads only old layer k and new layer k+1).
+    ``init`` is read, never written, so the result does not alias it.
+
+    A pass reads the previous pass's ``Z_k`` only through the driver value
+    ``f(y_k, z_k)``.  So the driver is evaluated once a layer is built, at
+    its new (y, z), and the value (times dt) is kept in one Y-shaped buffer
+    that the next pass reads, while z lives in one buffer sized for the
+    largest layer; pass 0 reads the values at init (zero when not given).
+    An ``EvalError`` at a kept value is held and raised when that layer is
+    next built, the layer and pass where evaluating it then would raise.
+    Every call hands the driver z as a new view (see ``compile_driver``):
+    the buffer is written over between calls.  A kept Z is one ``project``
+    sweep over the final (or partial) Y once the kept values are freed: the
+    z of every layer's last build is the projection of the final
+    ``Y_{k+1}``, since a layer is skipped only when that is unchanged.
 
     A layer whose three inputs are bit-identical to those of the previous
     pass is not rebuilt, since its output would be the previous pass's.
@@ -427,12 +464,20 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     # Only init is read in pass 0, never what the rows held (terminal may be their top rows).
     top, below = lattice.rows(k_hi, base=k_lo), lattice.rows(k_lo, k_hi, k_lo)
     ys[below] = 0.0 if init_y is None else init_y[below]
-    zs[...] = 0.0 if init_z is None else init_z
+    z_layer = _layer_buffer(lattice, zs, k_hi)
+    f_dt = np.empty((below.stop, ys.shape[1]))
+    failed = [None] * span  # the EvalError of layer j's kept driver value
     term = np.asarray(terminal, dtype=float)
     trace = []
     same = [False] * (span + 1)
     kept = [False] * span
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
+        if init_z is None:
+            z_layer(k_hi - 1)[...] = 0.0
+        for k in range(k_lo, k_hi):  # the values at init, which pass 0 reads
+            r = lattice.rows(k, base=k_lo)
+            z = z_layer(k) if init_z is None else init_z[r]
+            failed[k - k_lo] = _drive(driver, k, lattice.grid.time(k), ys[r], z, dt, f_dt[r])
         for m in range(max_iter):
             prev = ys[top] if m > 0 else 0.0 if init_y is None else init_y[top]
             change = float(np.abs(term - prev).max()) if term.size else 0.0
@@ -445,13 +490,12 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                     continue
                 r = lattice.rows(k, base=k_lo)
                 t_k = lattice.grid.time(k)
-                try:  # reads old y_k and z_k, before project writes the new z_k over them
-                    f_dt = driver(k, t_k, ys[r], zs[r]) * dt
-                except EvalError as err:
-                    raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
-                expectation, _ = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
-                                         out=zs[r])
-                y = expectation + f_dt
+                if failed[j] is not None:
+                    raise SolverError(
+                        f"driver evaluation failed at layer {k}: {failed[j]}") from failed[j]
+                expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
+                                         out=z_layer(k))
+                y = expectation + f_dt[r]
                 if not np.all(np.isfinite(y)):
                     node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                     raise NonFiniteError(k, node)
@@ -462,12 +506,21 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                 same[j] = m > 0 and delta == 0.0 and y.tobytes() == ys[r].tobytes()
                 kept[j] = same[j] and same[j + 1]
                 ys[r] = y
+                failed[j] = _drive(driver, k, t_k, ys[r], z, dt, f_dt[r])
             trace.append(change)
-            if change <= tol:
-                return ys, zs, trace
+            converged = change <= tol
+            if converged:
+                break
             if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
                 raise PicardDivergenceError(trace)
-    raise PicardNonconvergenceError(trace, partial=(ys, zs))
+        del f_dt, z_layer  # freed before the sweep first touches a kept Z's pages
+        if len(zs):
+            for k in range(k_lo, k_hi):
+                project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
+                        out=zs[lattice.rows(k, base=k_lo)])
+    if not converged:
+        raise PicardNonconvergenceError(trace, partial=(ys, zs))
+    return ys, zs, trace
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +529,13 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
 
 def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
-                   z_truncation: Optional[float] = None) -> SolutionField:
-    """One-pass backward induction from the terminal condition to layer 0."""
+                   z_truncation: Optional[float] = None, keep_z: bool = True) -> SolutionField:
+    """One-pass backward induction from the terminal condition to layer 0;
+    with ``keep_z`` false the field's z has no rows."""
     _check_dims(instance, lattice)
     driver, y_dep = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    field_ = zero_field(lattice, instance.n)
+    field_ = zero_field(lattice, instance.n, keep_z)
     backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
                    inner_tol=inner_tol, inner_max_iter=inner_max_iter,
                    z_truncation=z_truncation, stats=field_.metadata, out=(field_.y, field_.z))
@@ -490,14 +544,17 @@ def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
 
 def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
                  init: Optional[SolutionField] = None,
-                 tol: float = 1e-10, max_iter: int = 200):
-    """Global fixed-point iteration; returns (field, trace of sup-changes)."""
+                 tol: float = 1e-10, max_iter: int = 200, keep_z: bool = True):
+    """Global fixed-point iteration; returns (field, trace of sup-changes),
+    the field's z without rows when ``keep_z`` is false."""
     _check_dims(instance, lattice)
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
     init_y = init.y if init is not None else None
     init_z = init.z if init is not None else None
-    field_ = zero_field(lattice, instance.n)
+    if init_z is not None and lattice.grid.steps and not len(init_z):
+        raise ValueError("a Picard init needs Z, and this field was solved without it")
+    field_ = zero_field(lattice, instance.n, keep_z)
     _, _, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
                                tol=tol, max_iter=max_iter,
                                init_y=init_y, init_z=init_z, out=(field_.y, field_.z))

@@ -451,16 +451,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", **kwargs):
+def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", keep_z=True, **kwargs):
     """Run ``picard`` on layers k_lo..N of ``cfg`` with a fresh compiled
-    driver, into destination rows set to ``fill``; returns (outcome, ys, zs,
-    trace), where ys, zs are per-layer lists, the last complete pass when
-    the iteration does not converge."""
+    driver, into destination rows set to ``fill`` (with no Z rows unless
+    ``keep_z``); returns (outcome, ys, zs, trace), where ys, zs are
+    per-layer lists, the last complete pass when the iteration does not
+    converge."""
     inst, lat = make(cfg)
     N = lat.grid.steps
     driver, _ = compile_driver(inst.generator)
     term = engine.terminal_values(inst, lat)
-    kwargs["out"] = _out_rows(lat, inst.n, k_lo, N, fill, term)
+    ys, zs = _out_rows(lat, inst.n, k_lo, N, fill, term)
+    kwargs["out"] = ys, zs if keep_z else zs[:0]
     if shift is not None:
         init = engine.zero_field(lat, inst.n).shifted(shift)
         kwargs.update(init_y=init.y[lat.rows(k_lo, N + 1)], init_z=init.z[lat.rows(k_lo, N)])
@@ -485,7 +487,9 @@ def _assert_same_outcome(got, want):
 
 def _counted_outcome(monkeypatch, cfg, **kwargs):
     """``picard_range``'s outcome on ``cfg`` and its number of ``project``
-    calls, beside the two-list driver's outcome."""
+    calls in its passes, beside the two-list driver's outcome.  The sweep
+    that fills the kept Z after the last pass, one call per layer, is not
+    counted."""
     calls = []
     project = engine.project
 
@@ -496,7 +500,8 @@ def _counted_outcome(monkeypatch, cfg, **kwargs):
     monkeypatch.setattr(engine, "project", counted)
     got = _picard_outcome(engine.picard_range, cfg, **kwargs)
     monkeypatch.undo()
-    return got, _picard_outcome(_ref_picard_range, cfg, **kwargs), len(calls)
+    sweep = 0 if got[0] == "divergence" else cfg["grid.N"] - kwargs.get("k_lo", 0)
+    return got, _picard_outcome(_ref_picard_range, cfg, **kwargs), len(calls) - sweep
 
 
 # Triangular, y2's driver zero in time's upper half: the top layers settle
@@ -613,11 +618,9 @@ class TestPicardReference:
                        for b in (init.y, init.z))
 
         driver, _ = compile_driver(inst.generator)
-        calls = []
 
-        def failing(k, t, y, z):  # fails halfway through the second pass
-            calls.append(k)
-            if len(calls) == 30:
+        def failing(k, t, y, z):  # fails at layer 10 once y is not init's
+            if k == 10 and np.any(y != 0.5):
                 raise EvalError("planted failure", 0)
             return driver(k, t, y, z)
 
@@ -626,6 +629,65 @@ class TestPicardReference:
             engine.picard_range(lat, failing, term, 0, 20, out=_out_rows(lat, inst.n, 0, 20),
                                 init_y=init.y, init_z=init.z)
         assert unchanged()
+
+
+class TestDeclinedZ:
+    """picard_range with Z rows and with ``out=(ys, no rows)`` give the same
+    Y bits and trace, converged and partial, and the Z it keeps is the
+    two-list driver's; remark22's kept t/z stage depends on z."""
+
+    @pytest.mark.parametrize("cfg, kwargs", [
+        (remark22_config(N=20), {}),
+        (remark22_config(N=20), {"k_lo": 12, "shift": 0.5}),
+        (remark22_config(N=20), {"tol": 1e-12, "max_iter": 3}),
+        (TRI_D2, {"tol": 1e-12, "max_iter": 2000}),
+        (TRI_D2, {"shift": 1.0, "tol": 1e-12, "max_iter": 8}),
+        (pure_quadratic_config(gamma=12.0, N=50), {"max_iter": 100}),
+    ], ids=["remark22", "remark22-chunk-shifted", "remark22-nonconvergence", "joint-oracle-d2",
+            "nonconvergence-d2", "divergence"])
+    def test_same_y_and_trace(self, cfg, kwargs):
+        kept = _picard_outcome(engine.picard_range, cfg, **kwargs)
+        declined = _picard_outcome(engine.picard_range, cfg, keep_z=False, **kwargs)
+        _assert_same_outcome(kept, _picard_outcome(_ref_picard_range, cfg, **kwargs))
+        assert declined[0] == kept[0] and _same_bits(declined[3], kept[3])
+        assert len(declined[1]) == len(kept[1])
+        assert all(_same_bits(a, b) for a, b in zip(declined[1], kept[1]))
+        assert all(z.size == 0 for z in declined[2])
+
+    @pytest.mark.parametrize("keep_z", [True, False], ids=["with-z", "without-z"])
+    def test_held_driver_error(self, keep_z):
+        # The driver fails at layer 7 once y is nonzero.  Pass 0 evaluates it
+        # at y = 0 there; the value kept after pass 0 fails, and pass 1 raises
+        # that error on reaching layer 7, as the two-list driver does.
+        cfg = remark22_config(N=20)
+        inst, lat = make(cfg)
+        driver, _ = compile_driver(inst.generator)
+
+        def failing(k, t, y, z):
+            if k == 7 and np.any(y != 0.0):
+                raise EvalError("planted failure", 3)
+            return driver(k, t, y, z)
+
+        term = engine.terminal_values(inst, lat)
+        message = "^driver evaluation failed at layer 7: planted failure at position 3$"
+        with pytest.raises(SolverError, match=message):
+            _ref_picard_range(lat, failing, term, 0, 20)
+        ys, zs = _out_rows(lat, inst.n, 0, 20)
+        with pytest.raises(SolverError, match=message):
+            engine.picard_range(lat, failing, term, 0, 20, out=(ys, zs if keep_z else zs[:0]))
+        # Pass 1 stopped at layer 7: the rows below it still hold pass 0.
+        pass0 = _picard_outcome(_ref_picard_range, cfg, tol=0.0, max_iter=1)[1]
+        assert all(_same_bits(ys[lat.rows(k)], pass0[k]) for k in range(8))
+        assert not any(_same_bits(ys[lat.rows(k)], pass0[k]) for k in range(8, 20))
+
+    def test_readers_of_z_reject_a_field_without_it(self):
+        inst, lat = make(remark22_config(N=20))
+        field_, _ = q.picard_solve(inst, lat, keep_z=False)
+        assert field_.z.shape == (0, 2, 1)
+        with pytest.raises(ValueError, match="^estimate_bmo needs Z"):
+            q.estimate_bmo(field_, lat)
+        with pytest.raises(ValueError, match="^a Picard init needs Z"):
+            q.picard_solve(inst, lat, init=field_)
 
 
 FILLS = ["nan", "terminal", "zeros"]

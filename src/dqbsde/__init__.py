@@ -12,8 +12,8 @@ from .drivers import (ContractionTrace, ScalarProblem, StitchPlan, frozen_y_cont
                       oracle_linear, oracle_pure_quadratic, scalar_problem,
                       solve_stitched, solve_triangular)
 from .engine import (LatticeModel, SolutionField, backward_solve, build_lattice,
-                     cond_exp, estimate_bmo, field_sup_diff, log_cond_exp,
-                     picard_solve, project, sup_norm_y, terminal_values, zero_field)
+                     cond_exp, estimate_bmo, log_cond_exp, picard_solve, project,
+                     sup_norm_y, terminal_values, zero_field)
 from .gendsl import (EvalEnv, EvalError, Expr, GeneratorModel, ParseError,
                      catalog_generator, check_triangular_deps, eval_expr,
                      parse_expr, pretty, scan_refs)

@@ -63,8 +63,9 @@ class ContractionTrace:
 
 @dataclass
 class ScalarProblem:
-    """A one-component equation: driver(k, t, y (m,1), z (m,1,d)) -> (m,1)
-    plus terminal values on the last layer, shape (m_N, 1)."""
+    """A one-component equation: driver(k, t, z (m,1,d)) -> values(y (m,1))
+    -> (m,1), staged as ``compile_driver``'s, plus terminal values on the
+    last layer, shape (m_N, 1)."""
 
     driver: Callable
     terminal: np.ndarray
@@ -165,9 +166,9 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     the function that owns the field passes its (y, z) there, such as one
     component's column views; a z with no rows declines Z.  The chunk's y
     rows hold the frozen iterate (zero at first), and each outer iteration
-    writes its layers over it in place: ``backward_range`` calls the driver
+    writes its layers over it in place: ``backward_range`` stages the driver
     at layer k after writing layer k+1 and before writing layer k, so the
-    map reads the old y_k from the rows, keeps it until the next call and
+    map reads the old y_k from the rows, keeps it until the next staging and
     then takes layer k's change.
     """
     if lip_beta < 0:
@@ -196,11 +197,12 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
                 k, old = held
                 change = max(change, float(np.abs(ys[lattice.rows(k, base=k_lo)] - old).max()))
 
-        def drv(k, t, y, z):
+        def drv(k, t, z):
             nonlocal held
             settle()
             held = k, ys[lattice.rows(k, base=k_lo)].copy()
-            return problem.driver(k, t, held[1], z)
+            values, old = problem.driver(k, t, z), held[1]
+            return lambda y: values(old)
 
         for _ in range(max_outer):
             backward_range(lattice, drv, False, term, k_lo, k_hi, out=(ys, zs))
@@ -237,14 +239,15 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     constant.  The full field is allocated once and component i's solve
     writes straight into its columns ``y[:, i-1:i]`` and ``z[:, i-1:i, :]``.
     The driver therefore evaluates on the field's own rows of layer k: when
-    ``frozen_y_contraction`` calls it there, column i-1 holds the y and z it
-    passes, and the columns of components after i still hold zeros.
+    ``frozen_y_contraction`` stages it there and calls the stage, column i-1
+    holds the z staged and the y passed, and the columns of components after
+    i still hold zeros.
 
     With ``keep_z`` false the field's z has no rows, unless a component
     reads the z of an earlier one (``normz`` reads every z): the driver
     then gets layer k's z from one layer buffer whose column i-1 holds the
-    z it is passed.  Its other columns are never read, since component i
-    may read no later z and here reads no earlier one.
+    z it is staged with.  Its other columns are never read, since component
+    i may read no later z and here reads no earlier one.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -267,15 +270,19 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
 
-        def drv(k, t, y, z, _plan=plan, _i=i):
-            m = y.shape[0]
+        def drv(k, t, z, _plan=plan, _i=i):
+            m = z.shape[0]
             if keep_z:
                 z_k = field_.z[lattice.rows(k)]
             else:
                 z_k = z_layer[:m]
                 z_k[:, _i - 1:_i] = z
-            out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]
-            return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
+
+            def values(y):
+                out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]
+                return np.broadcast_to(np.asarray(out, dtype=float), (m,)).reshape(m, 1)
+
+            return values
 
         problem = ScalarProblem(driver=drv, terminal=field_.y[top, i - 1:i])
         try:

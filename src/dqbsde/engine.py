@@ -208,18 +208,10 @@ class SolutionField:
     def n(self) -> int:
         return self.y.shape[-1]
 
-    def shifted(self, delta: float) -> "SolutionField":
-        return SolutionField(self.y + delta, self.z.copy(), dict(self.metadata))
-
 
 def zero_field(lattice: LatticeModel, n: int, keep_z: bool = True) -> SolutionField:
     z_rows = lattice.rows(0, lattice.grid.steps).stop if keep_z else 0
     return SolutionField(np.zeros((lattice.total_nodes, n)), np.zeros((z_rows, n, lattice.d)))
-
-
-def field_sup_diff(a: SolutionField, b: SolutionField) -> float:
-    """Sup over (node, component) of |Y_a - Y_b|."""
-    return float(np.abs(a.y - b.y).max()) if a.y.size else 0.0
 
 
 def sup_norm_y(field_: SolutionField) -> float:
@@ -254,41 +246,39 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
 # ---------------------------------------------------------------------------
 
 def compile_driver(gen: GeneratorModel) -> tuple:
-    """Return (driver, y_dependent) with driver(k, t, y (m,n), z (m,n,d)) -> (m,n);
-    the layer index k lets composed drivers substitute already-solved fields.
+    """Return (driver, y_dependent).  driver(k, t, z (m,n,d)) stages layer k
+    at time t and returns its stage, values(y (m,n)) -> (m,n); the layer
+    index k lets composed drivers substitute already-solved fields.
 
-    The driver evaluates all components through one ``EvalPlan`` and keeps
-    the plan's t/z stage of its last call, keyed on k, t and the identity
-    of z, so the inner y-iteration reruns only the y-dependent ops.
-    Callers must therefore not mutate z in place between calls that pass
-    the same array; a new array, such as a new view of rows written over
-    since, is always recomputed.  The solvers obey this by slicing a new
-    view for every layer they build, also from a reused layer buffer and
-    for rows that ``project`` has just written over.  Whenever the fast
-    run gives up, the plan's checked run evaluates the call and raises the
-    ``EvalError``.  A structured component is g + h added outside the plan
-    with a plain add, so an overflow there is a non-finite value for the
-    solver to report, not an ``EvalError``.
+    The schemes are explicit in z and implicit in y, so a solver stages a
+    layer once and calls its stage on every inner y-iteration.  All
+    components run through one ``EvalPlan``: staging runs the plan's t/z
+    stage, and values(y) its y stage.  Whenever that fast run gives up,
+    values(y) evaluates with the plan's checked run, which raises the
+    ``EvalError``; staging never raises it.  A structured component is
+    g + h added outside the plan with a plain add, so an overflow there is
+    a non-finite value for the solver to report, not an ``EvalError``.
     """
     n = gen.n
     structured = gen.kind == STRUCTURED
     plan = EvalPlan([e.root for e in (gen.g + gen.h if structured else gen.k)])
-    last = [None, None, None, None]  # k, t, z and the t/z stage
 
-    def driver(k, t, y, z):
-        if last[2] is not z or last[0] != k or last[1] != t:
-            last[:] = k, t, z, None  # free the old stage before building the next
-            last[3] = plan.stage_tz(t, z)
-        values = None if last[3] is None else plan.stage_y(last[3], y)
-        if values is None:
-            values = plan.evaluate(t, y, z)
-        out = np.empty((y.shape[0], n))
-        for i in range(n):
-            if structured:
-                np.add(values[i], values[n + i], out=out[:, i])
-            else:
-                out[:, i] = values[i]
-        return out
+    def driver(k, t, z):
+        tz = plan.stage_tz(t, z)
+
+        def values(y):
+            out = None if tz is None else plan.stage_y(tz, y)
+            if out is None:
+                out = plan.evaluate(t, y, z)
+            f = np.empty((y.shape[0], n))
+            for i in range(n):
+                if structured:
+                    np.add(out[i], out[n + i], out=f[:, i])
+                else:
+                    f[:, i] = out[i]
+            return f
+
+        return values
 
     return driver, gen.y_dependent()
 
@@ -321,7 +311,7 @@ def terminal_values(instance: ProblemInstance, lattice: LatticeModel) -> np.ndar
 # Core range solvers (shared by the public API and the global drivers)
 # ---------------------------------------------------------------------------
 
-DriverFn = Callable[[int, float, np.ndarray, np.ndarray], np.ndarray]
+DriverFn = Callable[[int, float, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 def _truncate_rows(z: np.ndarray, threshold: float) -> int:
@@ -343,8 +333,8 @@ def _degenerate_layers(lattice: LatticeModel, terminal: np.ndarray, k_lo: int, k
 
 
 def _layer_buffer(lattice: LatticeModel, zs: np.ndarray, k_hi: int) -> Callable:
-    """view(k): a new view of layer k's z in one buffer sized for the largest
-    layer below k_hi, with zs's trailing shape."""
+    """view(k): layer k's z in one buffer sized for the largest layer below
+    k_hi, with zs's trailing shape."""
     buf = np.empty((lattice.layer_size(k_hi - 1),) + zs.shape[1:])
     return lambda k: buf[:lattice.layer_size(k)]
 
@@ -380,12 +370,12 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                                      out=zs[r] if z_layer is None else z_layer(k))
             if z_truncation is not None:
                 stats["z_clips"] += _truncate_rows(z, z_truncation)
-            t_k = lattice.grid.time(k)
             try:
+                values = driver(k, lattice.grid.time(k), z)
                 if y_dependent:
                     y = expectation
                     for it in range(inner_max_iter):
-                        y_next = expectation + driver(k, t_k, y, z) * dt
+                        y_next = expectation + values(y) * dt
                         delta_vec = np.abs(y_next - y)
                         delta = float(delta_vec.max())
                         y = y_next
@@ -397,10 +387,11 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                         raise InnerNonconvergenceError(k, node, delta)
                     ys[r] = y
                 else:
-                    y = np.add(expectation, driver(k, t_k, expectation, z) * dt, out=ys[r])
+                    y = np.add(expectation, values(expectation) * dt, out=ys[r])
                     stats["inner_iterations"] += 1
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
+            del values  # freed before the next layer's project
             if not np.all(np.isfinite(y)):
                 node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                 raise NonFiniteError(k, node)
@@ -408,10 +399,10 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
 
 
 def _drive(driver: DriverFn, k: int, t: float, y, z, dt: float, out) -> Optional[EvalError]:
-    """Write driver(k, t, y, z) * dt into out; return the EvalError instead
+    """Write driver(k, t, z)(y) * dt into out; return the EvalError instead
     of raising it."""
     try:
-        np.multiply(driver(k, t, y, z), dt, out=out)
+        np.multiply(driver(k, t, z)(y), dt, out=out)
     except EvalError as err:
         return err
     return None
@@ -437,19 +428,18 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     largest layer; pass 0 reads the values at init (zero when not given).
     An ``EvalError`` at a kept value is held and raised when that layer is
     next built, the layer and pass where evaluating it then would raise.
-    Every call hands the driver z as a new view (see ``compile_driver``):
-    the buffer is written over between calls.  A kept Z is one ``project``
-    sweep over the final (or partial) Y once the kept values are freed: the
-    z of every layer's last build is the projection of the final
-    ``Y_{k+1}``, since a layer is skipped only when that is unchanged.
+    A kept Z is one ``project`` sweep over the final (or partial) Y once the
+    kept values are freed: the z of every layer's last build is the
+    projection of the final ``Y_{k+1}``, since a layer is skipped only when
+    that is unchanged.
 
     A layer whose three inputs are bit-identical to those of the previous
     pass is not rebuilt, since its output would be the previous pass's.
     ``same[j]``: this pass's y_j has the previous pass's bits; ``kept[j]``:
     when layer j was last built, its y and its z (= project(y_{j+1})) came
     out unchanged.  Pass 0 trusts nothing, as ``init_z`` need not be
-    project(``init_y``).  So ``driver`` must be a pure function of
-    (k, t, y, z); ``compile_driver``'s kept stage is only a cache.
+    project(``init_y``).  So ``driver(k, t, z)(y)`` must be a pure function
+    of (k, t, y, z).
 
     Returns (ys, zs, trace); raises PicardNonconvergenceError (carrying the
     trace and the last complete pass) or PicardDivergenceError.

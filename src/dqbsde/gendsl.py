@@ -164,12 +164,6 @@ class Expr:
     source: str
 
 
-def depth(node: Node) -> int:
-    """Length of the longest root-to-leaf path, counting nodes."""
-    kids = _children(node)
-    return 1 + (max(depth(k) for k in kids) if kids else 0)
-
-
 def _children(node: Node) -> tuple:
     if isinstance(node, (Neg, Func)):
         return (node.arg,)

@@ -1,11 +1,12 @@
-"""Shared instance builders and the reference DSL evaluator of the test suite."""
+"""Shared instance builders, field and tree helpers, and the reference DSL
+evaluator of the test suite."""
 
 import numpy as np
 import pytest
 
 import dqbsde as q
 from dqbsde.gendsl import (Bin, Clamp, EvalError, Func, Neg, Norm, NormY, NormZ, Num, Pow,
-                           TVar, WVar, YVar, sum_squares)
+                           TVar, WVar, YVar, _children, sum_squares)
 
 
 def structured_config(**overrides):
@@ -95,6 +96,22 @@ def write_config(path, cfg):
     lines = [f"{k} = {v}" for k, v in cfg.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def field_sup_diff(a, b):
+    """Sup over (node, component) of |Y_a - Y_b|."""
+    return float(np.abs(a.y - b.y).max()) if a.y.size else 0.0
+
+
+def shifted(field_, delta):
+    """A copy of field_ with delta added to every Y value."""
+    return q.SolutionField(field_.y + delta, field_.z.copy(), dict(field_.metadata))
+
+
+def depth(node):
+    """Length of the longest root-to-leaf path, counting nodes."""
+    kids = _children(node)
+    return 1 + (max(depth(k) for k in kids) if kids else 0)
 
 
 def reference_eval(expr, env):

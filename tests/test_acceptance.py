@@ -15,8 +15,8 @@ import numpy as np
 
 import dqbsde as q
 
-from conftest import (contraction_config, make, planted_h2_config,
-                      pure_quadratic_config, remark22_config, structured_config,
+from conftest import (contraction_config, field_sup_diff, make, planted_h2_config,
+                      pure_quadratic_config, remark22_config, shifted, structured_config,
                       triangular_demo_config)
 
 
@@ -159,7 +159,7 @@ def test_08_triangular_equivalence():
     inst, lat = make(triangular_demo_config(N=50))
     f = q.solve_triangular(inst, lat, tol=1e-10)
     ref = q.oracle_joint_picard(inst, lat, tight_tol=1e-12)
-    diff = q.field_sup_diff(f, ref)
+    diff = field_sup_diff(f, ref)
     elapsed = time.perf_counter() - t0
     ok = diff <= 1e-8 and elapsed < 30.0
     report(8, "sequential vs joint solve", ok,
@@ -188,9 +188,9 @@ def test_10_uniqueness_evidence():
     for cfg, n in ((remark22_config(N=50), 2), (triangular_demo_config(N=50), 2)):
         inst, lat = make(cfg)
         a, _ = q.picard_solve(inst, lat, tol=1e-10)
-        b, _ = q.picard_solve(inst, lat, init=q.zero_field(lat, n).shifted(1.0),
+        b, _ = q.picard_solve(inst, lat, init=shifted(q.zero_field(lat, n), 1.0),
                               tol=1e-10)
-        worst = max(worst, q.field_sup_diff(a, b))
+        worst = max(worst, field_sup_diff(a, b))
     ok = worst <= 1e-8
     report(10, "fixed point independent of initialization", ok,
            f"max sup difference {worst:.2e}")

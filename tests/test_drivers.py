@@ -10,8 +10,8 @@ import dqbsde as q
 from dqbsde import drivers
 from dqbsde.drivers import AdaptiveFloorError, match_linear, match_pure_quadratic, match_zero
 
-from conftest import (contraction_config, make, pure_quadratic_config, remark22_config,
-                      structured_config, triangular_demo_config)
+from conftest import (contraction_config, field_sup_diff, make, pure_quadratic_config,
+                      remark22_config, shifted, structured_config, triangular_demo_config)
 
 LNCOSH1 = 0.4337808304830272
 HALF_LNCOSH2 = 0.6625013736789322
@@ -126,7 +126,7 @@ class TestSolveTriangular:
         inst, lat = triangular_demo_instance
         f = q.solve_triangular(inst, lat, tol=1e-10)
         ref = q.oracle_joint_picard(inst, lat, tight_tol=1e-12)
-        assert q.field_sup_diff(f, ref) <= 1e-8
+        assert field_sup_diff(f, ref) <= 1e-8
 
     def test_forward_reference_rejected_before_solving(self):
         cfg = {
@@ -219,7 +219,7 @@ class TestOracleJointPicard:
         inst, lat = make(pure_quadratic_config(N=40))
         ref = q.oracle_joint_picard(inst, lat, tight_tol=1e-12)
         direct = q.backward_solve(inst, lat, inner_tol=1e-14)
-        assert q.field_sup_diff(ref, direct) <= 1e-11
+        assert field_sup_diff(ref, direct) <= 1e-11
 
 
 class TestShapeMatchers:
@@ -247,9 +247,9 @@ class TestUniquenessEvidence:
     def test_remark22_init_independence(self):
         inst, lat = make(remark22_config(N=30))
         a, _ = q.picard_solve(inst, lat, tol=1e-10)
-        b, _ = q.picard_solve(inst, lat, init=q.zero_field(lat, 2).shifted(1.0),
+        b, _ = q.picard_solve(inst, lat, init=shifted(q.zero_field(lat, 2), 1.0),
                               tol=1e-10)
-        assert q.field_sup_diff(a, b) <= 1e-8
+        assert field_sup_diff(a, b) <= 1e-8
 
 
 def _live_ratio(solve, lat, n):

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dqbsde as q
-from dqbsde import engine
+from dqbsde import drivers, engine
 from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError, NonFiniteError,
                            PicardDivergenceError, PicardNonconvergenceError, SolverError,
                            backward_range, compile_driver)
 
 from dqbsde.gendsl import STRUCTURED, EvalError, GeneratorModel, sum_squares
 
-from conftest import (make, pure_quadratic_config, remark22_config, structured_config,
-                      triangular_demo_config)
+from conftest import (field_sup_diff, make, pure_quadratic_config, remark22_config, shifted,
+                      structured_config, triangular_demo_config)
 
 
 # The corner-slice kernels that the flat-window kernels replaced: each corner
@@ -111,7 +111,7 @@ def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter
             expectation, z = engine.project(lattice, k, ys[j + 1])
             t_k = lattice.grid.time(k)
             try:
-                f_val = driver(k, t_k, y_prev[j], z_prev[j])
+                f_val = driver(k, t_k, z_prev[j])(y_prev[j])
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
             y = expectation + f_val * dt
@@ -128,6 +128,22 @@ def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter
         if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
             raise PicardDivergenceError(trace)
     raise PicardNonconvergenceError(trace, partial=(y_prev, z_prev))
+
+
+def _failing_at(driver, layer, init, position):
+    """``driver`` with a planted failure: its stage of ``layer`` raises an
+    EvalError at ``position`` once y is not ``init``."""
+    def failing(k, t, z):
+        values = driver(k, t, z)
+
+        def checked(y):
+            if k == layer and np.any(y != init):
+                raise EvalError("planted failure", position)
+            return values(y)
+
+        return checked
+
+    return failing
 
 
 @st.composite
@@ -409,14 +425,14 @@ class TestPicardSolve:
         inst, lat = make(pure_quadratic_config(N=50))
         direct = q.backward_solve(inst, lat, inner_tol=1e-14)
         fixed, trace = q.picard_solve(inst, lat, tol=1e-10)
-        assert q.field_sup_diff(direct, fixed) <= 1e-9
+        assert field_sup_diff(direct, fixed) <= 1e-9
 
     def test_perturbed_init_reaches_same_fixed_point(self):
         inst, lat = make(pure_quadratic_config(N=50))
         a, _ = q.picard_solve(inst, lat, tol=1e-10)
-        b, _ = q.picard_solve(inst, lat, init=q.zero_field(lat, 1).shifted(1.0),
+        b, _ = q.picard_solve(inst, lat, init=shifted(q.zero_field(lat, 1), 1.0),
                               tol=1e-10)
-        assert q.field_sup_diff(a, b) <= 1e-8
+        assert field_sup_diff(a, b) <= 1e-8
 
     def test_nonconvergence_carries_trace(self):
         inst, lat = make(remark22_config(N=20))
@@ -464,7 +480,7 @@ def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", keep_z=True, 
     ys, zs = _out_rows(lat, inst.n, k_lo, N, fill, term)
     kwargs["out"] = ys, zs if keep_z else zs[:0]
     if shift is not None:
-        init = engine.zero_field(lat, inst.n).shifted(shift)
+        init = shifted(engine.zero_field(lat, inst.n), shift)
         kwargs.update(init_y=init.y[lat.rows(k_lo, N + 1)], init_z=init.z[lat.rows(k_lo, N)])
     try:
         outcome, (ys, zs, trace) = "converged", picard(lat, driver, term, k_lo, N, **kwargs)
@@ -535,8 +551,8 @@ class TestPicardReference:
 
     def test_one_layer_stitched_chunks(self):
         # With horizon = dt each chunk is one layer, so every Picard pass of a
-        # chunk calls the shared driver at the same (k, t); a kept t/z stage
-        # of a z whose rows were written over since would give other bits.
+        # chunk stages the shared driver at the same (k, t) with z rows written
+        # over since; a stage kept from an earlier call would give other bits.
         inst, lat = make(remark22_config(N=20))
         field, plan = q.solve_stitched(inst, lat, horizon=lat.grid.dt)
         assert len(plan.chunks) == 20 and min(c.iterations for c in plan.chunks) > 2
@@ -604,7 +620,7 @@ class TestPicardReference:
 
     def test_init_is_not_mutated_or_aliased(self):
         inst, lat = make(remark22_config(N=20))
-        init = engine.zero_field(lat, inst.n).shifted(0.5)
+        init = shifted(engine.zero_field(lat, inst.n), 0.5)
         for a in (init.y, init.z):
             a.flags.writeable = False  # a write in place would raise
         values = init.y.copy(), init.z.copy()
@@ -617,13 +633,8 @@ class TestPicardReference:
         assert not any(np.shares_memory(a, b) for a in (field_.y, field_.z)
                        for b in (init.y, init.z))
 
-        driver, _ = compile_driver(inst.generator)
-
-        def failing(k, t, y, z):  # fails at layer 10 once y is not init's
-            if k == 10 and np.any(y != 0.5):
-                raise EvalError("planted failure", 0)
-            return driver(k, t, y, z)
-
+        # Fails at layer 10 once y is not init's.
+        failing = _failing_at(compile_driver(inst.generator)[0], 10, 0.5, 0)
         term = engine.terminal_values(inst, lat)
         with pytest.raises(SolverError, match="failed at layer 10: planted failure"):
             engine.picard_range(lat, failing, term, 0, 20, out=_out_rows(lat, inst.n, 0, 20),
@@ -634,7 +645,7 @@ class TestPicardReference:
 class TestDeclinedZ:
     """picard_range with Z rows and with ``out=(ys, no rows)`` give the same
     Y bits and trace, converged and partial, and the Z it keeps is the
-    two-list driver's; remark22's kept t/z stage depends on z."""
+    two-list driver's; remark22's t/z stage depends on z."""
 
     @pytest.mark.parametrize("cfg, kwargs", [
         (remark22_config(N=20), {}),
@@ -661,13 +672,7 @@ class TestDeclinedZ:
         # that error on reaching layer 7, as the two-list driver does.
         cfg = remark22_config(N=20)
         inst, lat = make(cfg)
-        driver, _ = compile_driver(inst.generator)
-
-        def failing(k, t, y, z):
-            if k == 7 and np.any(y != 0.0):
-                raise EvalError("planted failure", 3)
-            return driver(k, t, y, z)
-
+        failing = _failing_at(compile_driver(inst.generator)[0], 7, 0.0, 3)
         term = engine.terminal_values(inst, lat)
         message = "^driver evaluation failed at layer 7: planted failure at position 3$"
         with pytest.raises(SolverError, match=message):
@@ -744,7 +749,7 @@ class TestFieldStatistics:
     def test_sup_norm_examples(self):
         inst, lat = make(structured_config())
         assert q.sup_norm_y(q.zero_field(lat, 2)) == 0.0
-        const = q.zero_field(lat, 2).shifted(0.5)
+        const = shifted(q.zero_field(lat, 2), 0.5)
         assert q.sup_norm_y(const) == pytest.approx(0.5 * math.sqrt(2), rel=1e-15)
         f = q.backward_solve(inst, lat)
         assert q.sup_norm_y(f) == 1.0  # terminal nodes sit at +-1
@@ -771,35 +776,75 @@ class TestFieldStatistics:
         assert q.estimate_bmo(f, lat) == pytest.approx(2.0, rel=1e-12)
 
 
-class TestStagedDriver:
-    """The driver keeps its t/z stage for the last (k, t, z object)."""
+class TestDriverStage:
+    """driver(k, t, z) stages layer k and holds nothing itself: its stage
+    values(y) gives a freshly compiled driver's bits, for every y it is
+    called on and whatever else is staged meanwhile, and a new staging
+    reads z as it is then."""
 
     def setup_method(self):
         g = tuple(q.parse_expr(f"t*norm2(z{i})*sin(log(norm(z{i})+1))", 2, 1) for i in (1, 2))
         h = (q.parse_expr("normy + log(normz+1)", 2, 1),) * 2
         gen = GeneratorModel(STRUCTURED, 2, 1, g=g, h=h)
         self.driver, _ = compile_driver(gen)
-        self.fresh = lambda *args: compile_driver(gen)[0](*args)
+        self.fresh = lambda k, t, y, z: compile_driver(gen)[0](k, t, z)(y).tobytes()
         rng = np.random.default_rng(21)
         self.y = rng.normal(size=(6, 2))
         self.z = rng.normal(size=(6, 2, 1))
 
-    def test_new_z_object_at_same_layer_is_recomputed(self):
-        a = self.driver(3, 0.5, self.y, self.z)
-        z2 = 2.0 * self.z
-        b = self.driver(3, 0.5, self.y, z2)
-        assert b.tobytes() == self.fresh(3, 0.5, self.y, z2).tobytes()
-        assert not np.array_equal(a, b)
+    def test_z_written_in_place_is_restaged(self):
+        z = self.z.copy()
+        before = self.driver(3, 0.5, z)(self.y)
+        z *= 2.0  # new values through the same array, then the same (k, t)
+        after = self.driver(3, 0.5, z)(self.y)
+        assert after.tobytes() == self.fresh(3, 0.5, self.y, 2.0 * self.z)
+        assert not np.array_equal(before, after)
 
-    def test_dropped_z_replaced_at_same_layer(self):
-        z1 = self.z.copy()
-        self.driver(3, 0.5, self.y, z1)
-        del z1  # the caller lets go; a new array of the same size follows
-        z2 = np.full_like(self.z, 0.25)
-        got = self.driver(3, 0.5, self.y, z2)
-        assert got.tobytes() == self.fresh(3, 0.5, self.y, z2).tobytes()
+    def test_one_stage_serves_many_y(self):
+        values = self.driver(3, 0.5, self.z)
+        for y in (self.y, 3.0 * self.y, self.y[::-1].copy(), self.y):
+            self.driver(2, 0.25, 2.0 * self.z)(y)  # another stage in between
+            assert values(y).tobytes() == self.fresh(3, 0.5, y, self.z)
 
-    def test_same_z_new_y_and_other_keys(self):
-        self.driver(3, 0.5, self.y, self.z)
-        for k, t, y in ((3, 0.5, 3.0 * self.y), (2, 0.5, self.y), (3, 0.25, self.y)):
-            assert self.driver(k, t, y, self.z).tobytes() == self.fresh(k, t, y, self.z).tobytes()
+    def test_t_dependent_generator(self):
+        # g = t*norm2(z)*...: the same layer and z staged at other times.
+        got = [self.driver(3, t, self.z)(self.y) for t in (0.5, 0.25, 0.0)]
+        for t, values in zip((0.5, 0.25, 0.0), got):
+            assert values.tobytes() == self.fresh(3, t, self.y, self.z)
+        assert not np.array_equal(got[0], got[1]) and not np.array_equal(got[1], got[2])
+
+
+class TestWrappedDriver:
+    """A driver passed on as ``lambda *a: driver(*a)``, the way a tracing
+    wrapper passes it, gives every solver the same bits: staging is one
+    call, whose result the solver keeps and calls."""
+
+    @pytest.mark.parametrize("cfg", [remark22_config(N=20), TRI_D2], ids=["remark22", "tri-d2"])
+    def test_backward_and_picard_range(self, cfg):
+        inst, lat = make(cfg)
+        driver, y_dep = compile_driver(inst.generator)
+        term = engine.terminal_values(inst, lat)
+        N = lat.grid.steps
+
+        def solves(drv):
+            ys, zs = backward_range(lat, drv, y_dep, term, 0, N, out=_out_rows(lat, inst.n, 0, N))
+            picard = engine.picard_range(lat, drv, term, 0, N, out=_out_rows(lat, inst.n, 0, N),
+                                         tol=1e-12, max_iter=2000)
+            return [ys.tobytes(), zs.tobytes()] + [np.asarray(a).tobytes() for a in picard]
+
+        assert solves(lambda *a: driver(*a)) == solves(driver)
+
+    def test_composed_drivers(self, monkeypatch):
+        def solves():
+            tri = q.solve_triangular(*make(TRI_D2))
+            stitched, _ = q.solve_stitched(*make(remark22_config(N=20)), horizon=0.25,
+                                           mode="direct")
+            return [a.tobytes() for f in (tri, stitched) for a in (f.y, f.z)]
+
+        want = solves()
+        # Wrap the driver of every backward_range call of the contraction and
+        # the stitched direct solve, as a tracer's hook does.
+        backward = drivers.backward_range
+        monkeypatch.setattr(drivers, "backward_range", lambda lattice, driver, *a, **kw:
+                            backward(lattice, lambda *b: driver(*b), *a, **kw))
+        assert solves() == want

@@ -9,10 +9,10 @@ import dqbsde.gendsl as g
 from dqbsde.engine import compile_driver
 from dqbsde.gendsl import (Bin, Clamp, EvalEnv, EvalError, EvalPlan, Expr, Func, Neg, Norm,
                            NormY, NormZ, Num, ParseError, TVar, YVar, ZRow,
-                           catalog_generator, check_triangular_deps, depth,
-                           eval_expr, parse_expr, pretty, scan_refs, sum_squares)
+                           catalog_generator, check_triangular_deps, eval_expr, parse_expr,
+                           pretty, scan_refs, sum_squares)
 
-from conftest import reference_eval
+from conftest import depth, reference_eval
 
 REMARK_TEXT = "norm2(z1)*sin(log(norm(z1)+1)) + normy + sin(pow(normz,1.5)) + log(normz+1)"
 
@@ -316,19 +316,22 @@ def interpreted(root, env, n=2, d=2, shape=None):
 
 
 def reference_driver(gen):
-    """The driver as it was before plans: every component interpreted."""
-    def driver(k, t, y, z):
-        env = EvalEnv(t=t, y=y, z=z)
-        m = y.shape[0]
-        cols = []
-        for i in range(gen.n):
-            if gen.kind == g.STRUCTURED:
-                v = (np.asarray(reference_eval(gen.g[i], env))
-                     + np.asarray(reference_eval(gen.h[i], env)))
-            else:
-                v = np.asarray(reference_eval(gen.k[i], env))
-            cols.append(np.broadcast_to(np.asarray(v, dtype=float), (m,)))
-        return np.stack(cols, axis=-1)
+    """The driver as it was before plans: every component interpreted, all
+    at values time, and nothing staged."""
+    def driver(k, t, z):
+        def values(y):
+            env = EvalEnv(t=t, y=y, z=z)
+            m = y.shape[0]
+            cols = []
+            for i in range(gen.n):
+                if gen.kind == g.STRUCTURED:
+                    v = (np.asarray(reference_eval(gen.g[i], env))
+                         + np.asarray(reference_eval(gen.h[i], env)))
+                else:
+                    v = np.asarray(reference_eval(gen.k[i], env))
+                cols.append(np.broadcast_to(np.asarray(v, dtype=float), (m,)))
+            return np.stack(cols, axis=-1)
+        return values
     return driver
 
 
@@ -339,10 +342,11 @@ def plan_outcome(plan, t, y, z, w=None):
         return ("error", err.message, err.position)
 
 
-def driver_outcome(driver, t, y, z):
+def driver_outcome(stage, y):
+    """("ok", bits) or ("error", message, position) of a driver stage at y."""
     try:
         with np.errstate(all="ignore"):
-            return ("ok", bits(driver(0, t, y, z)))
+            return ("ok", bits(stage(y)))
     except EvalError as err:
         return ("error", err.message, err.position)
 
@@ -436,13 +440,13 @@ class TestPlan:
     def test_driver_matches_reference(self, a, b, batch):
         t, y, z = batch
         gen = structured([a, b], [b, Bin("*", a, b)])
-        want = driver_outcome(reference_driver(gen), t, y, z)
-        driver, _ = compile_driver(gen)
-        assert driver_outcome(driver, t, y, z) == want
-        # Reused t/z stage with a new y, and the same y again.
+        want = driver_outcome(reference_driver(gen)(0, t, z), y)
+        stage = compile_driver(gen)[0](0, t, z)  # raises nothing; an EvalError is the stage's
+        assert driver_outcome(stage, y) == want
+        # The same stage with a new y, and the first y again.
         y2 = y[::-1].copy()
-        assert driver_outcome(driver, t, y2, z) == driver_outcome(reference_driver(gen), t, y2, z)
-        assert driver_outcome(driver, t, y, z) == want
+        assert driver_outcome(stage, y2) == driver_outcome(reference_driver(gen)(0, t, z), y2)
+        assert driver_outcome(stage, y) == want
 
     def test_signed_zero_literals_stay_apart(self):
         roots = [Num(0.0), Num(-0.0), Bin("*", Num(-0.0), TVar()), Bin("*", Num(0.0), TVar())]
@@ -486,9 +490,8 @@ class TestPlan:
         z = np.zeros((2, n, d)) if z is None else np.asarray(z, dtype=float)
         expr = parse_expr(text, n, d)
         gen = g.GeneratorModel(g.TRIANGULAR, n, d, k=(expr, parse_expr("0", n, d)))
-        driver, _ = compile_driver(gen)
-        want = driver_outcome(reference_driver(gen), t, y, z)
-        assert driver_outcome(driver, t, y, z) == want
+        want = driver_outcome(reference_driver(gen)(0, t, z), y)
+        assert driver_outcome(compile_driver(gen)[0](0, t, z), y) == want
         plan = EvalPlan([expr.root])
         alone = interpreted(expr.root, EvalEnv(t=t, y=y, z=z))
         assert plan_outcome(plan, t, y, z) == (alone if alone[0] == "error" else [alone])

@@ -3,10 +3,10 @@ diagonally quadratic backward stochastic differential equations."""
 
 from .certs import (Certificate, FalsificationReport, Violation, build_certificate,
                     check_log_inequality, check_young_power, compute_bmo_bound_log,
-                    compute_c1_lambda, compute_h3_budget, compute_ks,
-                    compute_ks_integral, compute_lambda_log, contraction_horizon,
-                    exp_moment_bound, exp_moment_bound_log, falsify_assumptions,
-                    reverify_violation, scan_log_inequality, scan_young_power)
+                    compute_c1_lambda, compute_h3_budget, compute_ks_integral,
+                    compute_lambda_log, contraction_horizon, exp_moment_bound_log,
+                    falsify_assumptions, reverify_violation, scan_log_inequality,
+                    scan_young_power)
 from .drivers import (ContractionTrace, ScalarProblem, StitchPlan, frozen_y_contraction,
                       match_linear, match_pure_quadratic, match_zero, oracle_joint_picard,
                       oracle_linear, oracle_pure_quadratic, scalar_problem,
@@ -19,8 +19,7 @@ from .gendsl import (EvalEnv, EvalError, Expr, GeneratorModel, ParseError,
                      parse_expr, pretty, scan_refs)
 from .model import (AssumptionParams, CoefficientFunction, ConfigError,
                     ProblemInstance, TerminalCondition, TimeGrid, assemble_problem,
-                    build_time_grid, matrix_norm, parse_breakpoints,
-                    read_config_file, row_norms)
+                    build_time_grid, parse_breakpoints, read_config_file)
 
 # Imported last: compiled right after the modules above, csvrows reuses the
 # memory their compiles freed; compiled later (before a solve or at the first

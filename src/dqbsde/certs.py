@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gendsl import EvalEnv, EvalPlan, Expr, STRUCTURED, sum_squares
+from .gendsl import EvalEnv, EvalPlan, Expr, STRUCTURED, norm
 from .model import CoefficientFunction, ProblemInstance
 
 _LOG_OVERFLOW = 709.0  # ln of the largest double, minus slack
@@ -46,11 +46,28 @@ class Certificate:
 # The logarithmic-growth inequality  C log(1+x) <= x^2 y + y/3 + (C/2) log(1+C/y)
 # ---------------------------------------------------------------------------
 
+def _log_residual(X, Y, C):
+    """rhs - lhs of the log-growth inequality, elementwise."""
+    return X * X * Y + Y / 3.0 + C / 2.0 * np.log1p(C / Y) - C * np.log1p(X)
+
+
+def _at_point(formula, *values) -> float:
+    """`formula` at one point, on one-element arrays, so on the numpy loops
+    of a scan and with that scan's bits.  A term past the double range is
+    IEEE inf, so the result is +-inf, or NaN where both sides overflow."""
+    with np.errstate(over="ignore"):
+        return float(formula(*np.array(values, dtype=float)[:, None])[0])
+
+
 def check_log_inequality(x: float, y: float, C: float) -> float:
-    """Residual (rhs - lhs) of the log-growth inequality; >= 0 when it holds."""
+    """Residual (rhs - lhs) of the log-growth inequality; >= 0 when it holds.
+
+    scan_log_inequality's cell at (x, y, C), bit for bit.  Overflow gives
+    IEEE +-inf, like lambda's saturation: (1e308, 1e-300, 1) gives +inf.
+    """
     if x <= 0 or y <= 0 or C <= 0:
         raise ValueError("check_log_inequality needs x, y, C > 0")
-    return x * x * y + y / 3.0 + C / 2.0 * math.log1p(C / y) - C * math.log1p(x)
+    return _at_point(_log_residual, x, y, C)
 
 
 @dataclass(frozen=True)
@@ -84,25 +101,23 @@ def scan_log_inequality(x_range, y_range, c_range) -> LogScanResult:
     per-slice minimizer: for fixed (y, C) the residual is strictly convex
     in x with stationary point 2*x0^2 + 2*x0 = C/y, so the grid argmin
     must land within one cell of x0 (or of the grid edge nearest to it).
+    Overflow gives IEEE +-inf (or NaN), as in check_log_inequality.
     """
     xs = _log_axis(x_range, "x")
     ys = _log_axis(y_range, "y")
     cs = _log_axis(c_range, "C")
-    X = xs[:, None, None]
-    Y = ys[None, :, None]
-    C = cs[None, None, :]
-    residuals = X * X * Y + Y / 3.0 + C / 2.0 * np.log1p(C / Y) - C * np.log1p(X)
+    with np.errstate(over="ignore"):
+        residuals = _log_residual(xs[:, None, None], ys[None, :, None], cs[None, None, :])
+        slice_arg = np.argmin(residuals, axis=0)            # (ny, nc)
+        xstar = xs[slice_arg]
+        k = cs[None, :] / ys[:, None]
+        stationarity = np.abs(2.0 * xstar - k / (1.0 + xstar))
+        x0 = (-1.0 + np.sqrt(1.0 + 2.0 * k)) / 2.0
 
     flat = int(np.argmin(residuals))
     ix, iy, ic = np.unravel_index(flat, residuals.shape)
     min_residual = float(residuals[ix, iy, ic])
 
-    slice_arg = np.argmin(residuals, axis=0)            # (ny, nc)
-    xstar = xs[slice_arg]
-    k = cs[None, :] / ys[:, None]
-    stationarity = np.abs(2.0 * xstar - k / (1.0 + xstar))
-
-    x0 = (-1.0 + np.sqrt(1.0 + 2.0 * k)) / 2.0
     if len(xs) > 1:
         step = (math.log(xs[-1]) - math.log(xs[0])) / (len(xs) - 1)
         j0 = np.rint((np.log(x0) - math.log(xs[0])) / step)
@@ -131,35 +146,29 @@ def compute_c1_lambda(n: int, gamma: float, c0: float, T: float) -> tuple:
     lambda = C1 exp(n c0 (gamma + 2)), returned as +inf past the double range
     (the log form stays available via compute_lambda_log).
     """
-    c1 = _c1(n, gamma, c0, T)
-    log_lam = math.log(c1) + n * c0 * (gamma + 2.0)
-    lam = math.exp(log_lam) if log_lam <= _LOG_OVERFLOW else math.inf
-    return c1, lam
+    return _c1_lambda(n, gamma, c0, T, "compute_c1_lambda")[:2]
 
 
 def compute_lambda_log(n: int, gamma: float, c0: float, T: float) -> float:
     """Natural log of lambda; finite even when lambda overflows a double."""
-    return math.log(_c1(n, gamma, c0, T)) + n * c0 * (gamma + 2.0)
+    return _c1_lambda(n, gamma, c0, T, "compute_lambda_log")[2]
 
 
-def _c1(n: int, gamma: float, c0: float, T: float) -> float:
+def _c1_lambda(n: int, gamma: float, c0: float, T: float, caller: str) -> tuple:
+    """(C1, lambda, log lambda); `caller` is the entry point errors name."""
     if n < 1 or gamma <= 0 or c0 < 0 or T < 0:
-        raise ValueError("compute_c1_lambda needs n >= 1, gamma > 0, c0 >= 0, T >= 0")
-    return (n / gamma * math.log(2.0 * math.exp(c0) + 2.0)
-            + gamma * T / 3.0
-            + n * (1.0 + 2.0 * n / gamma) * (c0 + 2.0 * T)
-            + 3.0 * n * c0)
-
-
-def compute_ks(eta: float, gamma: float, n: int) -> float:
-    """Pointwise rate gamma/(6n) + (eta/2) (1 + log(eta+1) + 2n/gamma)."""
-    if eta < 0 or gamma <= 0 or n < 1:
-        raise ValueError("compute_ks needs eta >= 0, gamma > 0, n >= 1")
-    return gamma / (6.0 * n) + eta / 2.0 * (1.0 + math.log1p(eta) + 2.0 * n / gamma)
+        raise ValueError(f"{caller} needs n >= 1, gamma > 0, c0 >= 0, T >= 0")
+    c1 = (n / gamma * math.log(2.0 * math.exp(c0) + 2.0)
+          + gamma * T / 3.0
+          + n * (1.0 + 2.0 * n / gamma) * (c0 + 2.0 * T)
+          + 3.0 * n * c0)
+    log_lam = math.log(c1) + n * c0 * (gamma + 2.0)
+    return c1, (math.exp(log_lam) if log_lam <= _LOG_OVERFLOW else math.inf), log_lam
 
 
 def compute_ks_integral(eta: CoefficientFunction, gamma: float, n: int, T: float) -> float:
-    """Exact integral of the pointwise rate over [0, T] (piecewise constant)."""
+    """Exact integral over [0, T] of the pointwise rate
+    gamma/(6n) + (eta/2) (1 + log(eta+1) + 2n/gamma), eta piecewise constant."""
     if gamma <= 0 or n < 1 or T < 0:
         raise ValueError("compute_ks_integral needs gamma > 0, n >= 1, T >= 0")
     tail = eta.integral(T, transform=lambda v: v / 2.0 * (1.0 + math.log1p(v) + 2.0 * n / gamma))
@@ -211,15 +220,26 @@ def contraction_horizon(lip_beta: float) -> float:
 # Young-type power bound and the exponential-moment certificate
 # ---------------------------------------------------------------------------
 
+def _young_constant(A, L, E):
+    """((1-a)/2) L^{2/(1-a)} eps^{-(1+a)/(1-a)}, the power bound's constant."""
+    return (1 - A) / 2 * L ** (2 / (1 - A)) * E ** (-(1 + A) / (1 - A))
+
+
+def _young_residual(A, L, E, Z):
+    """rhs - lhs of the power bound, elementwise."""
+    return (1 + A) / 2 * E * Z ** 2 + _young_constant(A, L, E) - L * Z ** (1 + A)
+
+
 def check_young_power(L: float, alpha: float, eps: float, z_norm: float) -> float:
-    """Residual of L|z|^{1+a} <= ((1+a)/2) eps |z|^2 + ((1-a)/2) L^{2/(1-a)} eps^{-(1+a)/(1-a)}."""
+    """Residual of L|z|^{1+a} <= ((1+a)/2) eps |z|^2 + ((1-a)/2) L^{2/(1-a)} eps^{-(1+a)/(1-a)}.
+
+    scan_young_power's cell at (alpha, L, eps, z_norm), bit for bit, with
+    z_norm = 0 allowed.  Overflow gives IEEE +-inf, like lambda's
+    saturation: (1e200, 0.5, 1, 1) gives +inf.
+    """
     if L <= 0 or eps <= 0 or not (-1.0 < alpha < 1.0) or z_norm < 0:
         raise ValueError("check_young_power: parameter out of range")
-    lhs = L * z_norm ** (1.0 + alpha)
-    rhs = ((1.0 + alpha) / 2.0 * eps * z_norm ** 2
-           + (1.0 - alpha) / 2.0 * L ** (2.0 / (1.0 - alpha))
-           * eps ** (-(1.0 + alpha) / (1.0 - alpha)))
-    return rhs - lhs
+    return _at_point(_young_residual, alpha, L, eps, z_norm)
 
 
 @dataclass(frozen=True)
@@ -234,7 +254,10 @@ class YoungScanResult:
 
 
 def scan_young_power(alphas, l_range, e_range, z_range) -> YoungScanResult:
-    """Residual scan of the power bound over log-spaced (L, eps, |z|) grids."""
+    """Residual scan of the power bound over log-spaced (L, eps, |z|) grids.
+
+    Overflow gives IEEE +-inf (or NaN), as in check_young_power.
+    """
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("scan_young_power: empty alpha list")
@@ -244,13 +267,9 @@ def scan_young_power(alphas, l_range, e_range, z_range) -> YoungScanResult:
     ls = _log_axis(l_range, "L")
     es = _log_axis(e_range, "eps")
     zs = _log_axis(z_range, "z")
-    A = np.array(alphas)[:, None, None, None]
-    L = ls[None, :, None, None]
-    E = es[None, None, :, None]
-    Z = zs[None, None, None, :]
-    residuals = ((1 + A) / 2 * E * Z ** 2
-                 + (1 - A) / 2 * L ** (2 / (1 - A)) * E ** (-(1 + A) / (1 - A))
-                 - L * Z ** (1 + A))
+    with np.errstate(over="ignore"):
+        residuals = _young_residual(np.array(alphas)[:, None, None, None], ls[None, :, None, None],
+                                    es[None, None, :, None], zs[None, None, None, :])
     flat = int(np.argmin(residuals))
     ia, il, ie, iz = np.unravel_index(flat, residuals.shape)
     return YoungScanResult(
@@ -261,25 +280,18 @@ def scan_young_power(alphas, l_range, e_range, z_range) -> YoungScanResult:
 
 
 def exp_moment_bound_log(L: float, alpha: float, bmo_norm: float, T: float) -> float:
-    """Natural log of the exponential-moment bound (see exp_moment_bound)."""
-    if L <= 0 or bmo_norm <= 0 or T < 0 or not (-1.0 < alpha < 1.0):
-        raise ValueError("exp_moment_bound: parameter out of range")
-    eps = 1.0 / ((1.0 + alpha) * bmo_norm ** 2)
-    exponent = ((1.0 - alpha) / 2.0 * L ** (2.0 / (1.0 - alpha))
-                * eps ** (-(1.0 + alpha) / (1.0 - alpha)) * T)
-    return math.log(2.0) + exponent
-
-
-def exp_moment_bound(L: float, alpha: float, bmo_norm: float, T: float) -> float:
-    """Bound 2 exp(((1-a)/2) L^{2/(1-a)} eps^{-(1+a)/(1-a)} T) on the
-    conditional exponential moment of L * integral of |z|^{1+a}.
+    """Natural log of the bound 2 exp(((1-a)/2) L^{2/(1-a)} eps^{-(1+a)/(1-a)} T)
+    on the conditional exponential moment of L * integral of |z|^{1+a}.
 
     eps is pinned to 1/((1+a) bmo^2) so the quadratic share is exactly 1/2
-    and the prefactor exactly 2; returns +inf past the double range (use
-    exp_moment_bound_log for the always-finite form).
+    and the prefactor exactly 2.  The log stays finite where the bound
+    itself overflows a double, and is +inf where the constant does (T > 0).
     """
-    log_val = exp_moment_bound_log(L, alpha, bmo_norm, T)
-    return math.exp(log_val) if log_val <= _LOG_OVERFLOW else math.inf
+    if L <= 0 or bmo_norm <= 0 or T < 0 or not (-1.0 < alpha < 1.0):
+        raise ValueError("exp_moment_bound_log: parameter out of range")
+    eps = 1.0 / ((1.0 + alpha) * bmo_norm ** 2)
+    exponent = _at_point(_young_constant, alpha, L, eps) * T if T else 0.0
+    return math.log(2.0) + exponent
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +301,7 @@ def exp_moment_bound(L: float, alpha: float, bmo_norm: float, T: float) -> float
 def build_certificate(instance: ProblemInstance) -> Certificate:
     p = instance.params
     T = instance.grid.horizon
-    c1, lam = compute_c1_lambda(instance.n, p.gamma, p.c0, T)
-    lam_log = compute_lambda_log(instance.n, p.gamma, p.c0, T)
+    c1, lam, lam_log = _c1_lambda(instance.n, p.gamma, p.c0, T, "build_certificate")
     budget = compute_h3_budget(instance.terminal.declared_bound, p.alpha, p.beta, p.eta, T)
     return Certificate(
         c1=c1,
@@ -407,11 +418,6 @@ def _sample_uniforms(seed: int, count: int, per_sample: int, start: int = 0) -> 
     index partition reproduces them."""
     index = np.arange(start, start + count, dtype=np.uint64)
     return _philox_uniforms(_philox_round_keys(seed), index, per_sample)
-
-
-def _norm(a: np.ndarray, axes: int = 1):
-    """Euclidean norm over the trailing `axes` axes."""
-    return np.sqrt(sum_squares(a, axes))
 
 
 def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 10_000,
@@ -532,11 +538,11 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
     envB = EvalEnv(t=t, y=yB, z=zB)
     env0 = EvalEnv(t=t, y=np.zeros_like(yA), z=np.zeros_like(zA))
 
-    rowsA = _norm(zA)   # (m, n) row norms
-    rowsB = _norm(zB)
-    frobA = _norm(zA, 2)
-    frobB = _norm(zB, 2)
-    ynormA = _norm(yA)
+    rowsA = norm(zA)   # (m, n) row norms
+    rowsB = norm(zB)
+    frobA = norm(zA, 2)
+    frobB = norm(zB, 2)
+    ynormA = norm(yA)
 
     alpha_t = p.alpha.value_at(t)
     beta_t = p.beta.value_at(t)
@@ -548,7 +554,7 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
 
         gB = rec.eval("H1b", gen.g[i - 1], envB, m)
         rhs = p.lip_k * (1.0 + rowsA[:, i - 1] + rowsB[:, i - 1]) \
-            * _norm(zA[:, i - 1] - zB[:, i - 1])
+            * norm(zA[:, i - 1] - zB[:, i - 1])
         rec.add("H1b", i, t, np.abs(gA - gB), rhs, z=zA, z2=zB)
 
         h0 = rec.eval("H1c", gen.h[i - 1], env0, m)
@@ -556,8 +562,8 @@ def _falsify_structured(inst, t, yA, yB, zA, zB, rec: _Recorder):
 
         hA = rec.eval("H1d", gen.h[i - 1], envA, m)
         hB = rec.eval("H1d", gen.h[i - 1], envB, m)
-        dz = _norm(zA - zB, 2)
-        dy = _norm(yA - yB)
+        dz = norm(zA - zB, 2)
+        dy = norm(yA - yB)
         rhs = (p.lip_k * dy
                + p.lip_k * (1.0 + frobA ** p.delta + frobB ** p.delta) * dz)
         rec.add("H1d", i, t, np.abs(hA - hB), rhs, y=yA, z=zA, y2=yB, z2=zB)
@@ -572,8 +578,8 @@ def _falsify_triangular(inst, t, yA, yB, zA, zB, rec: _Recorder):
     gen = inst.generator
     m, n = yA.shape
     envA = EvalEnv(t=t, y=yA, z=zA)
-    rowsA = _norm(zA)
-    rowsB = _norm(zB)
+    rowsA = norm(zA)
+    rowsB = norm(zB)
 
     for i in range(1, n + 1):
         kA = rec.eval("A1", gen.k[i - 1], envA, m)
@@ -591,7 +597,7 @@ def _falsify_triangular(inst, t, yA, yB, zA, zB, rec: _Recorder):
         kV = rec.eval("A2", gen.k[i - 1], EvalEnv(t=t, y=yV, z=zV), m)
         rhs = (p.lip_beta * np.abs(yA[:, i - 1] - yB[:, i - 1])
                + p.a2_c * (1.0 + rowsA[:, i - 1] + rowsB[:, i - 1])
-               * _norm(zA[:, i - 1] - zB[:, i - 1]))
+               * norm(zA[:, i - 1] - zB[:, i - 1]))
         rec.add("A2", i, t, np.abs(kA - kV), rhs, y=yA, z=zA, y2=yV, z2=zV)
 
 

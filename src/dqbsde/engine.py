@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .gendsl import (EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
-                     sum_squares)
+                     norm, sum_squares)
 from .model import ProblemInstance, TimeGrid
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -315,7 +315,7 @@ DriverFn = Callable[[int, float, np.ndarray], Callable[[np.ndarray], np.ndarray]
 
 
 def _truncate_rows(z: np.ndarray, threshold: float) -> int:
-    norms = np.sqrt(sum_squares(z))
+    norms = norm(z)
     mask = norms > threshold
     count = int(mask.sum())
     if count:

@@ -473,6 +473,12 @@ def sum_squares(a: np.ndarray, axes: int = 1):
     return acc
 
 
+def norm(a: np.ndarray, axes: int = 1):
+    """Euclidean norm over the trailing ``axes`` axes: the square root of
+    ``sum_squares``, so with the bits of ``np.sqrt(np.sum(a*a, axis=...))``."""
+    return np.sqrt(sum_squares(a, axes))
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation plans
 # ---------------------------------------------------------------------------

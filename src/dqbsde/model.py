@@ -165,22 +165,6 @@ class ProblemInstance:
             raise ConfigError("terminal condition must have exactly n components")
 
 
-def matrix_norm(z) -> float:
-    """Frobenius norm of the full z matrix (Euclidean on the flattened entries)."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("matrix_norm requires finite entries")
-    return float(np.sqrt(np.sum(z * z)))
-
-
-def row_norms(z) -> np.ndarray:
-    """Euclidean norms of the rows of z."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("row_norms requires finite entries")
-    return np.sqrt(np.sum(z * z, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ closed forms, computed independently before the implementation.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+import types
 import warnings
 from itertools import product
 
@@ -43,7 +45,7 @@ class TestLogInequality:
 
     def test_rejects_nonpositive(self):
         for bad in ((0, 1, 1), (1, -1, 1), (1, 1, 0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^check_log_inequality needs"):
                 q.check_log_inequality(*bad)
 
     def test_scan_positive_on_modest_grid(self):
@@ -51,10 +53,20 @@ class TestLogInequality:
         assert scan.min_residual > 0
         assert scan.max_argmin_cell_offset <= 1
 
-    def test_single_point_matches_direct_evaluation(self):
-        scan = q.scan_log_inequality((1.0, 1.0, 1), (1.0, 1.0, 1), (1.0, 1.0, 1))
-        assert scan.min_residual == pytest.approx(q.check_log_inequality(1, 1, 1),
-                                                  rel=1e-14)
+    @given(st.floats(min_value=1e-8, max_value=1e8), st.floats(min_value=1e-8, max_value=1e8),
+           st.floats(min_value=1e-8, max_value=1e8))
+    @settings(max_examples=200, deadline=None)
+    def test_single_point_matches_direct_evaluation(self, x, y, C):
+        # the scalar check is the scan's formula at one cell, bit for bit
+        scan = q.scan_log_inequality((x, x, 1), (y, y, 1), (C, C, 1))
+        assert _bits(q.check_log_inequality(x, y, C)) == _bits(scan.min_residual)
+
+    def test_overflow_is_ieee_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.check_log_inequality(1e308, 1e-300, 1.0) == math.inf
+            scan = q.scan_log_inequality((1e308, 1e308, 1), (1e-300, 1e-300, 1), (1, 1, 1))
+        assert scan.min_residual == math.inf
 
     def test_slice_argmin_brackets_exact_minimizer(self):
         # (y, C) = (1, 4): stationarity gives 2 x0^2 + 2 x0 = 4, so x0 = 1
@@ -111,21 +123,33 @@ class TestC1Lambda:
                 assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(vals, vals[1:]))
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^compute_c1_lambda needs"):
             q.compute_c1_lambda(0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^compute_c1_lambda needs"):
             q.compute_c1_lambda(1, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^compute_lambda_log needs"):
+            q.compute_lambda_log(1, 1.0, -1.0, 1.0)
+        # a validated instance cannot carry n = 0, so a stand-in reaches the check
+        bad = types.SimpleNamespace(n=0, params=types.SimpleNamespace(gamma=1.0, c0=1.0),
+                                    grid=types.SimpleNamespace(horizon=1.0))
+        with pytest.raises(ValueError, match="^build_certificate needs"):
+            q.build_certificate(bad)
+
+
+def ks_rate(eta, gamma, n):
+    """The pointwise rate: compute_ks_integral of a constant eta over [0, 1]."""
+    return q.compute_ks_integral(q.CoefficientFunction(((0.0, eta),)), gamma, n, 1.0)
 
 
 class TestKs:
     def test_eta_zero(self):
-        assert q.compute_ks(0.0, 1.0, 1) == pytest.approx(1 / 6, rel=1e-15)
+        assert ks_rate(0.0, 1.0, 1) == pytest.approx(1 / 6, rel=1e-15)
 
     def test_frozen_value(self):
-        assert q.compute_ks(1.0, 1.0, 1) == pytest.approx(KS_111, rel=1e-12)
+        assert ks_rate(1.0, 1.0, 1) == pytest.approx(KS_111, rel=1e-12)
 
     def test_gamma_over_6n_coincidence(self):
-        assert q.compute_ks(1.0, 2.0, 2) == pytest.approx(KS_111, rel=1e-12)
+        assert ks_rate(1.0, 2.0, 2) == pytest.approx(KS_111, rel=1e-12)
 
     def test_exact_integral(self):
         eta = q.CoefficientFunction(((0.0, 1.0), (0.5, 0.0)))
@@ -204,38 +228,67 @@ class TestYoungPower:
                                   (1e-2, 1e2, 10), (1e-2, 1e2, 10), (1e-2, 1e2, 10))
         assert scan.min_residual >= -1e-9
 
+    @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-0.95, max_value=0.95),
+           st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_single_point_matches_direct_evaluation(self, L, alpha, eps, z):
+        # the scalar check is the scan's formula at one cell, bit for bit
+        scan = q.scan_young_power((alpha,), (L, L, 1), (eps, eps, 1), (z, z, 1))
+        assert _bits(q.check_young_power(L, alpha, eps, z)) == _bits(scan.min_residual)
+
+    def test_overflow_is_ieee_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.check_young_power(1e200, 0.5, 1.0, 1.0) == math.inf
+            scan = q.scan_young_power((0.5,), (1e200, 1e200, 1), (1, 1, 1), (1, 1, 1))
+        assert scan.min_residual == math.inf
+
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^check_young_power: parameter"):
             q.check_young_power(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^check_young_power: parameter"):
             q.check_young_power(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scan_young_power: empty"):
             q.scan_young_power((), (1, 1, 1), (1, 1, 1), (1, 1, 1))
 
 
 class TestExpMomentBound:
     def test_frozen_values(self):
-        assert q.exp_moment_bound(1.0, 0.0, 1.0, 1.0) == pytest.approx(
-            EXPMOM_1011, rel=1e-12)
-        assert q.exp_moment_bound(1.0, 0.5, 1.0, 1.0) == pytest.approx(
-            EXPMOM_HALF, rel=1e-12)
+        assert q.exp_moment_bound_log(1.0, 0.0, 1.0, 1.0) == pytest.approx(
+            math.log(EXPMOM_1011), rel=1e-12)
+        assert q.exp_moment_bound_log(1.0, 0.5, 1.0, 1.0) == pytest.approx(
+            math.log(EXPMOM_HALF), rel=1e-12)
 
     def test_vanishing_weight(self):
-        assert q.exp_moment_bound(1e-300, 0.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert q.exp_moment_bound_log(1e-300, 0.0, 1.0, 1.0) == pytest.approx(
+            math.log(2.0), rel=1e-14)
 
     @given(st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=0.01, max_value=3.0),
            st.floats(min_value=0.0, max_value=4.0))
     @settings(max_examples=100, deadline=None)
     def test_alpha_zero_closed_form(self, L, b, T):
-        got = q.exp_moment_bound(L, 0.0, b, T)
-        expected = 2.0 * math.exp(L ** 2 * b ** 2 * T / 2.0)
-        assert got == pytest.approx(expected, rel=1e-12)
+        # log of 2 exp(L^2 b^2 T / 2); an absolute 1e-12 in the log is the
+        # relative 1e-12 the bound itself was held to
+        got = q.exp_moment_bound_log(L, 0.0, b, T)
+        expected = math.log(2.0) + L ** 2 * b ** 2 * T / 2.0
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_log_form_handles_overflow(self):
+        # the bound itself is past the double range, its log is not
         log_val = q.exp_moment_bound_log(10.0, 0.5, 10.0, 10.0)
-        assert math.isfinite(log_val)
-        assert math.isinf(q.exp_moment_bound(10.0, 0.5, 10.0, 10.0))
+        assert math.log(sys.float_info.max) < log_val < math.inf
+        # an overflowing constant is IEEE inf, and weighs nothing over T = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.exp_moment_bound_log(1e200, 0.5, 1.0, 1.0) == math.inf
+            assert q.exp_moment_bound_log(1e200, 0.5, 1.0, 0.0) == math.log(2.0)
+
+    def test_range_validation(self):
+        for bad in ((0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0),
+                    (1.0, 0.0, 1.0, -1.0)):
+            with pytest.raises(ValueError, match="^exp_moment_bound_log: parameter"):
+                q.exp_moment_bound_log(*bad)
 
 
 class TestCertificateAssembly:
@@ -415,7 +468,7 @@ def reference_evaluate_assumption(instance, v):
     written out again for one point: the independent check of the falsifier."""
     p = instance.params
     gen = instance.generator
-    norm = q.certs._norm
+    norm = q.gendsl.norm
     i = v.component
     t = v.t
 
@@ -781,4 +834,4 @@ class TestNorm:
     def test_same_bits_as_inline_form(self, shape, axes):
         a = np.random.default_rng(2).normal(size=shape) * 7.0
         want = np.sqrt((a ** 2).sum(tuple(range(-axes, 0))))
-        assert _bits(q.certs._norm(a, axes)) == _bits(want)
+        assert _bits(q.gendsl.norm(a, axes)) == _bits(want)

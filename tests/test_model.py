@@ -78,31 +78,6 @@ class TestCoefficientFunction:
         assert f.integral(1.0) == 1.0
 
 
-class TestMatrixNorm:
-    def test_three_four_five(self):
-        assert q.matrix_norm([[3.0, 4.0]]) == 5.0
-
-    def test_zero(self):
-        assert q.matrix_norm(np.zeros((3, 2))) == 0.0
-
-    def test_identity_two(self):
-        assert q.matrix_norm(np.eye(2)) == pytest.approx(1.4142135623730951, rel=1e-15)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            q.matrix_norm([[np.inf, 0.0]])
-
-    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_absolute_homogeneity(self, c):
-        z = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert q.matrix_norm(c * z) == pytest.approx(abs(c) * q.matrix_norm(z),
-                                                     rel=1e-12, abs=1e-12)
-
-    def test_row_norms(self):
-        assert np.allclose(q.row_norms([[3.0, 4.0], [0.0, 1.0]]), [5.0, 1.0])
-
-
 class TestAssembleProblem:
     def test_valid_structured(self):
         cfg = structured_config(**{

@@ -102,10 +102,6 @@ def _load_instance(args) -> ProblemInstance:
     return assemble_problem(read_config_file(path))
 
 
-def _build_lattice(instance: ProblemInstance, max_nodes: int) -> engine.LatticeModel:
-    return engine.build_lattice(instance.grid, instance.d, max_nodes=max_nodes)
-
-
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.Latti
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args)
-    lattice = _build_lattice(instance, args.max_nodes)
+    lattice = engine.build_lattice(instance.grid, instance.d, max_nodes=args.max_nodes)
     cert = certs.build_certificate(instance)
     out = Path(args.out)
     pairs = [("mode", args.mode), ("threads", args.threads)]
@@ -203,49 +199,45 @@ def cmd_solve(args) -> int:
                                           inner_tol=args.inner_tol,
                                           inner_max_iter=args.max_iter,
                                           z_truncation=args.z_truncation)
-            iterations = field.metadata.get("inner_iterations", 0)
         elif args.mode == "picard":
-            field, trace = engine.picard_solve(instance, lattice,
-                                               tol=args.tol, max_iter=args.max_iter)
-            iterations = len(trace)
+            field, _ = engine.picard_solve(instance, lattice,
+                                           tol=args.tol, max_iter=args.max_iter)
         elif args.mode == "stitched":
-            horizon = args.horizon
-            if horizon != "adaptive":
-                horizon = float(horizon)
-            field, plan = drivers.solve_stitched(instance, lattice, horizon=horizon,
-                                                 mode="picard", tol=args.tol,
-                                                 max_iter=args.max_iter)
-            iterations = sum(c.iterations for c in plan.chunks)
-            for idx, chunk in enumerate(plan.chunks):
+            field, trace = drivers.solve_stitched(
+                instance, lattice, mode="picard", tol=args.tol, max_iter=args.max_iter,
+                horizon=args.horizon if args.horizon == "adaptive" else float(args.horizon))
+            for idx, chunk in enumerate(trace.chunks):
+                rows = lattice.rows(chunk.end_layer, chunk.start_layer + 1)
                 extra += [
                     (f"chunk.{idx}.startLayer", chunk.start_layer),
                     (f"chunk.{idx}.endLayer", chunk.end_layer),
-                    (f"chunk.{idx}.iterations", chunk.iterations),
-                    (f"chunk.{idx}.finalChange", chunk.final_change),
-                    (f"chunk.{idx}.supY", chunk.sup_y),
+                    (f"chunk.{idx}.iterations", len(chunk.changes)),
+                    (f"chunk.{idx}.finalChange", chunk.changes[-1]),
+                    (f"chunk.{idx}.supY", engine.sup_norm_y(replace(field, y=field.y[rows]))),
                 ]
-            for idx, (before, after) in enumerate(plan.halvings):
+            for idx, (before, after) in enumerate(trace.halvings):
                 extra.append((f"halving.{idx}", f"{_fmt(before)} -> {_fmt(after)}"))
         else:  # triangular
             field = drivers.solve_triangular(instance, lattice,
                                              tol=args.tol, max_outer=args.max_iter)
-            outer = field.metadata["component_outer_iterations"]
-            iterations = sum(outer)
-            for idx, cnt in enumerate(outer, start=1):
-                extra.append((f"component.{idx}.outerIterations", cnt))
+            outer = [len(c) for c in field.trace.changes]
+            per = len(outer) // instance.n  # every component marches the same sub-intervals
+            for i in range(instance.n):
+                extra.append((f"component.{i + 1}.outerIterations", sum(outer[i * per:][:per])))
     except engine.SolverError as err:
         pairs.append(("converged", False))
-        for i, change in enumerate(getattr(err, "trace", []) or []):
+        for i, change in enumerate(getattr(err, "trace", [])):
             pairs.append((f"trace.{i}", change))
         _write_report(out / "report.txt", pairs)
         raise
 
+    trace = field.trace
     sup_y = engine.sup_norm_y(field)
     bmo = engine.estimate_bmo(field, lattice)
     bmo_log = math.log(bmo ** 2) if bmo > 0 else -math.inf
     pairs += [
         ("converged", True),
-        ("iterations", iterations),
+        ("iterations", trace.inner_iterations + sum(map(len, trace.changes))),
         ("supY", sup_y),
         ("lambda", cert.lambda_bound),
         ("supYWithinLambda", sup_y <= cert.lambda_bound),
@@ -253,7 +245,7 @@ def cmd_solve(args) -> int:
         ("bmoEstimateSquaredLog", bmo_log),
         ("bmoBoundLog", cert.bmo_bound_log),
         ("bmoWithinBound", bmo_log <= cert.bmo_bound_log),
-        ("zClips", field.metadata.get("z_clips", 0)),
+        ("zClips", trace.z_clips),
     ]
     pairs += extra
     _write_report(out / "report.txt", pairs)
@@ -267,7 +259,7 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     instance = _load_instance(args)
-    lattice = _build_lattice(instance, args.max_nodes)
+    lattice = engine.build_lattice(instance.grid, instance.d, max_nodes=args.max_nodes)
     gen = instance.generator
 
     if args.oracle == "pure_quadratic":
@@ -456,8 +448,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, ValueError, engine.NodeBudgetError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (engine.PicardNonconvergenceError, engine.PicardDivergenceError,
-            drivers.AdaptiveFloorError, engine.SolverError) as err:
+    except engine.SolverError as err:  # Picard failures and AdaptiveFloorError included
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except StrictFailure as err:

@@ -28,9 +28,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import certs
-from .engine import (LatticeModel, PicardDivergenceError, PicardNonconvergenceError, SolutionField,
-                     SolverError, backward_range, compile_driver, cond_exp, log_cond_exp,
-                     picard_range, sup_norm_y, terminal_values, zero_field)
+from .engine import (Chunk, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
+                     SolutionField, SolverError, backward_range, compile_driver, cond_exp,
+                     log_cond_exp, picard_range, terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
                      check_triangular_deps, scan_refs)
 from .model import ProblemInstance
@@ -38,27 +38,6 @@ from .model import ProblemInstance
 
 class AdaptiveFloorError(SolverError):
     """Adaptive stitching reached a one-layer chunk and still failed."""
-
-
-@dataclass(frozen=True)
-class ChunkRecord:
-    start_layer: int   # terminal side (high)
-    end_layer: int     # boundary side (low)
-    iterations: int
-    final_change: float
-    sup_y: float
-
-
-@dataclass
-class StitchPlan:
-    chunks: list
-    halvings: list     # (horizon_before, horizon_after)
-
-
-@dataclass
-class ContractionTrace:
-    sub_intervals: list  # (end_layer, start_layer, length in time)
-    changes: list        # one list of outer-iteration sup-changes per sub-interval
 
 
 @dataclass
@@ -75,46 +54,42 @@ class ScalarProblem:
 # The backward march and the stitched global solve
 # ---------------------------------------------------------------------------
 
-def _march(lattice: LatticeModel, terminal: np.ndarray, L: int,
-           solve_chunk: Callable, y: np.ndarray, z: np.ndarray, adaptive: bool = False):
-    """Solve layers N..0 into the field rows y, z in chunks of at most L
-    layers, terminal side first; returns (records, halvings).
-    ``solve_chunk(term, k_lo, k_hi, ys, zs)`` writes the chunk into its rows
-    ys, zs (laid out as ``backward_range``'s; a z with no rows gives each
-    chunk a zs with none, which declines Z) and returns its record; layer
-    k_lo's rows are the next chunk's terminal.  With ``adaptive`` a chunk
-    whose Picard iteration fails is retried at half the length, down to one
-    layer."""
-    N = lattice.grid.steps
+def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Callable,
+           field_: SolutionField, adaptive: bool = False):
+    """Solve layers N..0 into the rows of ``field_`` in chunks of at most L
+    layers, terminal side first, recording each chunk and halving in its
+    trace.  ``solve_chunk(term, k_lo, k_hi, ys, zs)`` writes the chunk into
+    its rows ys, zs (laid out as ``backward_range``'s; a z with no rows gives
+    each chunk a zs with none, which declines Z) and returns the sup-change
+    of each of its passes; layer k_lo's rows are the next chunk's terminal.
+    With ``adaptive`` a chunk whose Picard iteration fails is retried at
+    half the length, down to one layer."""
     dt = lattice.grid.dt
-    records = []
-    halvings = []
-
-    k_hi = N
+    y, z, trace = field_.y, field_.z, field_.trace
+    k_hi = lattice.grid.steps
     while k_hi > 0:
         k_lo = max(0, k_hi - L)
         try:
-            record = solve_chunk(terminal, k_lo, k_hi,
-                                 y[lattice.rows(k_lo, k_hi + 1)], z[lattice.rows(k_lo, k_hi)])
+            changes = solve_chunk(terminal, k_lo, k_hi,
+                                  y[lattice.rows(k_lo, k_hi + 1)], z[lattice.rows(k_lo, k_hi)])
         except (PicardNonconvergenceError, PicardDivergenceError):
             if not adaptive:
                 raise
             if L <= 1:
                 raise AdaptiveFloorError(
                     "chunk of one layer still fails to converge") from None
-            halvings.append((L * dt, L // 2 * dt))
+            trace.halvings.append((L * dt, L // 2 * dt))
             L //= 2
             continue
-        records.append(record)
+        trace.chunks.append(Chunk(k_hi, k_lo, changes))
         terminal = y[lattice.rows(k_lo)]
         k_hi = k_lo
-    return records, halvings
 
 
 def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
                    horizon: Union[str, float] = "adaptive", mode: str = "picard",
                    tol: float = 1e-10, max_iter: int = 200):
-    """Solve backward in chunks; returns (field, plan).
+    """Solve backward in chunks; returns (field, field.trace).
 
     ``horizon`` is a chunk length in time units aligned to grid layers, or
     "adaptive" (start with the full horizon, halve on Picard failure).
@@ -136,22 +111,18 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
             raise ValueError(f"chunk horizon {horizon} does not align with grid layers")
 
     driver, y_dep = compile_driver(instance.generator)
+    field_ = zero_field(lattice, instance.n)
 
     def solve_chunk(term, k_lo, k_hi, ys, zs):
         if mode == "picard":
-            trace = picard_range(lattice, driver, term, k_lo, k_hi,
-                                 tol=tol, max_iter=max_iter, out=(ys, zs))[2]
-            iters, final = len(trace), trace[-1]
-        else:
-            backward_range(lattice, driver, y_dep, term, k_lo, k_hi, out=(ys, zs))
-            iters, final = 1, 0.0
-        return ChunkRecord(start_layer=k_hi, end_layer=k_lo, iterations=iters,
-                           final_change=final, sup_y=sup_norm_y(SolutionField(ys, zs)))
+            return picard_range(lattice, driver, term, k_lo, k_hi,
+                                tol=tol, max_iter=max_iter, out=(ys, zs))[2]
+        backward_range(lattice, driver, y_dep, term, k_lo, k_hi, out=(ys, zs),
+                       trace=field_.trace)
+        return [0.0]
 
-    field_ = zero_field(lattice, instance.n)
-    chunks, halvings = _march(lattice, terminal_values(instance, lattice), L, solve_chunk,
-                              field_.y, field_.z, adaptive)
-    return field_, StitchPlan(chunks=chunks, halvings=halvings)
+    _march(lattice, terminal_values(instance, lattice), L, solve_chunk, field_, adaptive)
+    return field_, field_.trace
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +133,15 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
                          tol: float = 1e-10, max_outer: int = 200, out: Optional[tuple] = None):
     """Solve a scalar equation by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
-    with y, z in flat storage covering layers 0..N.  They are ``out`` when
-    the function that owns the field passes its (y, z) there, such as one
-    component's column views; a z with no rows declines Z.  The chunk's y
-    rows hold the frozen iterate (zero at first), and each outer iteration
-    writes its layers over it in place: ``backward_range`` stages the driver
-    at layer k after writing layer k+1 and before writing layer k, so the
-    map reads the old y_k from the rows, keeps it until the next staging and
-    then takes layer k's change.
+    with y, z in flat storage covering layers 0..N, and a trace chunk per
+    sub-interval holding the sup-change of each outer iteration.  y, z are
+    ``out`` when the function that owns the field passes its (y, z) there,
+    such as one component's column views; a z with no rows declines Z.  The
+    chunk's y rows hold the frozen iterate (zero at first), and each outer
+    iteration writes its layers over it in place: ``backward_range`` stages
+    the driver at layer k after writing layer k+1 and before writing layer
+    k, so the map reads the old y_k from the rows, keeps it until the next
+    staging and then takes layer k's change.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -209,15 +181,13 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             settle()
             changes.append(change)
             if change <= tol:
-                return (k_lo, k_hi, (k_hi - k_lo) * dt), changes
+                return changes
             change, held = 0.0, None  # the terminal's rows no longer change
         raise PicardNonconvergenceError(changes)
 
     field_ = zero_field(lattice, 1) if out is None else SolutionField(*out)
-    records, _ = _march(lattice, np.asarray(problem.terminal, dtype=float), L, solve_chunk,
-                        field_.y, field_.z)
-    return field_.y, field_.z, ContractionTrace(sub_intervals=[r[0] for r in records],
-                                                changes=[r[1] for r in records])
+    _march(lattice, np.asarray(problem.terminal, dtype=float), L, solve_chunk, field_)
+    return field_.y, field_.z, field_.trace
 
 
 def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarProblem:
@@ -243,6 +213,9 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     holds the z staged and the y passed, and the columns of components after
     i still hold zeros.
 
+    The field's trace holds each component's chunks in turn; every
+    component marches the same sub-intervals.
+
     With ``keep_z`` false the field's z has no rows, unless a component
     reads the z of an earlier one (``normz`` reads every z): the driver
     then gets layer k's z from one layer buffer whose column i-1 holds the
@@ -265,7 +238,6 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     field_.y[top] = terminal_values(instance, lattice)
     z_layer = None if keep_z else np.empty((lattice.layer_size(lattice.grid.steps - 1),)
                                            + field_.z.shape[1:])
-    outer = []
 
     for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
@@ -286,13 +258,13 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
         problem = ScalarProblem(driver=drv, terminal=field_.y[top, i - 1:i])
         try:
-            trace = frozen_y_contraction(
+            field_.trace.chunks += frozen_y_contraction(
                 problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer,
-                out=(field_.y[:, i - 1:i], field_.z[:, i - 1:i]))[2]
+                out=(field_.y[:, i - 1:i], field_.z[:, i - 1:i]))[2].chunks
         except SolverError as err:
-            raise SolverError(f"component {i}: {err}") from err
-        outer.append(sum(len(c) for c in trace.changes))
-    field_.metadata["component_outer_iterations"] = outer
+            failure = SolverError(f"component {i}: {err}")
+            failure.trace = getattr(err, "trace", [])  # the failing sub-interval's changes
+            raise failure from err
     return field_
 
 

@@ -193,6 +193,29 @@ def project(lattice: LatticeModel, k: int, child_values, out=None):
     return gather(expectation), z
 
 
+@dataclass(frozen=True)
+class Chunk:
+    start_layer: int   # terminal side (high)
+    end_layer: int     # boundary side (low)
+    changes: list      # the sup-change of each pass; [0.0] for one backward induction
+
+
+@dataclass
+class RunTrace:
+    """What one solve did: the inner y-iterations and z-clips of its
+    ``backward_range`` calls, one ``Chunk`` per chunk of its march (a Picard
+    solve is one chunk) and the (horizon before, after) of each halving."""
+
+    inner_iterations: int = 0
+    z_clips: int = 0
+    chunks: list = field(default_factory=list)
+    halvings: list = field(default_factory=list)
+
+    @property
+    def changes(self) -> list:
+        return [c.changes for c in self.chunks]
+
+
 @dataclass
 class SolutionField:
     """Solution values in flat storage: y has shape (total_nodes, n) and z
@@ -202,7 +225,7 @@ class SolutionField:
 
     y: np.ndarray
     z: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    trace: RunTrace = field(default_factory=RunTrace)
 
     @property
     def n(self) -> int:
@@ -342,7 +365,7 @@ def _layer_buffer(lattice: LatticeModel, zs: np.ndarray, k_hi: int) -> Callable:
 def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                    terminal: np.ndarray, k_lo: int, k_hi: int, *, out: tuple,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
-                   z_truncation: Optional[float] = None, stats: Optional[dict] = None):
+                   z_truncation: Optional[float] = None, trace: Optional[RunTrace] = None):
     """Backward induction on layers k_hi .. k_lo with given terminal values.
 
     Writes each layer once into ``out`` = (ys, zs), rows that the function
@@ -351,6 +374,7 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     layers k_lo..k_hi-1, in flat storage whose row 0 is layer k_lo's first
     node (``lattice.rows(k, base=k_lo)``).  A zs with no rows declines Z:
     each layer's z then lives in one layer buffer and zs comes back empty.
+    Inner y-iterations and z-clips are added to ``trace``.
     """
     if inner_max_iter < 1:
         raise ValueError("inner_max_iter must be >= 1")
@@ -358,9 +382,7 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     ys, zs = out
     if dt == 0.0:
         return _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs)
-    stats = stats if stats is not None else {}
-    stats.setdefault("inner_iterations", 0)
-    stats.setdefault("z_clips", 0)
+    trace = trace or RunTrace()
     z_layer = None if len(zs) else _layer_buffer(lattice, zs, k_hi)
     ys[lattice.rows(k_hi, base=k_lo)] = terminal
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
@@ -369,7 +391,7 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
             expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
                                      out=zs[r] if z_layer is None else z_layer(k))
             if z_truncation is not None:
-                stats["z_clips"] += _truncate_rows(z, z_truncation)
+                trace.z_clips += _truncate_rows(z, z_truncation)
             try:
                 values = driver(k, lattice.grid.time(k), z)
                 if y_dependent:
@@ -379,16 +401,16 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                         delta_vec = np.abs(y_next - y)
                         delta = float(delta_vec.max())
                         y = y_next
-                        stats["inner_iterations"] += 1
                         if delta <= inner_tol:
                             break
                     else:
                         node = int(np.argmax(delta_vec.max(axis=-1)))
                         raise InnerNonconvergenceError(k, node, delta)
                     ys[r] = y
+                    trace.inner_iterations += it + 1
                 else:
                     y = np.add(expectation, values(expectation) * dt, out=ys[r])
-                    stats["inner_iterations"] += 1
+                    trace.inner_iterations += 1
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
             del values  # freed before the next layer's project
@@ -521,14 +543,15 @@ def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
                    z_truncation: Optional[float] = None, keep_z: bool = True) -> SolutionField:
     """One-pass backward induction from the terminal condition to layer 0;
-    with ``keep_z`` false the field's z has no rows."""
+    with ``keep_z`` false the field's z has no rows.  The field's trace
+    counts the inner y-iterations and z-clips."""
     _check_dims(instance, lattice)
     driver, y_dep = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
     field_ = zero_field(lattice, instance.n, keep_z)
     backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
                    inner_tol=inner_tol, inner_max_iter=inner_max_iter,
-                   z_truncation=z_truncation, stats=field_.metadata, out=(field_.y, field_.z))
+                   z_truncation=z_truncation, trace=field_.trace, out=(field_.y, field_.z))
     return field_
 
 
@@ -536,7 +559,8 @@ def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
                  init: Optional[SolutionField] = None,
                  tol: float = 1e-10, max_iter: int = 200, keep_z: bool = True):
     """Global fixed-point iteration; returns (field, trace of sup-changes),
-    the field's z without rows when ``keep_z`` is false."""
+    the field's z without rows when ``keep_z`` is false and its trace one
+    chunk of layers N..0 holding those changes."""
     _check_dims(instance, lattice)
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
@@ -545,9 +569,10 @@ def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
     if init_z is not None and lattice.grid.steps and not len(init_z):
         raise ValueError("a Picard init needs Z, and this field was solved without it")
     field_ = zero_field(lattice, instance.n, keep_z)
-    _, _, trace = picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                               tol=tol, max_iter=max_iter,
-                               init_y=init_y, init_z=init_z, out=(field_.y, field_.z))
+    trace = picard_range(lattice, driver, term, 0, lattice.grid.steps, tol=tol,
+                         max_iter=max_iter, init_y=init_y, init_z=init_z,
+                         out=(field_.y, field_.z))[2]
+    field_.trace.chunks.append(Chunk(lattice.grid.steps, 0, trace))
     return field_, trace
 
 

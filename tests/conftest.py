@@ -105,7 +105,7 @@ def field_sup_diff(a, b):
 
 def shifted(field_, delta):
     """A copy of field_ with delta added to every Y value."""
-    return q.SolutionField(field_.y + delta, field_.z.copy(), dict(field_.metadata))
+    return q.SolutionField(field_.y + delta, field_.z.copy())
 
 
 def depth(node):

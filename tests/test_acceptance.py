@@ -170,8 +170,9 @@ def test_09_contraction_schedule():
     inst, lat = make(contraction_config(N=40, lip_beta=2.0))
     sp = q.scalar_problem(inst, lat)
     _, _, trace = q.frozen_y_contraction(sp, 2.0, lat, tol=1e-10)
-    intervals_ok = (len(trace.sub_intervals) == 4
-                    and all(abs(h - 0.25) < 1e-12 for _, _, h in trace.sub_intervals))
+    intervals_ok = (len(trace.chunks) == 4
+                    and all(abs((c.start_layer - c.end_layer) * lat.grid.dt - 0.25) < 1e-12
+                            for c in trace.chunks))
     ratio_worst = 0.0
     for changes in trace.changes:
         ratios = [b / a for a, b in zip(changes, changes[1:]) if a > 0]
@@ -179,7 +180,7 @@ def test_09_contraction_schedule():
         ratio_worst = max(ratio_worst, max(ratios[-3:]))
     ok = intervals_ok and ratio_worst <= 0.5 + 0.1
     report(9, "frozen-y contraction schedule", ok,
-           f"{len(trace.sub_intervals)} sub-intervals, worst last-3 ratio "
+           f"{len(trace.chunks)} sub-intervals, worst last-3 ratio "
            f"{ratio_worst:.3f} <= 0.6")
 
 

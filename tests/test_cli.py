@@ -13,8 +13,8 @@ from dqbsde import certs, cli, engine
 from dqbsde.cli import main
 from dqbsde.model import TimeGrid
 
-from conftest import (make, planted_h2_config, pure_quadratic_config, remark22_config,
-                      structured_config, triangular_demo_config, write_config)
+from conftest import (contraction_config, make, planted_h2_config, pure_quadratic_config,
+                      remark22_config, structured_config, triangular_demo_config, write_config)
 
 
 def run(*argv):
@@ -212,6 +212,26 @@ class TestSolve:
         out = tmp_path / "o"
         assert run("solve", "--config", path, *argv, "--out", str(out)) == 0
         assert hashlib.sha256((out / "solution.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg, argv, digest", [
+        (remark22_config(N=20), ("--mode", "picard"),
+         "5593690d91ef3ff6173b1a40b24124f48633bf8dd2460d5da01c08126ab2b367"),
+        (triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0},
+         ("--mode", "triangular"),
+         "7ee48f49512e3accf4968c86d85ed0a7675298f0a6535a37be217083f1de6858"),
+        # Two chunks after halving.0 = 1.0 -> 0.5.
+        (pure_quadratic_config(gamma=6.0, N=50),
+         ("--mode", "stitched", "--horizon", "adaptive", "--max-iter", "100"),
+         "694299fb71abbd3c61e54bb26116d451ce5233d1d8c294e465dc5da4787decfd"),
+        (remark22_config(N=20), ("--mode", "direct", "--z-truncation", "1e-3"),
+         "9ced32b86efbcfb35db2fab748ee01fa1f088e62477be6fd4eb072632ad30a85"),
+    ], ids=["picard", "triangular", "stitched-adaptive", "direct-z-truncation"])
+    def test_report_digest(self, tmp_path, cfg, argv, digest):
+        # Digests recorded before the solvers wrote their facts into one RunTrace.
+        path = str(write_config(tmp_path / "s.cfg", cfg))
+        out = tmp_path / "o"
+        assert run("solve", "--config", path, *argv, "--out", str(out)) == 0
+        assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() == digest
 
     def test_deterministic_bytes(self, tmp_path, remark_cfg):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -576,8 +596,12 @@ class TestSolverFailure:
          ("--mode", "stitched", "--horizon", "0.5", "--tol", "1e-12", "--max-iter", "3"),
          "Picard iteration did not converge in 3 iterations (last change 8.579e-02)",
          ("0.25", "0.2751586650550648", "0.08579214739376068")),
+        # The failing sub-interval's changes, carried through the component's error.
+        (contraction_config(N=40), ("--mode", "triangular", "--max-iter", "3"),
+         "component 1: Picard iteration did not converge in 3 iterations (last change 1.375e-01)",
+         ("1.0", "0.5000000000000004", "0.13749999999999973")),
     ], ids=["picard-divergence", "picard-nonconvergence", "adaptive-floor",
-            "stitched-fixed-horizon"])
+            "stitched-fixed-horizon", "triangular-nonconvergence"])
     def test_picard_failures(self, tmp_path, capsys, cfg, argv, message, trace):
         path = str(write_config(tmp_path / "fail.cfg", cfg))
         out = tmp_path / "o"

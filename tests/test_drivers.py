@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,10 @@ class TestSolveStitched:
         field, plan = q.solve_stitched(inst, lat, horizon=0.5, mode="picard",
                                        tol=1e-10)
         cert = q.build_certificate(inst)
-        assert all(c.sup_y <= cert.lambda_bound for c in plan.chunks)
-        assert max(c.sup_y for c in plan.chunks) == q.sup_norm_y(field)
+        sup_y = [q.sup_norm_y(replace(field, y=field.y[lat.rows(c.end_layer, c.start_layer + 1)]))
+                 for c in plan.chunks]
+        assert all(s <= cert.lambda_bound for s in sup_y)
+        assert max(sup_y) == q.sup_norm_y(field)
 
     def test_adaptive_halving_logged(self):
         inst, lat = make(pure_quadratic_config(gamma=6.0, N=50))
@@ -82,7 +85,7 @@ class TestFrozenYContraction:
         # driver reads y, so freezing matters; with lip_beta 0 the schedule
         # must still be a single interval
         ys, zs, trace = q.frozen_y_contraction(sp, 0.0, lat, tol=1e-10)
-        assert len(trace.sub_intervals) == 1
+        assert len(trace.chunks) == 1
 
     def test_y_free_driver_confirms_in_one_extra_iteration(self):
         cfg = structured_config(**{"grid.N": 10, "generator.1.g": "0.5*norm2(z1)",
@@ -90,7 +93,7 @@ class TestFrozenYContraction:
         inst, lat = make(cfg)
         sp = q.scalar_problem(inst, lat)
         ys, zs, trace = q.frozen_y_contraction(sp, 0.0, lat, tol=1e-10)
-        assert len(trace.sub_intervals) == 1
+        assert len(trace.chunks) == 1
         assert len(trace.changes[0]) == 2          # solve, then a zero-change pass
         assert trace.changes[0][1] == 0.0
 
@@ -98,8 +101,9 @@ class TestFrozenYContraction:
         inst, lat = make(contraction_config(N=40, lip_beta=2.0))
         sp = q.scalar_problem(inst, lat)
         ys, zs, trace = q.frozen_y_contraction(sp, 2.0, lat, tol=1e-10)
-        assert len(trace.sub_intervals) == 4
-        assert all(abs(length - 0.25) < 1e-12 for _, _, length in trace.sub_intervals)
+        assert len(trace.chunks) == 4
+        assert all(abs((c.start_layer - c.end_layer) * lat.grid.dt - 0.25) < 1e-12
+                   for c in trace.chunks)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_outer_limit_below_one_rejected(self, limit):
@@ -162,7 +166,7 @@ class TestTriangularWithoutZ:
         declined = q.solve_triangular(inst, lat, keep_z=False)
         assert declined.y.tobytes() == kept.y.tobytes()
         assert declined.z.tobytes() == (kept.z.tobytes() if stored else b"")
-        assert declined.metadata == kept.metadata
+        assert declined.trace == kept.trace
 
 
 class TestOraclePureQuadratic:
@@ -319,6 +323,6 @@ class TestLiveFields:
         inst, lat = make(contraction_config(N=24, lip_beta=2.0)
                          | {"problem.d": 2, "generator.1.k": "0.25*y1 + 0.5*norm2(z1)"})
         problem = drivers.scalar_problem(inst, lat)
-        assert len(drivers.frozen_y_contraction(problem, 2.0, lat)[2].sub_intervals) == 4
+        assert len(drivers.frozen_y_contraction(problem, 2.0, lat)[2].chunks) == 4
         assert _live_ratio(lambda: drivers.frozen_y_contraction(problem, 2.0, lat),
                            lat, 1) <= 1.47

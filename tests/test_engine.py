@@ -339,7 +339,7 @@ class TestBackwardSolve:
     def test_z_truncation_counts(self):
         inst, lat = make(structured_config())
         f = q.backward_solve(inst, lat, z_truncation=0.5)
-        assert f.metadata["z_clips"] == 1
+        assert f.trace.z_clips == 1
         assert np.all(np.abs(f.z[lat.rows(0)]) <= 0.5 + 1e-15)
 
     @pytest.mark.parametrize("cfg", [
@@ -374,7 +374,7 @@ class TestBackwardSolve:
                                rtol=4 * np.finfo(float).eps, atol=0)
             assert np.all(np.sqrt(sum_squares(z)) <= c * (1 + 4 * np.finfo(float).eps))
         assert 0 < clipped < f.z.shape[0] * f.z.shape[1]
-        assert f.metadata["z_clips"] == clipped
+        assert f.trace.z_clips == clipped
 
     def test_inner_nonconvergence_reports_location(self):
         cfg = structured_config(**{"grid.N": 2, "generator.1.h": "100*y1",
@@ -555,14 +555,14 @@ class TestPicardReference:
         # over since; a stage kept from an earlier call would give other bits.
         inst, lat = make(remark22_config(N=20))
         field, plan = q.solve_stitched(inst, lat, horizon=lat.grid.dt)
-        assert len(plan.chunks) == 20 and min(c.iterations for c in plan.chunks) > 2
+        assert len(plan.chunks) == 20 and min(len(c.changes) for c in plan.chunks) > 2
         term = engine.terminal_values(inst, lat)
         for chunk, k in zip(plan.chunks, range(20, 0, -1)):
             ys, zs, trace = _ref_picard_range(lat, compile_driver(inst.generator)[0],
                                               term, k - 1, k)
             assert field.y[lat.rows(k - 1, k + 1)].tobytes() == np.concatenate(ys).tobytes()
             assert field.z[lat.rows(k - 1)].tobytes() == zs[0].tobytes()
-            assert (chunk.iterations, chunk.final_change) == (len(trace), trace[-1])
+            assert (len(chunk.changes), chunk.changes[-1]) == (len(trace), trace[-1])
             term = ys[0]
 
     @pytest.mark.parametrize("cfg, kwargs, outcome", [

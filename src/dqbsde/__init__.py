@@ -20,10 +20,8 @@ from .model import (AssumptionParams, CoefficientFunction, ConfigError,
                     ProblemInstance, TerminalCondition, TimeGrid, assemble_problem,
                     build_time_grid, parse_breakpoints, read_config_file)
 
-# Imported last: compiled right after the modules above, csvrows reuses the
-# memory their compiles freed; compiled later (before a solve or at the first
-# CSV write) it raised direct-r22's peak RSS by 0.05-0.3 MB.
-from . import csvrows
+# The CSV writer (csvrows, csvcells) is not imported here: cli compiles it
+# only for a command that writes CSV (cli._csvrows).
 
 __version__ = "0.1.0"
 

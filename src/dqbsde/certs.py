@@ -374,8 +374,8 @@ def _philox_round_keys(seed: int) -> list:
 def _mulhilo(a: np.ndarray, mult) -> tuple:
     """(hi, lo) words of the 128-bit product of uint64 `a` and a multiplier
     (m, its low and its high 32 bits); lo wraps, hi is assembled from
-    32-bit limbs.  A low limb is x - (x >> 32 << 32), not x & mask: the CSV
-    writers share this and run no bitwise numpy loop."""
+    32-bit limbs.  A low limb is x - (x >> 32 << 32), as in the CSV
+    writer's own in-place product (``csvrows._shortest``)."""
     m, m_lo, m_hi = mult
     a_hi = a >> _SHIFT32
     a_lo = a - (a_hi << _SHIFT32)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certs, csvrows, drivers, engine
+from . import certs, drivers, engine
 from .gendsl import ParseError
 from .model import ConfigError, ProblemInstance, assemble_problem, build_time_grid, read_config_file
 
@@ -30,11 +30,6 @@ EXIT_NONCONVERGENCE = 3
 EXIT_STRICT = 4
 
 RESIDUAL_SLACK = -1e-9
-
-# Rows per chunk of CSV text: a writer holds one block of rows as a matrix of
-# NUL-padded cells (csvrows), under 128 KiB for the benchmarked tables.
-CSV_BLOCK_ROWS = 512
-
 
 class UsageError(Exception):
     pass
@@ -74,6 +69,16 @@ def _write_report(path: Path, pairs) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{key} = {_fmt(value)}" for key, value in pairs]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _csvrows():
+    """The CSV writer (``csvrows`` and ``csvcells``), compiled only by a
+    command that writes CSV, before its solve or scan.  Compiled with the
+    package, it raised the peak RSS of falsify-r22, which writes no CSV, by
+    about 0.3 MB at most checkout name lengths; compiled after the solve,
+    it raised direct-r22's by 0.2 MB."""
+    from . import csvrows
+    return csvrows
 
 
 def _write_csv(path: Path, header, chunks) -> None:
@@ -141,6 +146,7 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    csvrows = _csvrows()
     out = Path(args.out) / "check.csv"
     try:
         if args.inequality == "log":
@@ -150,7 +156,7 @@ def cmd_check(args) -> int:
                 _parse_range(args.crange, "crange"))
             X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
             _write_csv(out, ("x", "y", "C", "residual"),
-                       csvrows.float_rows(CSV_BLOCK_ROWS, X, Y, C, scan.residuals))
+                       csvrows.float_rows(X, Y, C, scan.residuals))
             print(f"minResidual = {_fmt(scan.min_residual)} at "
                   f"x={_fmt(scan.argmin[0])} y={_fmt(scan.argmin[1])} C={_fmt(scan.argmin[2])}")
             print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
@@ -164,7 +170,7 @@ def cmd_check(args) -> int:
             _parse_range(args.zrange, "zrange"))
         A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
         _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
-                   csvrows.float_rows(CSV_BLOCK_ROWS, L, A, E, Z, scan.residuals))
+                   csvrows.float_rows(L, A, E, Z, scan.residuals))
         print(f"minResidual = {_fmt(scan.min_residual)} at "
               f"L={_fmt(scan.argmin[0])} alpha={_fmt(scan.argmin[1])} "
               f"eps={_fmt(scan.argmin[2])} z={_fmt(scan.argmin[3])}")
@@ -183,10 +189,11 @@ def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.Latti
               + [f"W_{j}" for j in range(1, d + 1)]
               + [f"Y_{i}" for i in range(1, n + 1)]
               + [f"Z_{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)])
-    _write_csv(path, header, csvrows.solution_rows(CSV_BLOCK_ROWS, field, lattice))
+    _write_csv(path, header, _csvrows().solution_rows(field, lattice))
 
 
 def cmd_solve(args) -> int:
+    _csvrows()
     instance = _load_instance(args)
     lattice = engine.build_lattice(instance.grid, instance.d, max_nodes=args.max_nodes)
     cert = certs.build_certificate(instance)

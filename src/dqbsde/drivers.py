@@ -214,7 +214,9 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     i still hold zeros.
 
     The field's trace holds each component's chunks in turn; every
-    component marches the same sub-intervals.
+    component marches the same sub-intervals.  A component's
+    ``SolverError`` goes up as it is, its class and fields kept, with
+    ``component i: `` before its message.
 
     With ``keep_z`` false the field's z has no rows, unless a component
     reads the z of an earlier one (``normz`` reads every z): the driver
@@ -262,9 +264,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
                 problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer,
                 out=(field_.y[:, i - 1:i], field_.z[:, i - 1:i]))[2].chunks
         except SolverError as err:
-            failure = SolverError(f"component {i}: {err}")
-            failure.trace = getattr(err, "trace", [])  # the failing sub-interval's changes
-            raise failure from err
+            err.args = (f"component {i}: {err}",)  # same class, trace, partial and layer
+            raise
     return field_
 
 

@@ -8,7 +8,7 @@ import dqbsde as q
 
 PUBLIC_NAMES = [
     # submodules
-    "certs", "csvrows", "drivers", "engine", "gendsl", "model",
+    "certs", "drivers", "engine", "gendsl", "model",
     # certs
     "Certificate", "FalsificationReport", "Violation", "build_certificate",
     "check_log_inequality", "check_young_power", "compute_bmo_bound_log",

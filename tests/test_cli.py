@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dqbsde as q
-from dqbsde import certs, cli, engine
+from dqbsde import certs, cli, csvrows, engine
 from dqbsde.cli import main
 from dqbsde.model import TimeGrid
 
@@ -409,8 +409,8 @@ class TestSolutionWriter:
     @pytest.mark.parametrize("d", [1, 2])
     def test_layers_around_the_block_size(self, tmp_path, monkeypatch, d):
         # Layer sizes 1, 2 | 3 | 4, 5, 6 (d = 1) and 1, 4, 9, ... (d = 2)
-        # fall below, on and above a block of 3 rows.
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        # fall below, on and above a pass of 3 rows.
+        monkeypatch.setattr(csvrows, "PASS", 3 * (1 + d))
         lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
         assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=1, offset=3), lattice)
 
@@ -418,10 +418,11 @@ class TestSolutionWriter:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("block", [2, 4])
     def test_blocks_across_layers(self, tmp_path, monkeypatch, d, n, block):
-        # Layer sizes (k+1)**d fall below, on and above the block, so blocks
-        # start and end mid-layer, span several layers, run from layer N-1
-        # into the terminal layer and start inside it (empty Z cells).
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        # Layer sizes (k+1)**d fall below, on and above a pass of `block`
+        # rows, so passes start and end mid-layer, span several layers, run
+        # from layer N-1 into the terminal layer and start inside it (empty
+        # Z cells).
+        monkeypatch.setattr(csvrows, "PASS", block * (n + n * d) + 1)
         lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
         terminal, total = lattice.rows(5).start, lattice.total_nodes
         starts = range(0, total, block)
@@ -432,6 +433,58 @@ class TestSolutionWriter:
             remark22_config(N=5) if n == 2 else pure_quadratic_config(N=5),
             **{"problem.d": d, "problem.T": 0.7, "terminal.1": f"0.25*clamp(w{d},-1,1)"})))
         assert_same_solution_csv(tmp_path, field, lattice)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_passes_and_chunks(self, tmp_path, monkeypatch, d, n, rows):
+        # PASS one value over `rows` rows of n + n*d cells: each pass holds
+        # whole rows and goes out in chunks of a smaller rows matrix, so the
+        # chunks' ends fall inside passes and the passes' ends mid-layer and
+        # inside the terminal layer.
+        cols = n + n * d
+        monkeypatch.setattr(csvrows, "PASS", rows * cols + 1)
+        chunks = chunk_rows(monkeypatch)
+        lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=rows), lattice)
+        total, terminal = lattice.total_nodes, lattice.rows(5).start
+        layer_starts = {lattice.rows(k).start for k in range(6)}
+        pass_ends = set(range(rows, total, rows))
+        chunk_ends = set(np.cumsum(chunks)[:-1].tolist())
+        assert sum(chunks) == total and pass_ends <= chunk_ends
+        assert chunk_ends - pass_ends
+        assert pass_ends - layer_starts and chunk_ends - pass_ends - layer_starts
+        assert any(terminal < end for end in pass_ends)
+
+    def test_production_passes_and_files_back_to_back(self, tmp_path):
+        # The remark22 N=200 direct field at the production sizes spans many
+        # passes and chunks; a file of nan, inf and -inf cells written just
+        # before it leaves no state in the next file's scratch.
+        instance, lattice = make(remark22_config(N=200))
+        field = q.backward_solve(instance, lattice)
+        assert lattice.total_nodes == 20_301 >= 3 * (csvrows.PASS // 4)  # 3 passes at least
+        small = engine.build_lattice(TimeGrid(1.0, 3), 1)
+        odd = synthetic_field(small, n=2)
+        odd.y[::3] = np.nan
+        odd.z[::4] = np.inf
+        odd.y[1::5] = -np.inf
+        for f, lat, name in ((odd, small, "odd"), (field, lattice, "r22"), (odd, small, "odd2")):
+            (tmp_path / name).mkdir()
+            assert_same_solution_csv(tmp_path / name, f, lat)
+        assert b",nan," in (tmp_path / "odd" / "new.csv").read_bytes()
+        assert (tmp_path / "odd" / "new.csv").read_bytes() == (tmp_path / "odd2" / "new.csv").read_bytes()
+
+
+def chunk_rows(monkeypatch):
+    """Rows of each chunk of text the CSV writers go on to yield."""
+    rows = []
+    write = cli._write_csv
+
+    def counted(path, header, chunks):
+        write(path, header, (rows.append(chunk.count(b"\n")) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(cli, "_write_csv", counted)
+    return rows
 
 
 CHECK_ARGVS = [
@@ -465,9 +518,19 @@ class TestCheckWriter:
 
     @pytest.mark.parametrize("argv", CHECK_ARGVS)
     def test_blocks_of_seven_rows(self, tmp_path, monkeypatch, argv):
-        # Blocks that end mid-table, the last one short.
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        # Passes of 7 rows that end mid-table, the last one short.
+        monkeypatch.setattr(csvrows, "PASS", 7 * (4 if "log" in argv else 5) + 1)
         self.test_matches_reference_rows(tmp_path, argv)
+
+    @pytest.mark.parametrize("argv", CHECK_ARGVS)
+    @pytest.mark.parametrize("size", [1, 9, 13])
+    def test_passes_of_any_size(self, tmp_path, monkeypatch, argv, size):
+        # One row a pass (a pass of fewer values than a row has cells), and
+        # passes of 2 or 3 rows whose rows matrix takes 1 or 2 of their rows.
+        monkeypatch.setattr(csvrows, "PASS", size)
+        chunks = chunk_rows(monkeypatch)
+        self.test_matches_reference_rows(tmp_path, argv)
+        assert max(chunks) <= max(1, size // (4 if "log" in argv else 5))
 
 
 class TestMaxIterBelowOne:

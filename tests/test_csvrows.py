@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqbsde as q
-from dqbsde import csvrows
+from dqbsde import cli, csvcells
 
 from conftest import make, remark22_config
+
+
+@pytest.fixture(scope="module")
+def direct_remark22():
+    """The direct solve of remark22 at N=800 (the direct-r22 workload) and
+    its lattice."""
+    instance, lattice = make(remark22_config(N=800))
+    return q.backward_solve(instance, lattice), lattice
 
 
 def texts(values):
     """Each float's cell as text: its four words' bytes, NULs dropped."""
     x = np.asarray(values, dtype=np.float64)
     out = np.empty(x.shape + (4,), dtype=np.uint64)
-    csvrows.cells(x, out)
+    csvcells.cells(x, out)
     raw = out.reshape(-1, 4).astype("<u8").tobytes()
     return [raw[32 * i:32 * i + 32].replace(b"\0", b"").decode() for i in range(x.size)]
 
@@ -102,14 +111,13 @@ class TestRepr:
     def test_any_shape_and_a_strided_destination(self):
         values = np.array([[0.5, -2.0, 1e300], [3e-5, 123456.789, -0.0]])
         rows = np.zeros((2, 13), dtype=np.uint64)
-        csvrows.cells(values, rows[:, 1:].reshape(2, 3, 4))
+        csvcells.cells(values, rows[:, 1:].reshape(2, 3, 4))
         assert rows[:, 0].tolist() == [0, 0]
         text = rows.astype("<u8").tobytes().replace(b"\0", b"").decode()
         assert text == ",0.5,-2.0,1e+300,3e-05,123456.789,-0.0"
 
-    def test_every_value_of_the_direct_remark22_field(self):
-        instance, lattice = make(remark22_config(N=800))
-        field = q.backward_solve(instance, lattice)
+    def test_every_value_of_the_direct_remark22_field(self, direct_remark22):
+        field, _ = direct_remark22
         values = np.concatenate([field.y.ravel(), field.z.ravel()])
         assert values.size == 1_283_202
         for lo in range(0, values.size, 2 ** 16):
@@ -121,8 +129,22 @@ class TestIntCells:
     def test_matches_str(self, words):
         top = 10 ** (8 * words - 1) - 1
         values = [0, 1, 9, 10, 99, 100, 101, 12345, 10 ** 6, top // 10, top]
-        cells = np.ascontiguousarray(csvrows.int_cells(np.array(values), words))
+        cells = np.ascontiguousarray(csvcells.int_cells(np.array(values), words))
         raw = cells.astype("<u8").tobytes()
         got = [raw[8 * words * i:8 * words * (i + 1)].replace(b"\0", b"").decode()
                for i in range(len(values))]
         assert got == ["," + str(v) for v in values]
+
+
+class TestWriterMemory:
+    def test_solution_csv_peak(self, tmp_path, direct_remark22):
+        # The writer allocates its scratch once per file, and its traced
+        # peak on the direct-r22 field is at most 768 KiB.
+        csvcells._tables()
+        tracemalloc.start()
+        try:
+            cli._solution_csv(tmp_path / "solution.csv", *direct_remark22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 786_432

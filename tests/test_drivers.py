@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dqbsde as q
-from dqbsde import drivers
+from dqbsde import drivers, engine
 from dqbsde.drivers import AdaptiveFloorError, match_linear, match_pure_quadratic, match_zero
 
 from conftest import (contraction_config, field_sup_diff, make, pure_quadratic_config,
@@ -148,6 +148,22 @@ class TestSolveTriangular:
         inst, lat = make(pure_quadratic_config(N=4))
         with pytest.raises(ValueError, match="triangular"):
             q.solve_triangular(inst, lat)
+
+    def test_component_failure_keeps_its_class(self):
+        # The component's own error goes up with "component i: " before its
+        # message, so a caller that catches the subclass reads its fields.
+        inst, lat = make(contraction_config(N=40))
+        with pytest.raises(engine.PicardNonconvergenceError) as caught:
+            q.solve_triangular(inst, lat, max_outer=3)
+        assert str(caught.value) == ("component 1: Picard iteration did not converge in 3 "
+                                     "iterations (last change 1.375e-01)")
+        assert caught.value.trace == [1.0, 0.5000000000000004, 0.13749999999999973]
+        assert caught.value.partial is None
+        cfg = dict(triangular_demo_config(N=2), **{"problem.T": 4.0, "generator.2.k": "1e308"})
+        with pytest.raises(engine.NonFiniteError) as caught:
+            q.solve_triangular(*make(cfg))
+        assert str(caught.value) == "component 2: non-finite value at layer 1, node 0"
+        assert (caught.value.layer, caught.value.node) == (1, 0)
 
 
 class TestTriangularWithoutZ:

@@ -222,8 +222,9 @@ def cmd_solve(args) -> int:
                     (f"chunk.{idx}.finalChange", chunk.changes[-1]),
                     (f"chunk.{idx}.supY", engine.sup_norm_y(replace(field, y=field.y[rows]))),
                 ]
-            for idx, (before, after) in enumerate(trace.halvings):
-                extra.append((f"halving.{idx}", f"{_fmt(before)} -> {_fmt(after)}"))
+            for idx, halving in enumerate(trace.halvings):
+                extra.append((f"halving.{idx}",
+                               f"{_fmt(halving.before)} -> {_fmt(halving.after)}"))
         else:  # triangular
             field = drivers.solve_triangular(instance, lattice,
                                              tol=args.tol, max_outer=args.max_iter)

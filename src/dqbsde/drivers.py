@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import certs
-from .engine import (Chunk, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
+from .engine import (Chunk, Halving, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
                      SolutionField, SolverError, backward_range, compile_driver, cond_exp,
                      log_cond_exp, picard_range, terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
@@ -63,7 +63,8 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Cal
     each chunk a zs with none, which declines Z) and returns the sup-change
     of each of its passes; layer k_lo's rows are the next chunk's terminal.
     With ``adaptive`` a chunk whose Picard iteration fails is retried at
-    half the length, down to one layer."""
+    half the length, down to one layer, and the failed attempt's passes are
+    kept in its ``Halving``."""
     dt = lattice.grid.dt
     y, z, trace = field_.y, field_.z, field_.trace
     k_hi = lattice.grid.steps
@@ -72,13 +73,13 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Cal
         try:
             changes = solve_chunk(terminal, k_lo, k_hi,
                                   y[lattice.rows(k_lo, k_hi + 1)], z[lattice.rows(k_lo, k_hi)])
-        except (PicardNonconvergenceError, PicardDivergenceError):
+        except (PicardNonconvergenceError, PicardDivergenceError) as err:
             if not adaptive:
                 raise
             if L <= 1:
                 raise AdaptiveFloorError(
                     "chunk of one layer still fails to converge") from None
-            trace.halvings.append((L * dt, L // 2 * dt))
+            trace.halvings.append(Halving(L * dt, L // 2 * dt, err.trace))
             L //= 2
             continue
         trace.chunks.append(Chunk(k_hi, k_lo, changes))

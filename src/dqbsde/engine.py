@@ -15,24 +15,26 @@ is fixed, so identical inputs give bit-identical fields.
 Kernel layout: in C order on the (k+2)^d child grid, the child of a node
 through corner c in {0,1}^d sits o(c) = sum_j c_j (k+2)^(d-1-j) nodes on, so
 corner c's block is the flat child array shifted by o(c) (times the value
-size), and all 2^d blocks are contiguous windows of one length.  Kernels sum
-the windows in lexicographic corner order into buffers and gather the
-(k+1)^d layer nodes once.  project adds q * block, q = 2^-d / sqrt(dt), to z_j
-when c_j = 1 and subtracts it when c_j = 0 (the first corner by negation):
-(-a)*b == -(a*b) and x + (-p) == x - p in IEEE 754, so this is bit for bit
-the sum of ((2 c_j - 1) 2^-d / sqrt(dt)) * block over the corners.
+size), and all 2^d blocks are contiguous windows of one length.  Kernels
+sweep the windows in slabs of whole u_1-planes: each slab's windows are summed
+in lexicographic corner order into one scratch of SLAB values a buffer, made
+once per call, and its layer nodes gathered from there.  project adds q * block,
+q = 2^-d / sqrt(dt), to z_j when c_j = 1 and subtracts it when c_j = 0 (the
+first corner by negation): (-a)*b == -(a*b) and x + (-p) == x - p in IEEE 754,
+so this is bit for bit the sum of ((2 c_j - 1) 2^-d / sqrt(dt)) * block over
+the corners.  Slabs change no bit: each element is folded from the same
+operands in the same order, and + - * round each element on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .gendsl import (EvalEnv, EvalError, EvalPlan, GeneratorModel, STRUCTURED, eval_expr,
                      norm, sum_squares)
@@ -129,43 +131,82 @@ def build_lattice(grid: TimeGrid, d: int, max_nodes: int = DEFAULT_NODE_BUDGET) 
     return lattice
 
 
-def _corner_windows(lattice: LatticeModel, k: int, child_values):
-    """Return the child layer's corner windows, each of shape (length,) +
-    value_shape, in lexicographic corner order, and gather.  gather(buf)
-    returns the layer nodes of a buffer of shape (length,) + trailing as a
-    new (m,) + trailing array (for d = 1 the window is the layer: buf
-    itself); gather(buf, out) copies them into out instead."""
+SLAB = 16384  # values per buffer of the kernels' scratch, which follows this one size
+
+
+def _sweep(lattice: LatticeModel, k: int, child_values, fold, columns=False, out=None):
+    """Return layer k's y and, with ``columns``, its z (``out`` or new; None
+    without columns), made slab by slab: fold(windows, bufs, tmp) gets a
+    slab's 2^d corner windows in lexicographic corner order and writes the
+    slab's rows of y and of each z[..., j] into bufs, with tmp as scratch.
+    The slab of planes u_1 in [a, b) is the window rows [a S, min(b S, L)),
+    S = (k+2)^(d-1), and y's rows [a s, b s), s = (k+1)^(d-1); for d = 1
+    these are the same rows, so fold writes straight into y and z."""
     if not (0 <= k < lattice.grid.steps):
         raise ValueError(f"layer {k} out of range")
-    steps = [(k + 2) ** (lattice.d - 1 - j) for j in range(lattice.d)]
+    d = lattice.d
     child = np.ascontiguousarray(child_values, dtype=float)
-    child = child.reshape((steps[0] * (k + 2),) + child.shape[1:])
-    offsets = [0]
-    for st in steps:
-        offsets = [o + c for o in offsets for c in (0, st)]
+    shape = child.shape[1:]
+    offsets, plane = [0], 1  # o(c) for each corner c, in lexicographic order
+    for _ in range(d):
+        offsets, plane = offsets + [o + plane for o in offsets], plane * (k + 2)
+    child = child.reshape((plane,) + shape)
+    plane, sub, length = plane // (k + 2), (k + 1) ** (d - 1), len(child) - offsets[-1]
+    y = np.empty((sub * (k + 1),) + shape)
+    z = (np.empty(y.shape + (d,)) if out is None else out) if columns else None
+    outs = [y] + [z[..., j] for j in range(d)] if columns else [y]
+    per = min(k + 1, SLAB // (plane * math.prod(shape) or 1) or 1)  # planes a slab
+    scratch = np.empty((1 if d == 1 else 1 + len(outs), per * plane) + shape)
+    tmp, bufs = scratch[0], scratch[1:]
+    for a in range(0, k + 1, per):
+        lo, hi = a * plane, min((a + per) * plane, length)
+        windows = [child[lo + o:hi + o] for o in offsets]
+        if d == 1:  # fold writes straight into y and z
+            fold(windows, [dst[lo:hi] for dst in outs] if per <= k else outs, tmp[:hi - lo])
+            continue
+        fold(windows, bufs[:, :hi - lo], tmp[:hi - lo])
+        b = min(a + per, k + 1)  # the last slab's last node is its window's last row
+        nodes = (slice(b - a),) + (slice(k + 1),) * (d - 1)
+        for buf, dst in zip(bufs, outs):  # splitting dst's leading axis: a view
+            dst[a * sub:b * sub].reshape((b - a,) + (k + 1,) * (d - 1) + shape)[...] = \
+                buf.reshape((per,) + (k + 2,) * (d - 1) + shape)[nodes]
+    return y, z
 
-    def gather(buf, out=None):
-        if lattice.d > 1:
-            buf = as_strided(buf, (k + 1,) * lattice.d + buf.shape[1:],
-                             tuple(st * buf.strides[0] for st in steps) + buf.strides[1:])
-        if out is None:
-            return buf if lattice.d == 1 else buf.copy().reshape((-1,) + buf.shape[lattice.d:])
-        out.reshape(buf.shape)[...] = buf  # splits out's leading axis: a view, never a copy
 
-    return [child[o:o + len(child) - offsets[-1]] for o in offsets], gather
+def _fold(w, q, windows, bufs, tmp):
+    """_sweep's fold for cond_exp and project: bufs[0] sums w * window over
+    the corners, and each further buffer (project's z_j) adds q * window when
+    c_j = 1 and subtracts it when c_j = 0 (the first corner by negation)."""
+    expectation, columns = bufs[0], bufs[1:]
+    np.multiply(windows[0], w, out=expectation)
+    for window in windows[1:]:
+        np.add(expectation, np.multiply(window, w, out=tmp), out=expectation)
+    if len(columns):
+        np.multiply(windows[0], q, out=tmp)
+        for column in columns:
+            np.negative(tmp, out=column)
+        for i, window in enumerate(windows[1:], 1):
+            np.multiply(window, q, out=tmp)
+            for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
+                op = np.add if i >> (len(columns) - 1 - j) & 1 else np.subtract
+                op(column, tmp, out=column)
 
 
 def cond_exp(lattice: LatticeModel, k: int, child_values) -> np.ndarray:
     """Exact one-step conditional expectation from layer k+1 to layer k."""
-    windows, gather = _corner_windows(lattice, k, child_values)
-    return gather(reduce(np.add, (lattice.child_weight * window for window in windows)))
+    return _sweep(lattice, k, child_values, partial(_fold, lattice.child_weight, None))[0]
 
 
 def log_cond_exp(lattice: LatticeModel, k: int, child_log_values) -> np.ndarray:
     """Conditional expectation carried in natural log space:
     log E[exp(V) | node] computed by log-sum-exp over the children."""
-    windows, gather = _corner_windows(lattice, k, child_log_values)
-    return gather(reduce(np.logaddexp, windows)) + math.log(lattice.child_weight)
+    def fold(windows, bufs, tmp):
+        np.logaddexp(windows[0], windows[1], out=bufs[0])
+        for window in windows[2:]:
+            np.logaddexp(bufs[0], window, out=bufs[0])
+        np.add(bufs[0], math.log(lattice.child_weight), out=bufs[0])
+
+    return _sweep(lattice, k, child_log_values, fold)[0]
 
 
 def project(lattice: LatticeModel, k: int, child_values, out=None):
@@ -175,22 +216,11 @@ def project(lattice: LatticeModel, k: int, child_values, out=None):
     z has one trailing axis of length d beyond the child value shape and is
     written into ``out`` when one is given.
     """
-    windows, gather = _corner_windows(lattice, k, child_values)
     if lattice.grid.dt == 0.0:
         raise ValueError("project undefined on a zero-step grid (dt = 0)")
     w = lattice.child_weight
-    q = w / math.sqrt(lattice.grid.dt)
-    expectation, tmp = w * windows[0], q * windows[0]
-    columns = np.negative(tmp, out=np.empty((lattice.d,) + tmp.shape))
-    for i, window in enumerate(windows[1:], 1):
-        expectation += np.multiply(window, w, out=tmp)
-        np.multiply(window, q, out=tmp)
-        for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
-            (np.add if i >> (lattice.d - 1 - j) & 1 else np.subtract)(column, tmp, out=column)
-    z = np.empty((lattice.layer_size(k),) + tmp.shape[1:] + (lattice.d,)) if out is None else out
-    for j, column in enumerate(columns):
-        gather(column, z[..., j])
-    return gather(expectation), z
+    return _sweep(lattice, k, child_values, partial(_fold, w, w / math.sqrt(lattice.grid.dt)),
+                  True, out)
 
 
 @dataclass(frozen=True)
@@ -200,11 +230,18 @@ class Chunk:
     changes: list      # the sup-change of each pass; [0.0] for one backward induction
 
 
+@dataclass(frozen=True)
+class Halving:
+    before: float      # the chunk horizon of the attempt that failed
+    after: float       # the horizon of the retry
+    changes: list      # the sup-change of each pass of the failed attempt
+
+
 @dataclass
 class RunTrace:
     """What one solve did: the inner y-iterations and z-clips of its
     ``backward_range`` calls, one ``Chunk`` per chunk of its march (a Picard
-    solve is one chunk) and the (horizon before, after) of each halving."""
+    solve is one chunk) and one ``Halving`` per failed attempt."""
 
     inner_iterations: int = 0
     z_clips: int = 0
@@ -507,11 +544,13 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                         f"driver evaluation failed at layer {k}: {failed[j]}") from failed[j]
                 expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
                                          out=z_layer(k))
-                y = expectation + f_dt[r]
+                y = np.add(expectation, f_dt[r], out=expectation)  # project's y is fresh
                 if not np.all(np.isfinite(y)):
                     node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                     raise NonFiniteError(k, node)
-                delta = float(np.abs(y - ys[r]).max())
+                diff = np.subtract(y, ys[r])
+                delta = float(np.abs(diff, out=diff).max())
+                del diff  # freed before the driver runs on the new layer
                 change = max(change, delta)
                 # delta > 0 settles it; delta == 0 also holds for 0.0 against -0.0.
                 # Bytes rather than a uint64 view, whose numpy loops cost ~0.15 MB RSS.

@@ -1,6 +1,7 @@
 """Lattice construction, projection, and the two core solvers."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -151,7 +152,9 @@ def _kernel_case(draw):
     """A lattice, a layer k and its child values (with signed zeros, the
     smallest subnormal and values that overflow once weighted) in one of the
     input forms the solvers pass: an array, a list, or a strided column view
-    like ``term[:, i-1:i]``."""
+    like ``term[:, i-1:i]``; and a slab size for ``engine.SLAB``, down to one
+    value, so that layers also run as several slabs, slabs of one plane and
+    a clipped last slab."""
     d = draw(st.integers(1, 3))
     steps = draw(st.integers(1, 6 - d))
     k = draw(st.integers(0, steps - 1))
@@ -162,12 +165,13 @@ def _kernel_case(draw):
     special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -0.75])
     values = draw(arrays(np.float64, ((k + 2) ** d,) + value_shape,
                          elements=special | st.floats(-1e6, 1e6)))
+    slab = draw(st.integers(1, 64) | st.just(engine.SLAB))
     form = draw(st.sampled_from(["array", "list", "strided"]))
     if form == "list":
-        return lattice, k, values.tolist()
+        return lattice, k, values.tolist(), slab
     if form == "strided":
-        return lattice, k, np.stack([np.full_like(values, np.nan), values], axis=-1)[..., 1]
-    return lattice, k, values
+        values = np.stack([np.full_like(values, np.nan), values], axis=-1)[..., 1]
+    return lattice, k, values, slab
 
 
 def _owns_exactly(a):
@@ -269,13 +273,15 @@ class TestProject:
 
 class TestKernelReference:
     """project, cond_exp and log_cond_exp match the corner-slice kernels bit
-    for bit and return fresh arrays that share no memory with their input."""
+    for bit, at any slab size, and return fresh arrays that share no memory
+    with their input."""
 
     @settings(max_examples=300, deadline=None)
     @given(_kernel_case())
     def test_bits_match_corner_slices(self, case):
-        lattice, k, child = case
-        with np.errstate(all="ignore"):
+        lattice, k, child, slab = case
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(engine, "SLAB", slab)
             pairs = [(q.cond_exp(lattice, k, child), _ref_cond_exp(lattice, k, child)),
                      (q.log_cond_exp(lattice, k, child), _ref_log_cond_exp(lattice, k, child))]
             pairs += zip(q.project(lattice, k, child), _ref_project(lattice, k, child))
@@ -285,6 +291,43 @@ class TestKernelReference:
             assert _owns_exactly(got) and got.flags.writeable
             if isinstance(child, np.ndarray):
                 assert not np.shares_memory(got, child)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_kernel_case())
+    def test_out_is_strided_rows_of_a_flat_field(self, case):
+        """project writes z into ``out``, here every other trailing column of
+        layer k's rows of a flat field, and nowhere else."""
+        lattice, k, child, slab = case
+        d, value_shape = lattice.d, np.shape(child)[1:]
+        flat = np.full((lattice.rows(0, lattice.grid.steps).stop,) + value_shape + (2 * d,),
+                       np.nan)
+        out = flat[lattice.rows(k)][..., ::2]
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(engine, "SLAB", slab)
+            y, z = q.project(lattice, k, child, out=out)
+            want_y, want_z = _ref_project(lattice, k, child)
+        assert z is out
+        assert np.array_equal(y.view(np.uint64), want_y.view(np.uint64))
+        assert np.array_equal(out.copy().view(np.uint64), want_z.view(np.uint64))
+        written = np.zeros(flat.shape, dtype=bool)
+        written[lattice.rows(k)][..., ::2] = True
+        assert np.isnan(flat[~written]).all()
+
+    def test_scratch_is_fixed(self):
+        """Beyond its inputs, project holds its y and a scratch of d + 2
+        buffers of at most SLAB values, 1.57 MB here; the whole-layer kernel
+        peaked at 6.4 MB (d + 2 window-sized sums and a gathered copy of y)."""
+        lat = q.build_lattice(q.build_time_grid(1.0, 40), 3)
+        child = np.linspace(-1.0, 1.0, lat.layer_size(40) * 2).reshape(-1, 2)
+        z = np.empty((lat.layer_size(39), 2, 3))
+        q.project(lat, 39, child, out=z)  # whatever a first call allocates
+        tracemalloc.start()
+        try:
+            y, _ = q.project(lat, 39, child, out=z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + (lat.d + 2) * engine.SLAB * 8
 
     def test_child_size_checked(self):
         grid = q.build_time_grid(1.0, 3)

@@ -30,7 +30,7 @@ import numpy as np
 from . import certs
 from .engine import (Chunk, Halving, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
                      SolutionField, SolverError, backward_range, compile_driver, cond_exp,
-                     log_cond_exp, picard_range, terminal_values, zero_field)
+                     log_cond_exp, picard_range, project, terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
                      check_triangular_deps, scan_refs)
 from .model import ProblemInstance
@@ -138,11 +138,10 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     sub-interval holding the sup-change of each outer iteration.  y, z are
     ``out`` when the function that owns the field passes its (y, z) there,
     such as one component's column views; a z with no rows declines Z.  The
-    chunk's y rows hold the frozen iterate (zero at first), and each outer
-    iteration writes its layers over it in place: ``backward_range`` stages
-    the driver at layer k after writing layer k+1 and before writing layer
-    k, so the map reads the old y_k from the rows, keeps it until the next
-    staging and then takes layer k's change.
+    chunk's y rows hold the frozen iterate (zero at first), and an outer
+    iteration is one explicit ``backward_range`` over the chunk: it stages
+    the driver at the old y_k that the rows hold, writes the new layer over
+    it and returns the largest change.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -161,29 +160,13 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
     def solve_chunk(term, k_lo, k_hi, ys, zs):
         ys[lattice.rows(k_lo, k_hi, k_lo)] = 0.0
         change = float(np.abs(term).max())  # the terminal against the zero iterate
-        held = None  # (k, old y_k) until layer k is written
         changes = []
-
-        def settle():
-            nonlocal change
-            if held is not None:
-                k, old = held
-                change = max(change, float(np.abs(ys[lattice.rows(k, base=k_lo)] - old).max()))
-
-        def drv(k, t, z):
-            nonlocal held
-            settle()
-            held = k, ys[lattice.rows(k, base=k_lo)].copy()
-            values, old = problem.driver(k, t, z), held[1]
-            return lambda y: values(old)
-
         for _ in range(max_outer):
-            backward_range(lattice, drv, False, term, k_lo, k_hi, out=(ys, zs))
-            settle()
-            changes.append(change)
-            if change <= tol:
+            changes.append(max(change, backward_range(lattice, problem.driver, False, term,
+                                                      k_lo, k_hi, out=(ys, zs))))
+            if changes[-1] <= tol:
                 return changes
-            change, held = 0.0, None  # the terminal's rows no longer change
+            change = 0.0  # the terminal's rows no longer change
         raise PicardNonconvergenceError(changes)
 
     field_ = zero_field(lattice, 1) if out is None else SolutionField(*out)
@@ -219,11 +202,12 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     ``SolverError`` goes up as it is, its class and fields kept, with
     ``component i: `` before its message.
 
-    With ``keep_z`` false the field's z has no rows, unless a component
-    reads the z of an earlier one (``normz`` reads every z): the driver
-    then gets layer k's z from one layer buffer whose column i-1 holds the
-    z it is staged with.  Its other columns are never read, since component
-    i may read no later z and here reads no earlier one.
+    With ``keep_z`` false the field's z has no rows: the driver gets layer
+    k's z from one layer buffer whose column i-1 holds the z it is staged
+    with.  A component that reads an earlier z (``normz`` reads every z)
+    gets columns 0..i-2 there at staging as ``project`` of the solved
+    components' ``Y_{k+1}``, the bits their solves stored as Z.  No later
+    column is read, since component i may read no later z.
     """
     gen = instance.generator
     if gen.kind != TRIANGULAR:
@@ -233,9 +217,6 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         msgs = "; ".join(f"component {v.component} references {v.name}" for v in violations)
         raise ValueError(f"triangular dependency violation: {msgs}")
 
-    reads_earlier_z = any(refs.uses_normz and i > 1 or min(refs.z_indices, default=i) < i
-                          for i, refs in enumerate(map(scan_refs, (e.root for e in gen.k)), 1))
-    keep_z = keep_z or reads_earlier_z
     field_ = zero_field(lattice, instance.n, keep_z)
     top = lattice.rows(lattice.grid.steps)
     field_.y[top] = terminal_values(instance, lattice)
@@ -244,14 +225,19 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
     for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
+        refs = scan_refs(gen.k[i - 1].root)
+        earlier = refs.uses_normz and i > 1 or min(refs.z_indices, default=i) < i
 
-        def drv(k, t, z, _plan=plan, _i=i):
+        def drv(k, t, z, _plan=plan, _i=i, _earlier=earlier):
             m = z.shape[0]
             if keep_z:
                 z_k = field_.z[lattice.rows(k)]
             else:
                 z_k = z_layer[:m]
                 z_k[:, _i - 1:_i] = z
+                if _earlier:  # the earlier components' z, as their solves projected it
+                    project(lattice, k, field_.y[lattice.rows(k + 1), :_i - 1],
+                            out=z_k[:, :_i - 1])
 
             def values(y):
                 out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]

@@ -406,22 +406,28 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
     """Backward induction on layers k_hi .. k_lo with given terminal values.
 
     Writes each layer once into ``out`` = (ys, zs), rows that the function
-    owning the field passes down, and returns them: the y rows of layers
-    k_lo..k_hi (the last layer's are the given terminal) and the z rows of
-    layers k_lo..k_hi-1, in flat storage whose row 0 is layer k_lo's first
-    node (``lattice.rows(k, base=k_lo)``).  A zs with no rows declines Z:
-    each layer's z then lives in one layer buffer and zs comes back empty.
-    Inner y-iterations and z-clips are added to ``trace``.
+    owning the field passes down: the y rows of layers k_lo..k_hi (the last
+    layer's are the given terminal) and the z rows of layers k_lo..k_hi-1,
+    in flat storage whose row 0 is layer k_lo's first node
+    (``lattice.rows(k, base=k_lo)``).  A zs with no rows declines Z: each
+    layer's z then lives in one layer buffer.  Inner y-iterations and
+    z-clips are added to ``trace``.  The step is implicit in y when
+    ``y_dependent``, else explicit: it stages the driver at the y that
+    layer k's rows hold until it writes them (a frozen iterate, or anything
+    for a driver that reads no y) and returns the largest |new - old| over
+    the layers it wrote (0.0 when none).
     """
     if inner_max_iter < 1:
         raise ValueError("inner_max_iter must be >= 1")
     dt = lattice.grid.dt
     ys, zs = out
     if dt == 0.0:
-        return _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs)
+        _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs)
+        return 0.0
     trace = trace or RunTrace()
     z_layer = None if len(zs) else _layer_buffer(lattice, zs, k_hi)
     ys[lattice.rows(k_hi, base=k_lo)] = terminal
+    change = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
         for k in range(k_hi - 1, k_lo - 1, -1):
             r = lattice.rows(k, base=k_lo)
@@ -443,18 +449,20 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                     else:
                         node = int(np.argmax(delta_vec.max(axis=-1)))
                         raise InnerNonconvergenceError(k, node, delta)
-                    ys[r] = y
                     trace.inner_iterations += it + 1
                 else:
-                    y = np.add(expectation, values(expectation) * dt, out=ys[r])
+                    y = np.add(expectation, values(ys[r]) * dt, out=expectation)
+                    np.abs(np.subtract(y, ys[r], out=ys[r]), out=ys[r])  # rows that y overwrites
+                    change = max(change, float(ys[r].max()))
                     trace.inner_iterations += 1
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
             del values  # freed before the next layer's project
+            ys[r] = y
             if not np.all(np.isfinite(y)):
                 node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
                 raise NonFiniteError(k, node)
-    return ys, zs
+    return change
 
 
 def _drive(driver: DriverFn, k: int, t: float, y, z, dt: float, out) -> Optional[EvalError]:

@@ -489,8 +489,10 @@ def _negative_base(base, expo) -> bool:
     return bool(np.any(np.less(base, 0.0)) and not np.all(np.equal(expo, np.floor(expo))))
 
 
+# clamp as numpy documents clip, whose own loops vary a tie of zeros' sign.
 _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-        "neg": np.negative, "pow": np.power, "clamp": np.clip,
+        "neg": np.negative, "pow": np.power,
+        "clamp": lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
         "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
         "abs": np.abs, "sign": np.sign, "sqrt": np.sqrt}
 

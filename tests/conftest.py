@@ -187,7 +187,7 @@ def _ev(node, env):
             raise EvalError("pow of negative base with non-integer exponent", node.pos)
         return _finite(np.power(base, expo), node)
     if isinstance(node, Clamp):
-        return np.clip(_ev(node.arg, env), _ev(node.lo, env), _ev(node.hi, env))
+        return np.minimum(np.maximum(_ev(node.arg, env), _ev(node.lo, env)), _ev(node.hi, env))
     raise TypeError(f"unknown node {node!r}")
 
 

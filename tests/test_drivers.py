@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import dqbsde as q
-from dqbsde import drivers, engine
+from dqbsde import certs, drivers, engine
 from dqbsde.drivers import AdaptiveFloorError, match_linear, match_pure_quadratic, match_zero
 
 from conftest import (contraction_config, field_sup_diff, make, pure_quadratic_config,
-                      remark22_config, shifted, structured_config, triangular_demo_config)
+                      reference_eval, remark22_config, shifted, structured_config,
+                      triangular_demo_config)
 
 LNCOSH1 = 0.4337808304830272
 HALF_LNCOSH2 = 0.6625013736789322
@@ -172,22 +173,122 @@ class TestSolveTriangular:
 
 
 class TestTriangularWithoutZ:
-    """solve_triangular gives the same Y with Z declined as with Z kept, and
-    still keeps Z when a later component reads an earlier one's z."""
+    """solve_triangular gives the same Y and trace with Z declined as with Z
+    kept, and stores no Z, also when a later component reads an earlier
+    one's z: that z is projected from the earlier component's Y."""
 
-    @pytest.mark.parametrize("k2, stored", [
-        ("y1 + 0.5*norm2(z2)", False),
-        ("y1 + 0.5*norm2(z2) + 0.25*norm(z1)", True),
-        ("y1 + 0.25*normz", True),
+    @pytest.mark.parametrize("k2", [
+        "y1 + 0.5*norm2(z2)", "y1 + 0.5*norm2(z2) + 0.25*norm(z1)", "y1 + 0.25*normz",
     ], ids=["own-z", "reads-z1", "normz"])
-    def test_same_y(self, k2, stored):
+    def test_same_y(self, k2):
         inst, lat = make(triangular_demo_config(N=12)
                          | {"problem.d": 2, "triangular.lipBeta": 2.0, "generator.2.k": k2})
         kept = q.solve_triangular(inst, lat)
         declined = q.solve_triangular(inst, lat, keep_z=False)
         assert declined.y.tobytes() == kept.y.tobytes()
-        assert declined.z.tobytes() == (kept.z.tobytes() if stored else b"")
+        assert declined.z.shape == (0, 2, 2)
         assert declined.trace == kept.trace
+
+
+def _ref_frozen_y(problem, lip_beta, lat, tol=1e-10, max_outer=200):
+    """The textbook frozen-y map: each outer iteration keeps a full copy of
+    the chunk's previous iterate, evaluates the driver at that copy and
+    takes its change against it.  Returns flat (y, z) and each chunk's
+    changes; raises PicardNonconvergenceError with the failing chunk's."""
+    N, dt = lat.grid.steps, lat.grid.dt
+    H = certs.contraction_horizon(lip_beta)
+    L = N if not math.isfinite(H) or H >= lat.grid.horizon else int(math.floor(H / dt + 1e-9))
+    y = np.zeros((lat.total_nodes, 1))
+    z = np.zeros((lat.rows(0, N).stop, 1, lat.d))
+    y[lat.rows(N)] = problem.terminal
+    chunks = []
+    k_hi = N
+    while k_hi > 0:
+        k_lo = max(0, k_hi - L)
+        prev = np.zeros_like(y)  # the zero iterate, the chunk's terminal layer too
+        changes = []
+        for _ in range(max_outer):
+            for k in range(k_hi - 1, k_lo - 1, -1):
+                expectation, z[lat.rows(k)] = engine.project(lat, k, y[lat.rows(k + 1)])
+                values = problem.driver(k, lat.grid.time(k), z[lat.rows(k)])
+                y[lat.rows(k)] = expectation + values(prev[lat.rows(k)]) * dt
+            live = lat.rows(k_lo, k_hi + 1)
+            changes.append(float(np.abs(y[live] - prev[live]).max()))
+            prev[live] = y[live]
+            if changes[-1] <= tol:
+                break
+        else:
+            raise engine.PicardNonconvergenceError(changes)
+        chunks.append(changes)
+        k_hi = k_lo
+    return y, z, chunks
+
+
+def _ref_triangular(inst, lat, tol=1e-10, max_outer=200):
+    """Components in order, each by ``_ref_frozen_y`` with a driver that
+    interprets its expression at the solved components' y and z, its own
+    frozen y and staged z, and zeros for the components after it."""
+    n, N = inst.n, lat.grid.steps
+    y = np.zeros((lat.total_nodes, n))
+    z = np.zeros((lat.rows(0, N).stop, n, lat.d))
+    y[lat.rows(N)] = engine.terminal_values(inst, lat)
+    chunks = []
+    for i in range(n):
+        def driver(k, t, z_i, i=i):
+            def values(y_i):
+                y_k, z_k = y[lat.rows(k)].copy(), z[lat.rows(k)].copy()
+                y_k[:, i:i + 1], z_k[:, i:i + 1] = y_i, z_i
+                out = reference_eval(inst.generator.k[i], q.EvalEnv(t=t, y=y_k, z=z_k))
+                return np.broadcast_to(np.asarray(out, dtype=float), (len(y_k),))[:, None]
+            return values
+
+        problem = drivers.ScalarProblem(driver, y[lat.rows(N), i:i + 1].copy())
+        y_i, z_i, changes = _ref_frozen_y(problem, inst.params.lip_beta, lat, tol, max_outer)
+        y[:, i:i + 1], z[:, i:i + 1] = y_i, z_i
+        chunks += changes
+    return y, z, chunks
+
+
+class TestFrozenYReference:
+    """frozen_y_contraction and solve_triangular give the bits of the
+    textbook frozen-y map: Y, Z, every chunk's changes, and the trace of a
+    PicardNonconvergenceError."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lip_beta, intervals", [(0.25, 1), (2.0, 4)],
+                             ids=["one-interval", "four-intervals"])
+    def test_driver_reading_y(self, lip_beta, intervals, d):
+        inst, lat = make(contraction_config(N=24, lip_beta=lip_beta) | {"problem.d": d})
+        problem = drivers.scalar_problem(inst, lat)
+        y, z, trace = drivers.frozen_y_contraction(problem, lip_beta, lat)
+        want_y, want_z, want_changes = _ref_frozen_y(problem, lip_beta, lat)
+        assert len(trace.chunks) == intervals
+        assert y.tobytes() == want_y.tobytes() and z.tobytes() == want_z.tobytes()
+        assert trace.changes == want_changes
+        with pytest.raises(engine.PicardNonconvergenceError) as want:
+            _ref_frozen_y(problem, lip_beta, lat, max_outer=3)
+        with pytest.raises(engine.PicardNonconvergenceError) as got:
+            drivers.frozen_y_contraction(problem, lip_beta, lat, max_outer=3)
+        assert got.value.trace == want.value.trace
+
+    @pytest.mark.parametrize("cfg", [
+        triangular_demo_config(N=24),
+        triangular_demo_config(N=24) | {"problem.d": 2, "triangular.lipBeta": 2.0,
+                                        "generator.2.k": "y1 + 0.5*y2 + 0.25*norm(z1)"},
+    ], ids=["demo", "demo-d2-reads-y2-z1"])
+    def test_solve_triangular(self, cfg):
+        inst, lat = make(cfg)
+        want_y, want_z, want_changes = _ref_triangular(inst, lat)
+        for keep_z in (True, False):
+            got = q.solve_triangular(inst, lat, keep_z=keep_z)
+            assert got.y.tobytes() == want_y.tobytes()
+            assert got.z.tobytes() == (want_z.tobytes() if keep_z else b"")
+            assert got.trace.changes == want_changes
+        with pytest.raises(engine.PicardNonconvergenceError) as want:
+            _ref_triangular(inst, lat, max_outer=1)
+        with pytest.raises(engine.PicardNonconvergenceError) as got:
+            q.solve_triangular(inst, lat, max_outer=1)
+        assert got.value.trace == want.value.trace
 
 
 class TestOraclePureQuadratic:
@@ -300,7 +401,7 @@ class TestLiveFields:
     field, measured after a warm-up call: picard_solve 1.89 (tracemalloc
     counts the zeroed Z, whose pages the final sweep first touches after the
     driver's values are freed), the joint oracle 1.06, solve_triangular
-    without Z 0.69 (1.21 with it), frozen-y 1.31 on one interval and 1.31
+    without Z 0.66 (1.19 with it), frozen-y 1.26 on one interval and 1.26
     on four, stitched on four chunks 1.60.  Each bound sits below the ratio
     of a design that holds more:
     - a lattice kernel that sums whole layers in temporaries of their own
@@ -310,7 +411,8 @@ class TestLiveFields:
       although ``compare`` reads only Y (1.49 and 1.22, the ratios before Z
       could be declined);
     - a triangular driver that copies the field's rows of layer k on every
-      call (1.26), or a frozen-y map that keeps a copy of the chunk's
+      call (1.26) or, keeping Z, stages z in a layer buffer of its own
+      (1.26), or a frozen-y map that keeps a copy of the chunk's
       previous y instead of reading it from the rows it writes over (1.31;
       1.70 and 1.56 for frozen-y alone);
     - a march that solves each chunk into rows of its own and pastes them

@@ -445,12 +445,13 @@ class TestBackwardSolve:
         inst, lat = make(pure_quadratic_config(N=40))
         driver, y_dep = compile_driver(inst.generator)
         term = q.terminal_values(inst, lat)
-        one_y, one_z = backward_range(lat, driver, y_dep, term, 0, 40,
-                                      out=_out_rows(lat, 1, 0, 40))
-        top_y, top_z = backward_range(lat, driver, y_dep, term, 15, 40,
-                                      out=_out_rows(lat, 1, 15, 40))
-        bot_y, bot_z = backward_range(lat, driver, y_dep, top_y[lat.rows(15, base=15)], 0, 15,
-                                      out=_out_rows(lat, 1, 0, 15))
+        one_y, one_z = _out_rows(lat, 1, 0, 40)
+        top_y, top_z = _out_rows(lat, 1, 15, 40)
+        bot_y, bot_z = _out_rows(lat, 1, 0, 15)
+        backward_range(lat, driver, y_dep, term, 0, 40, out=(one_y, one_z))
+        backward_range(lat, driver, y_dep, term, 15, 40, out=(top_y, top_z))
+        backward_range(lat, driver, y_dep, top_y[lat.rows(15, base=15)], 0, 15,
+                       out=(bot_y, bot_z))
         assert one_y[lat.rows(0, 16)].tobytes() == bot_y.tobytes()
         assert one_y[lat.rows(15, 41)].tobytes() == top_y.tobytes()
         assert one_z.tobytes() == bot_z.tobytes() + top_z.tobytes()
@@ -749,13 +750,17 @@ class TestDestinationIndependence:
 
     @pytest.mark.parametrize("fill", FILLS)
     def test_backward_range(self, fill):
-        inst, lat = make(remark22_config(N=20))
-        driver, y_dep = compile_driver(inst.generator)
-        term = engine.terminal_values(inst, lat)
-        ys, zs = backward_range(lat, driver, y_dep, term, 0, 20,
-                                out=_out_rows(lat, inst.n, 0, 20, fill, term))
-        want = q.backward_solve(inst, lat)
-        assert ys.tobytes() == want.y.tobytes() and zs.tobytes() == want.z.tobytes()
+        # remark22 reads y, so its step is implicit.  pure_quadratic reads
+        # none, so its explicit step stages the driver at whatever the rows
+        # held, NaN included, and must not see it.
+        for cfg in (remark22_config(N=20), pure_quadratic_config(N=20)):
+            inst, lat = make(cfg)
+            driver, y_dep = compile_driver(inst.generator)
+            term = engine.terminal_values(inst, lat)
+            ys, zs = _out_rows(lat, inst.n, 0, 20, fill, term)
+            backward_range(lat, driver, y_dep, term, 0, 20, out=(ys, zs))
+            want = q.backward_solve(inst, lat)
+            assert ys.tobytes() == want.y.tobytes() and zs.tobytes() == want.z.tobytes()
 
     @pytest.mark.parametrize("fill", FILLS)
     @pytest.mark.parametrize("cfg, kwargs", [
@@ -870,7 +875,8 @@ class TestWrappedDriver:
         N = lat.grid.steps
 
         def solves(drv):
-            ys, zs = backward_range(lat, drv, y_dep, term, 0, N, out=_out_rows(lat, inst.n, 0, N))
+            ys, zs = _out_rows(lat, inst.n, 0, N)
+            backward_range(lat, drv, y_dep, term, 0, N, out=(ys, zs))
             picard = engine.picard_range(lat, drv, term, 0, N, out=_out_rows(lat, inst.n, 0, N),
                                          tol=1e-12, max_iter=2000)
             return [ys.tobytes(), zs.tobytes()] + [np.asarray(a).tobytes() for a in picard]

@@ -1,5 +1,7 @@
 """Expression language: tokenizer, parser, evaluator, catalog."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,8 +423,7 @@ class TestPlan:
         values, failed = EvalPlan(roots).rows(ts, y, z, m)
         failed = dict(failed)
         for j in range(m):
-            # The row alone as a batch of one: numpy's clip, for one, can
-            # give a row of a batch another signed zero than the bare scalar.
+            # The row alone as a batch of one.
             row = slice(j, j + 1)
             env = EvalEnv(t=ts[row], y=y[row], z=z[row])
             want = [interpreted(r, env, shape=(1,)) for r in roots]
@@ -498,10 +499,21 @@ class TestPlan:
         return plan.run(t, y, z), want
 
     @pytest.mark.parametrize("n", [1, 3, 17])
+    @pytest.mark.parametrize("x, lo, hi", list(itertools.product((0.0, -0.0), repeat=3)))
+    def test_clamp_of_signed_zeros_scalar_and_batch_agree(self, x, lo, hi, n):
+        # clamp(x, lo, hi) of zeros gives a scalar's zero in every row of a
+        # batch of any length, whichever of x and the bounds are batched.
+        expr = parse_expr("clamp(t,y1,y2)", 2, 1)
+        scalar = bits(eval_expr(expr, env(t=x, y=np.array([lo, hi]))))[1]
+        for t, y in [(np.full(n, x), np.array([lo, hi])), (x, np.tile([lo, hi], (n, 1))),
+                     (np.full(n, x), np.tile([lo, hi], (n, 1)))]:
+            got = np.broadcast_to(eval_expr(expr, env(t=t, y=y)), (n,))
+            assert bits(got) == ((n,), [scalar] * n)
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
     def test_clamp_of_signed_zero_with_batch_bounds(self, n):
-        # Pinned as it is: with array bounds np.clip(-0.0, -0.0, 0.0) gives
-        # +0.0, in every row of a batch and in a batch of one, which is how
-        # the solvers and the falsifier evaluate (scalar bounds give -0.0).
+        # clamp(-0.0, -0.0, 0.0) gives +0.0, in every row of a batch and in
+        # a batch of one, which is how the solvers and the falsifier evaluate.
         t = -np.arange(n, dtype=float)
         t[n // 2] = -0.0
         plan = EvalPlan([parse_expr("clamp(t,t,0)", 1, 1).root])

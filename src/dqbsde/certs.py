@@ -358,6 +358,7 @@ _SHIFT11 = np.uint64(11)
 _PHILOX_M0, _PHILOX_M1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
                           for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _SAMPLE_BLOCK = 2 ** 12  # samples drawn and tested per block; bounds the memory
+_PHILOX_LANES = 2 ** 11  # samples a Philox pass draws; its temporaries set the falsifier's peak
 
 
 def _philox_round_keys(seed: int) -> list:
@@ -416,8 +417,11 @@ def _sample_uniforms(seed: int, count: int, per_sample: int, start: int = 0) -> 
     """(count, per_sample) uniforms of samples start, start + 1, ...; sample i
     comes from its own counter block of a counter-based generator, so any
     index partition reproduces them."""
-    index = np.arange(start, start + count, dtype=np.uint64)
-    return _philox_uniforms(_philox_round_keys(seed), index, per_sample)
+    keys = _philox_round_keys(seed)
+    return np.concatenate([np.empty((0, per_sample))] + [
+        _philox_uniforms(keys, np.arange(start + lo, start + min(count, lo + _PHILOX_LANES),
+                                         dtype=np.uint64), per_sample)
+        for lo in range(0, count, _PHILOX_LANES)])
 
 
 def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 10_000,

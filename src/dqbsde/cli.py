@@ -288,16 +288,15 @@ def cmd_compare(args) -> int:
         oracle_y = drivers.oracle_joint_picard(instance, lattice,
                                                tight_tol=args.tol / 100.0).y
 
-    # Only Y is compared, so no solver here keeps Z.
     if args.mode == "triangular":
         field = drivers.solve_triangular(instance, lattice, tol=args.tol,
-                                         max_outer=args.max_iter, keep_z=False)
+                                         max_outer=args.max_iter)
     elif args.mode == "picard":
         field, _ = engine.picard_solve(instance, lattice, tol=args.tol,
-                                       max_iter=args.max_iter, keep_z=False)
+                                       max_iter=args.max_iter)
     else:
         field = engine.backward_solve(instance, lattice, inner_tol=args.inner_tol,
-                                      inner_max_iter=args.max_iter, keep_z=False)
+                                      inner_max_iter=args.max_iter)
 
     max_diff, at_layer, at_node = 0.0, 0, 0
     for k in range(lattice.grid.steps + 1):
@@ -356,7 +355,7 @@ def cmd_converge(args) -> int:
         grid = build_time_grid(instance.grid.horizon, N)
         lattice = engine.build_lattice(grid, instance.d, max_nodes=args.max_nodes)
         inst_n = replace(instance, grid=grid)
-        field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol, keep_z=False)
+        field = engine.backward_solve(inst_n, lattice, inner_tol=args.inner_tol)
         y0 = float(field.y[0, 0])
         err = abs(y0 - reference)
         rows.append(f"{N},{grid.dt!r},{y0!r},{err!r}\n".encode())

@@ -5,11 +5,11 @@ cells from ``csvcells``.
 rows, about ``PASS`` values each.  A file's writer allocates its memory
 once: a ``csvcells`` scratch, uint64 rows of a pass's length (32 KiB each
 at ``PASS`` values, so that malloc takes them from the heap's free space
-rather than from fresh pages), and one rows matrix; no buffer outlives
-the file.  One ``csvcells.float_words`` call makes a pass's
-cells, the rows' prefix (layer, node index, t, W) is indexed once per
-pass, and the pass goes out in chunks of at most ``2 * PASS`` words, NULs
-dropped in one go per chunk.
+rather than from fresh pages), one rows matrix and, for the solution
+table, one layer of Z; no buffer outlives the file.  One
+``csvcells.float_words`` call makes a pass's cells, the rows' prefix
+(layer, node index, t, W) is indexed once per pass, and the pass goes out
+in chunks of at most ``2 * PASS`` words, NULs dropped in one go per chunk.
 """
 
 from __future__ import annotations
@@ -87,9 +87,12 @@ def _int_words(top: int) -> int:
 
 def solution_rows(field, lattice):
     """Chunks of solution.csv rows ``k,idx,t,W..,Y..,Z..`` in flat node
-    order; the terminal layer's Z cells are empty."""
+    order; the terminal layer's Z cells are empty.  Each layer's Z is
+    derived once, into one buffer sized for the largest layer."""
     n, d, steps = field.n, lattice.d, lattice.grid.steps
-    y, z = field.y, field.z.reshape(len(field.z), n * d)
+    y, z, z_end = field.y, field.z, lattice.rows(0, steps).stop
+    z_buf = np.empty((lattice.layer_size(steps - 1), n, d))
+    held = [-1, None]  # the layer whose Z z_buf holds, and its rows of it
     scratch = new_scratch(_pass(n + n * d))
     first_row = np.array([lattice.rows(k).start for k in range(steps + 1)] + [len(y)])
     starts = memoryview(first_row)
@@ -107,7 +110,12 @@ def solution_rows(field, lattice):
     def values(lo, hi, out):
         out[:, :n] = y[lo:hi]
         out[:, n:] = 0.0
-        out[:max(0, len(z) - lo), n:] = z[lo:hi]
+        first, stop = bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)
+        for k in range(first, min(stop, steps)):  # the layers of rows lo..hi that have Z
+            if held[0] != k:  # passes walk forward, so each layer is derived once
+                held[:] = k, z.layer(k, out=z_buf[:lattice.layer_size(k)]).reshape(-1, n * d)
+            a, b = max(lo, starts[k]), min(hi, starts[k + 1])
+            out[a - lo:b - lo, n:] = held[1][a - starts[k]:b - starts[k]]
 
     def prefix(lo, hi):
         first, last = (bisect.bisect_right(starts, r) - 1 for r in (lo, hi - 1))
@@ -135,4 +143,4 @@ def solution_rows(field, lattice):
 
         return fill
 
-    return _table(len(y), n + n * d, values, scratch, kw + iw + 4 + 4 * d, prefix, (len(z), n))
+    return _table(len(y), n + n * d, values, scratch, kw + iw + 4 + 4 * d, prefix, (z_end, n))

@@ -56,23 +56,21 @@ class ScalarProblem:
 
 def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Callable,
            field_: SolutionField, adaptive: bool = False):
-    """Solve layers N..0 into the rows of ``field_`` in chunks of at most L
-    layers, terminal side first, recording each chunk and halving in its
-    trace.  ``solve_chunk(term, k_lo, k_hi, ys, zs)`` writes the chunk into
-    its rows ys, zs (laid out as ``backward_range``'s; a z with no rows gives
-    each chunk a zs with none, which declines Z) and returns the sup-change
-    of each of its passes; layer k_lo's rows are the next chunk's terminal.
+    """Solve layers N..0 into the y rows of ``field_`` in chunks of at most
+    L layers, terminal side first, recording each chunk and halving in its
+    trace.  ``solve_chunk(term, k_lo, k_hi, ys)`` writes the chunk into its
+    rows ys (laid out as ``backward_range``'s) and returns the sup-change of
+    each of its passes; layer k_lo's rows are the next chunk's terminal.
     With ``adaptive`` a chunk whose Picard iteration fails is retried at
     half the length, down to one layer, and the failed attempt's passes are
     kept in its ``Halving``."""
     dt = lattice.grid.dt
-    y, z, trace = field_.y, field_.z, field_.trace
+    y, trace = field_.y, field_.trace
     k_hi = lattice.grid.steps
     while k_hi > 0:
         k_lo = max(0, k_hi - L)
         try:
-            changes = solve_chunk(terminal, k_lo, k_hi,
-                                  y[lattice.rows(k_lo, k_hi + 1)], z[lattice.rows(k_lo, k_hi)])
+            changes = solve_chunk(terminal, k_lo, k_hi, y[lattice.rows(k_lo, k_hi + 1)])
         except (PicardNonconvergenceError, PicardDivergenceError) as err:
             if not adaptive:
                 raise
@@ -114,11 +112,11 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
     driver, y_dep = compile_driver(instance.generator)
     field_ = zero_field(lattice, instance.n)
 
-    def solve_chunk(term, k_lo, k_hi, ys, zs):
+    def solve_chunk(term, k_lo, k_hi, ys):
         if mode == "picard":
             return picard_range(lattice, driver, term, k_lo, k_hi,
-                                tol=tol, max_iter=max_iter, out=(ys, zs))[2]
-        backward_range(lattice, driver, y_dep, term, k_lo, k_hi, out=(ys, zs),
+                                tol=tol, max_iter=max_iter, out=ys)[2]
+        backward_range(lattice, driver, y_dep, term, k_lo, k_hi, out=ys,
                        trace=field_.trace)
         return [0.0]
 
@@ -131,13 +129,14 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 # ---------------------------------------------------------------------------
 
 def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: LatticeModel,
-                         tol: float = 1e-10, max_outer: int = 200, out: Optional[tuple] = None):
+                         tol: float = 1e-10, max_outer: int = 200,
+                         out: Optional[np.ndarray] = None):
     """Solve a scalar equation by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
-    with y, z in flat storage covering layers 0..N, and a trace chunk per
-    sub-interval holding the sup-change of each outer iteration.  y, z are
-    ``out`` when the function that owns the field passes its (y, z) there,
-    such as one component's column views; a z with no rows declines Z.  The
+    with y in flat storage covering layers 0..N, z its ``ZLayers``, and a
+    trace chunk per sub-interval holding the sup-change of each outer
+    iteration.  y is ``out`` when the function that owns the field passes
+    its y there, such as one component's column view.  The
     chunk's y rows hold the frozen iterate (zero at first), and an outer
     iteration is one explicit ``backward_range`` over the chunk: it stages
     the driver at the old y_k that the rows hold, writes the new layer over
@@ -157,19 +156,19 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
             raise ValueError(
                 f"contraction horizon {H} is shorter than one grid step {dt}")
 
-    def solve_chunk(term, k_lo, k_hi, ys, zs):
+    def solve_chunk(term, k_lo, k_hi, ys):
         ys[lattice.rows(k_lo, k_hi, k_lo)] = 0.0
         change = float(np.abs(term).max())  # the terminal against the zero iterate
         changes = []
         for _ in range(max_outer):
             changes.append(max(change, backward_range(lattice, problem.driver, False, term,
-                                                      k_lo, k_hi, out=(ys, zs))))
+                                                      k_lo, k_hi, out=ys)))
             if changes[-1] <= tol:
                 return changes
             change = 0.0  # the terminal's rows no longer change
         raise PicardNonconvergenceError(changes)
 
-    field_ = zero_field(lattice, 1) if out is None else SolutionField(*out)
+    field_ = zero_field(lattice, 1) if out is None else SolutionField(out, lattice)
     _march(lattice, np.asarray(problem.terminal, dtype=float), L, solve_chunk, field_)
     return field_.y, field_.z, field_.trace
 
@@ -183,30 +182,28 @@ def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarPr
 
 
 def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
-                     tol: float = 1e-10, max_outer: int = 200,
-                     keep_z: bool = True) -> SolutionField:
+                     tol: float = 1e-10, max_outer: int = 200) -> SolutionField:
     """Solve components in order, substituting solved components node-wise.
 
     Component i sees y1..y_{i-1} and z rows 1..i-1 as known per-node
     fields, reducing to a scalar equation in (y_i, z_i) handled by
     ``frozen_y_contraction`` with the instance's own-component Lipschitz
     constant.  The full field is allocated once and component i's solve
-    writes straight into its columns ``y[:, i-1:i]`` and ``z[:, i-1:i, :]``.
-    The driver therefore evaluates on the field's own rows of layer k: when
+    writes straight into its column ``y[:, i-1:i]``.  The driver therefore
+    evaluates on the field's own y rows of layer k: when
     ``frozen_y_contraction`` stages it there and calls the stage, column i-1
-    holds the z staged and the y passed, and the columns of components after
-    i still hold zeros.
+    holds the y passed, and the columns of components after i still hold
+    zeros.
 
     The field's trace holds each component's chunks in turn; every
     component marches the same sub-intervals.  A component's
     ``SolverError`` goes up as it is, its class and fields kept, with
     ``component i: `` before its message.
 
-    With ``keep_z`` false the field's z has no rows: the driver gets layer
-    k's z from one layer buffer whose column i-1 holds the z it is staged
-    with.  A component that reads an earlier z (``normz`` reads every z)
-    gets columns 0..i-2 there at staging as ``project`` of the solved
-    components' ``Y_{k+1}``, the bits their solves stored as Z.  No later
+    The driver gets layer k's z from one layer buffer whose column i-1 holds
+    the z it is staged with.  A component that reads an earlier z (``normz``
+    reads every z) gets columns 0..i-2 there at staging as ``project`` of
+    the solved components' ``Y_{k+1}``, the field's derived Z.  No later
     column is read, since component i may read no later z.
     """
     gen = instance.generator
@@ -217,11 +214,10 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         msgs = "; ".join(f"component {v.component} references {v.name}" for v in violations)
         raise ValueError(f"triangular dependency violation: {msgs}")
 
-    field_ = zero_field(lattice, instance.n, keep_z)
+    field_ = zero_field(lattice, instance.n)
     top = lattice.rows(lattice.grid.steps)
     field_.y[top] = terminal_values(instance, lattice)
-    z_layer = None if keep_z else np.empty((lattice.layer_size(lattice.grid.steps - 1),)
-                                           + field_.z.shape[1:])
+    z_layer = np.empty((lattice.layer_size(lattice.grid.steps - 1), instance.n, lattice.d))
 
     for i in range(1, instance.n + 1):
         plan = EvalPlan([gen.k[i - 1].root])
@@ -230,14 +226,11 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
         def drv(k, t, z, _plan=plan, _i=i, _earlier=earlier):
             m = z.shape[0]
-            if keep_z:
-                z_k = field_.z[lattice.rows(k)]
-            else:
-                z_k = z_layer[:m]
-                z_k[:, _i - 1:_i] = z
-                if _earlier:  # the earlier components' z, as their solves projected it
-                    project(lattice, k, field_.y[lattice.rows(k + 1), :_i - 1],
-                            out=z_k[:, :_i - 1])
+            z_k = z_layer[:m]
+            z_k[:, _i - 1:_i] = z
+            if _earlier:  # the earlier components' z, as their solves projected it
+                project(lattice, k, field_.y[lattice.rows(k + 1), :_i - 1],
+                        out=z_k[:, :_i - 1])
 
             def values(y):
                 out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]
@@ -249,7 +242,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         try:
             field_.trace.chunks += frozen_y_contraction(
                 problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer,
-                out=(field_.y[:, i - 1:i], field_.z[:, i - 1:i]))[2].chunks
+                out=field_.y[:, i - 1:i])[2].chunks
         except SolverError as err:
             err.args = (f"component {i}: {err}",)  # same class, trace, partial and layer
             raise
@@ -306,13 +299,12 @@ def oracle_linear(a: float, c: float, terminal: np.ndarray, lattice: LatticeMode
 def oracle_joint_picard(instance: ProblemInstance, lattice: LatticeModel,
                         tight_tol: float = 1e-12, max_iter: int = 2000) -> SolutionField:
     """Brute-force reference: whole-system fixed point at a tight tolerance
-    with a raised iteration budget; no structural shortcuts.  Only Y is
-    kept: the field's z has no rows."""
+    with a raised iteration budget; no structural shortcuts."""
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    field_ = zero_field(lattice, instance.n, keep_z=False)
+    field_ = zero_field(lattice, instance.n)
     picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                 tol=tight_tol, max_iter=max_iter, out=(field_.y, field_.z))
+                 tol=tight_tol, max_iter=max_iter, out=field_.y)
     return field_
 
 

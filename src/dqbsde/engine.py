@@ -255,23 +255,59 @@ class RunTrace:
 
 @dataclass
 class SolutionField:
-    """Solution values in flat storage: y has shape (total_nodes, n) and z
-    shape (total_nodes - (N+1)^d, n, d), and layer k is the row range
-    ``lattice.rows(k)`` of each (z has no rows for the terminal layer N).
-    A solver asked not to keep Z returns a z of shape (0, n, d)."""
+    """Y in flat storage, shape (total_nodes, n), layer k the row range
+    ``lattice.rows(k)``, with what deriving Z needs: the lattice and the
+    z-truncation threshold of the solve that wrote it (None: no clipping)."""
 
     y: np.ndarray
-    z: np.ndarray
+    lattice: LatticeModel
+    z_truncation: Optional[float] = None
     trace: RunTrace = field(default_factory=RunTrace)
 
     @property
     def n(self) -> int:
         return self.y.shape[-1]
 
+    @property
+    def z(self) -> ZLayers:
+        """Z of layers 0..N-1, each derived from Y when it is read."""
+        return ZLayers(self.lattice, self.y, 0, self.lattice.grid.steps, self.z_truncation)
 
-def zero_field(lattice: LatticeModel, n: int, keep_z: bool = True) -> SolutionField:
-    z_rows = lattice.rows(0, lattice.grid.steps).stop if keep_z else 0
-    return SolutionField(np.zeros((lattice.total_nodes, n)), np.zeros((z_rows, n, lattice.d)))
+
+@dataclass(frozen=True)
+class ZLayers:
+    """Z of layers k_lo..k_hi-1 of Y rows laid out as ``backward_range``'s,
+    derived when read: item j is layer k = k_lo + j's z, a fresh
+    (layer_size(k), n, d) array, ``project(lattice, k, y[rows(k+1)])``
+    clipped by ``_truncate_rows`` when ``z_truncation`` is set (zeros when
+    dt = 0), which is the z every solver staged at layer k's last build."""
+
+    lattice: LatticeModel
+    y: np.ndarray = field(repr=False)
+    k_lo: int
+    k_hi: int
+    z_truncation: Optional[float] = None
+
+    def __len__(self) -> int:
+        return self.k_hi - self.k_lo
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.layer(range(self.k_lo, self.k_hi)[j])
+
+    def layer(self, k: int, out=None) -> np.ndarray:
+        """Layer k's z, written into ``out`` when one is given and dt > 0."""
+        lattice = self.lattice
+        if lattice.grid.dt == 0.0:
+            return np.zeros((lattice.layer_size(k), self.y.shape[1], lattice.d))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the solve that projected it
+            z = project(lattice, k, self.y[lattice.rows(k + 1, base=self.k_lo)], out=out)[1]
+        if self.z_truncation is not None:
+            _truncate_rows(z, self.z_truncation)
+        return z
+
+
+def zero_field(lattice: LatticeModel, n: int) -> SolutionField:
+    return SolutionField(np.zeros((lattice.total_nodes, n)), lattice)
 
 
 def sup_norm_y(field_: SolutionField) -> float:
@@ -283,19 +319,18 @@ def sup_norm_y(field_: SolutionField) -> float:
 
 def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
     """Discrete BMO estimate of Z: sqrt of the max over (layer, node) of the
-    conditional remaining quadratic variation E[sum_{j>=k} |Z_j|^2 dt | node].
+    conditional remaining quadratic variation E[sum_{j>=k} |Z_j|^2 dt | node],
+    each layer's Z derived as the walk reaches it.
 
     The supremum runs over grid times only, a restriction of the general
     stopping-time supremum.
     """
     N = lattice.grid.steps
     dt = lattice.grid.dt
-    if N and not len(field_.z):
-        raise ValueError("estimate_bmo needs Z, and this field was solved without it")
     acc = np.zeros(lattice.layer_size(N))
     best = 0.0
     for k in range(N - 1, -1, -1):
-        quad = sum_squares(field_.z[lattice.rows(k)], 2) * dt
+        quad = sum_squares(field_.z[k], 2) * dt
         acc = quad + cond_exp(lattice, k, acc)
         best = max(best, float(acc.max()))
     return math.sqrt(best)
@@ -384,55 +419,45 @@ def _truncate_rows(z: np.ndarray, threshold: float) -> int:
 
 
 def _degenerate_layers(lattice: LatticeModel, terminal: np.ndarray, k_lo: int, k_hi: int,
-                       ys: np.ndarray, zs: np.ndarray):
+                       ys: np.ndarray) -> None:
     # dt = 0: every node sits at W = 0 and the driver integral vanishes.
     ys[lattice.rows(k_lo, k_hi, k_lo)] = terminal[0]
     ys[lattice.rows(k_hi, base=k_lo)] = terminal
-    zs[...] = 0.0
-    return ys, zs
-
-
-def _layer_buffer(lattice: LatticeModel, zs: np.ndarray, k_hi: int) -> Callable:
-    """view(k): layer k's z in one buffer sized for the largest layer below
-    k_hi, with zs's trailing shape."""
-    buf = np.empty((lattice.layer_size(k_hi - 1),) + zs.shape[1:])
-    return lambda k: buf[:lattice.layer_size(k)]
 
 
 def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
-                   terminal: np.ndarray, k_lo: int, k_hi: int, *, out: tuple,
+                   terminal: np.ndarray, k_lo: int, k_hi: int, *, out: np.ndarray,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
                    z_truncation: Optional[float] = None, trace: Optional[RunTrace] = None):
     """Backward induction on layers k_hi .. k_lo with given terminal values.
 
-    Writes each layer once into ``out`` = (ys, zs), rows that the function
-    owning the field passes down: the y rows of layers k_lo..k_hi (the last
-    layer's are the given terminal) and the z rows of layers k_lo..k_hi-1,
-    in flat storage whose row 0 is layer k_lo's first node
-    (``lattice.rows(k, base=k_lo)``).  A zs with no rows declines Z: each
-    layer's z then lives in one layer buffer.  Inner y-iterations and
-    z-clips are added to ``trace``.  The step is implicit in y when
-    ``y_dependent``, else explicit: it stages the driver at the y that
-    layer k's rows hold until it writes them (a frozen iterate, or anything
-    for a driver that reads no y) and returns the largest |new - old| over
-    the layers it wrote (0.0 when none).
+    Writes each layer once into ``out``, the y rows of layers k_lo..k_hi
+    (the last layer's are the given terminal) that the function owning the
+    field passes down, in flat storage whose row 0 is layer k_lo's first
+    node (``lattice.rows(k, base=k_lo)``); each layer's z lives in one layer
+    buffer.  Inner y-iterations and z-clips are added to ``trace``.  The
+    step is implicit in y when ``y_dependent``, else explicit: it stages the
+    driver at the y that layer k's rows hold until it writes them (a frozen
+    iterate, or anything for a driver that reads no y) and returns the
+    largest |new - old| over the layers it wrote (0.0 when none, NaN when
+    rows held NaN).
     """
     if inner_max_iter < 1:
         raise ValueError("inner_max_iter must be >= 1")
     dt = lattice.grid.dt
-    ys, zs = out
+    ys = out
     if dt == 0.0:
-        _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs)
+        _degenerate_layers(lattice, terminal, k_lo, k_hi, ys)
         return 0.0
     trace = trace or RunTrace()
-    z_layer = None if len(zs) else _layer_buffer(lattice, zs, k_hi)
+    z_buf = np.empty((lattice.layer_size(k_hi - 1), ys.shape[1], lattice.d))  # largest layer
     ys[lattice.rows(k_hi, base=k_lo)] = terminal
     change = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
         for k in range(k_hi - 1, k_lo - 1, -1):
             r = lattice.rows(k, base=k_lo)
             expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
-                                     out=zs[r] if z_layer is None else z_layer(k))
+                                     out=z_buf[:lattice.layer_size(k)])
             if z_truncation is not None:
                 trace.z_clips += _truncate_rows(z, z_truncation)
             try:
@@ -453,7 +478,7 @@ def backward_range(lattice: LatticeModel, driver: DriverFn, y_dependent: bool,
                 else:
                     y = np.add(expectation, values(ys[r]) * dt, out=expectation)
                     np.abs(np.subtract(y, ys[r], out=ys[r]), out=ys[r])  # rows that y overwrites
-                    change = max(change, float(ys[r].max()))
+                    change = float(np.maximum(change, ys[r].max()))  # NaN stays NaN
                     trace.inner_iterations += 1
             except EvalError as err:
                 raise SolverError(f"driver evaluation failed at layer {k}: {err}") from err
@@ -476,52 +501,49 @@ def _drive(driver: DriverFn, k: int, t: float, y, z, dt: float, out) -> Optional
 
 
 def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
-                 k_lo: int, k_hi: int, *, out: tuple, tol: float = 1e-10,
-                 max_iter: int = 200, init_y: Optional[np.ndarray] = None,
-                 init_z: Optional[np.ndarray] = None):
+                 k_lo: int, k_hi: int, *, out: np.ndarray, tol: float = 1e-10,
+                 max_iter: int = 200, init_y: Optional[np.ndarray] = None):
     """Fixed-point iteration: each pass solves the linear equation obtained by
     freezing the driver arguments at the previous field.
 
-    ``out``, ``init_y``/``init_z`` and the result are rows laid out as
-    ``backward_range``'s, and a zs with no rows declines Z as there.  One
+    ``out`` and ``init_y`` are y rows laid out as ``backward_range``'s.  One
     iterate is live, in ``out``: a pass writes layer k over the previous
     field once it has built it (it reads only old layer k and new layer k+1).
-    ``init`` is read, never written, so the result does not alias it.
+    ``init_y`` is read, never written, so the result does not alias it.
 
     A pass reads the previous pass's ``Z_k`` only through the driver value
     ``f(y_k, z_k)``.  So the driver is evaluated once a layer is built, at
     its new (y, z), and the value (times dt) is kept in one Y-shaped buffer
     that the next pass reads, while z lives in one buffer sized for the
-    largest layer; pass 0 reads the values at init (zero when not given).
-    An ``EvalError`` at a kept value is held and raised when that layer is
-    next built, the layer and pass where evaluating it then would raise.
-    A kept Z is one ``project`` sweep over the final (or partial) Y once the
-    kept values are freed: the z of every layer's last build is the
-    projection of the final ``Y_{k+1}``, since a layer is skipped only when
-    that is unchanged.
+    largest layer; pass 0 reads the values at init, z_k = project(init
+    y_{k+1}) (zero y and z without ``init_y``).  An ``EvalError`` at a kept
+    value is held and raised when that layer is next built, the layer and
+    pass where evaluating it then would raise.
 
     A layer whose three inputs are bit-identical to those of the previous
     pass is not rebuilt, since its output would be the previous pass's.
     ``same[j]``: this pass's y_j has the previous pass's bits; ``kept[j]``:
     when layer j was last built, its y and its z (= project(y_{j+1})) came
-    out unchanged.  Pass 0 trusts nothing, as ``init_z`` need not be
-    project(``init_y``).  So ``driver(k, t, z)(y)`` must be a pure function
-    of (k, t, y, z).
+    out unchanged.  Pass 0 trusts nothing, as init's values come from no
+    build.  So ``driver(k, t, z)(y)`` must be a pure function of (k, t, y, z).
 
-    Returns (ys, zs, trace); raises PicardNonconvergenceError (carrying the
-    trace and the last complete pass) or PicardDivergenceError.
+    Returns (ys, ZLayers of ys, trace); raises PicardNonconvergenceError
+    (carrying the trace and the last complete pass as (ys, ZLayers)) or
+    PicardDivergenceError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     dt = lattice.grid.dt
     span = k_hi - k_lo
-    ys, zs = out
+    ys = out
+    zs = ZLayers(lattice, ys, k_lo, k_hi)
     if dt == 0.0:
-        return _degenerate_layers(lattice, terminal, k_lo, k_hi, ys, zs) + ([0.0],)
+        _degenerate_layers(lattice, terminal, k_lo, k_hi, ys)
+        return ys, zs, [0.0]
     # Only init is read in pass 0, never what the rows held (terminal may be their top rows).
     top, below = lattice.rows(k_hi, base=k_lo), lattice.rows(k_lo, k_hi, k_lo)
     ys[below] = 0.0 if init_y is None else init_y[below]
-    z_layer = _layer_buffer(lattice, zs, k_hi)
+    z_buf = np.empty((lattice.layer_size(k_hi - 1), ys.shape[1], lattice.d))
     f_dt = np.empty((below.stop, ys.shape[1]))
     failed = [None] * span  # the EvalError of layer j's kept driver value
     term = np.asarray(terminal, dtype=float)
@@ -529,11 +551,13 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
     same = [False] * (span + 1)
     kept = [False] * span
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite y raises below
-        if init_z is None:
-            z_layer(k_hi - 1)[...] = 0.0
+        if init_y is None:
+            z_buf[...] = 0.0
         for k in range(k_lo, k_hi):  # the values at init, which pass 0 reads
             r = lattice.rows(k, base=k_lo)
-            z = z_layer(k) if init_z is None else init_z[r]
+            z = z_buf[:lattice.layer_size(k)]
+            if init_y is not None:
+                project(lattice, k, init_y[lattice.rows(k + 1, base=k_lo)], out=z)
             failed[k - k_lo] = _drive(driver, k, lattice.grid.time(k), ys[r], z, dt, f_dt[r])
         for m in range(max_iter):
             prev = ys[top] if m > 0 else 0.0 if init_y is None else init_y[top]
@@ -551,7 +575,7 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                     raise SolverError(
                         f"driver evaluation failed at layer {k}: {failed[j]}") from failed[j]
                 expectation, z = project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
-                                         out=z_layer(k))
+                                         out=z_buf[:lattice.layer_size(k)])
                 y = np.add(expectation, f_dt[r], out=expectation)  # project's y is fresh
                 if not np.all(np.isfinite(y)):
                     node = int(np.argmax(~np.isfinite(y).all(axis=-1)))
@@ -572,11 +596,6 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
                 break
             if len(trace) >= 2 and trace[0] > 0 and change > 10.0 * trace[0]:
                 raise PicardDivergenceError(trace)
-        del f_dt, z_layer  # freed before the sweep first touches a kept Z's pages
-        if len(zs):
-            for k in range(k_lo, k_hi):
-                project(lattice, k, ys[lattice.rows(k + 1, base=k_lo)],
-                        out=zs[lattice.rows(k, base=k_lo)])
     if not converged:
         raise PicardNonconvergenceError(trace, partial=(ys, zs))
     return ys, zs, trace
@@ -588,37 +607,34 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
 
 def backward_solve(instance: ProblemInstance, lattice: LatticeModel,
                    inner_tol: float = 1e-12, inner_max_iter: int = 200,
-                   z_truncation: Optional[float] = None, keep_z: bool = True) -> SolutionField:
-    """One-pass backward induction from the terminal condition to layer 0;
-    with ``keep_z`` false the field's z has no rows.  The field's trace
-    counts the inner y-iterations and z-clips."""
+                   z_truncation: Optional[float] = None) -> SolutionField:
+    """One-pass backward induction from the terminal condition to layer 0.
+    The field's trace counts the inner y-iterations and z-clips, and its Z
+    is clipped at ``z_truncation`` as the solve clipped it."""
     _check_dims(instance, lattice)
     driver, y_dep = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    field_ = zero_field(lattice, instance.n, keep_z)
+    field_ = zero_field(lattice, instance.n)
+    field_.z_truncation = z_truncation
     backward_range(lattice, driver, y_dep, term, 0, lattice.grid.steps,
                    inner_tol=inner_tol, inner_max_iter=inner_max_iter,
-                   z_truncation=z_truncation, trace=field_.trace, out=(field_.y, field_.z))
+                   z_truncation=z_truncation, trace=field_.trace, out=field_.y)
     return field_
 
 
 def picard_solve(instance: ProblemInstance, lattice: LatticeModel,
                  init: Optional[SolutionField] = None,
-                 tol: float = 1e-10, max_iter: int = 200, keep_z: bool = True):
+                 tol: float = 1e-10, max_iter: int = 200):
     """Global fixed-point iteration; returns (field, trace of sup-changes),
-    the field's z without rows when ``keep_z`` is false and its trace one
-    chunk of layers N..0 holding those changes."""
+    the field's trace one chunk of layers N..0 holding those changes.  Pass
+    0 reads ``init``'s Y and the Z projected from it."""
     _check_dims(instance, lattice)
     driver, _ = compile_driver(instance.generator)
     term = terminal_values(instance, lattice)
-    init_y = init.y if init is not None else None
-    init_z = init.z if init is not None else None
-    if init_z is not None and lattice.grid.steps and not len(init_z):
-        raise ValueError("a Picard init needs Z, and this field was solved without it")
-    field_ = zero_field(lattice, instance.n, keep_z)
+    field_ = zero_field(lattice, instance.n)
     trace = picard_range(lattice, driver, term, 0, lattice.grid.steps, tol=tol,
-                         max_iter=max_iter, init_y=init_y, init_z=init_z,
-                         out=(field_.y, field_.z))[2]
+                         max_iter=max_iter, init_y=None if init is None else init.y,
+                         out=field_.y)[2]
     field_.trace.chunks.append(Chunk(lattice.grid.steps, 0, trace))
     return field_, trace
 

@@ -104,8 +104,15 @@ def field_sup_diff(a, b):
 
 
 def shifted(field_, delta):
-    """A copy of field_ with delta added to every Y value."""
-    return q.SolutionField(field_.y + delta, field_.z.copy())
+    """A copy of field_ with delta added to every Y value; its Z is the
+    projection of the shifted Y."""
+    return q.SolutionField(field_.y + delta, field_.lattice, field_.z_truncation)
+
+
+def flat_z(field_):
+    """Every layer of field_'s Z stacked in flat node order, shape
+    (total_nodes - (N+1)^d, n, d)."""
+    return np.concatenate([np.empty((0, field_.n, field_.lattice.d)), *field_.z])
 
 
 def depth(node):

@@ -15,7 +15,7 @@ import numpy as np
 
 import dqbsde as q
 
-from conftest import (contraction_config, field_sup_diff, make, planted_h2_config,
+from conftest import (contraction_config, field_sup_diff, flat_z, make, planted_h2_config,
                       pure_quadratic_config, remark22_config, shifted, structured_config,
                       triangular_demo_config)
 
@@ -147,7 +147,7 @@ def test_07_pasting_identity():
         two, plan = q.solve_stitched(inst, lat, horizon=0.5, mode="direct")
         assert len(plan.chunks) == 2
         dy = float(np.abs(one.y - two.y).max())
-        dz = float(np.abs(one.z - two.z).max())
+        dz = float(np.abs(flat_z(one) - flat_z(two)).max())
         worst = max(worst, dy, dz)
     ok = worst == 0.0
     report(7, "two-chunk pasting identity", ok,

@@ -28,9 +28,10 @@ def child():
     return module
 
 
-def _field_bytes(lat, n, keep_z):
-    """Bytes of a field's Y and (when kept) Z over every lattice node."""
-    z_rows = lat.total_nodes - lat.layer_size(lat.grid.steps) if keep_z else 0
+def _field_bytes(lat, n):
+    """Bytes of a field's Y and of its derived Z, layer by layer, over every
+    lattice node."""
+    z_rows = lat.total_nodes - lat.layer_size(lat.grid.steps)
     return 8 * n * (lat.total_nodes + z_rows * lat.d)
 
 
@@ -49,29 +50,26 @@ def test_every_traced_name_exists(child):
             assert callable(getattr(getattr(module, owner) if owner else module, leaf))
 
 
-@pytest.mark.parametrize("keep_z", [True, False])
 @pytest.mark.parametrize("fn, name", [(q.backward_solve, "engine.backward_solve"),
                                       (q.picard_solve, "engine.picard_solve")],
                          ids=["backward_solve", "picard_solve"])
-def test_held_field_of_a_solve(child, fn, name, keep_z):
+def test_held_field_of_a_solve(child, fn, name):
     inst, lat = make(remark22_config(N=20))
-    _, counters = _traced(child, fn, name, inst, lat, keep_z=keep_z)
-    assert counters == {"engine.field_bytes": _field_bytes(lat, inst.n, keep_z)}
+    _, counters = _traced(child, fn, name, inst, lat)
+    assert counters == {"engine.field_bytes": _field_bytes(lat, inst.n)}
 
 
-@pytest.mark.parametrize("keep_z", [True, False])
-def test_solve_triangular(child, keep_z):
+def test_solve_triangular(child):
     inst, lat = make(TRI_D2)
-    _, counters = _traced(child, q.solve_triangular, "drivers.solve_triangular",
-                          inst, lat, keep_z=keep_z)
-    assert counters == {"engine.field_bytes": _field_bytes(lat, 2, keep_z)}
+    _, counters = _traced(child, q.solve_triangular, "drivers.solve_triangular", inst, lat)
+    assert counters == {"engine.field_bytes": _field_bytes(lat, 2)}
 
 
 def test_oracle_joint_picard(child):
     inst, lat = make(TRI_D2)
     _, counters = _traced(child, q.oracle_joint_picard, "drivers.oracle_joint_picard",
                           inst, lat)
-    assert counters == {"engine.field_bytes": _field_bytes(lat, 2, False)}
+    assert counters == {"engine.field_bytes": _field_bytes(lat, 2)}
 
 
 def test_solve_stitched_chunks_and_halvings(child):
@@ -79,7 +77,7 @@ def test_solve_stitched_chunks_and_halvings(child):
     _, counters = _traced(child, q.solve_stitched, "drivers.solve_stitched",
                           inst, lat, horizon="adaptive", max_iter=100)
     assert counters == {"drivers.chunks": 2, "drivers.halvings": 1,
-                        "engine.field_bytes": _field_bytes(lat, 1, True)}
+                        "engine.field_bytes": _field_bytes(lat, 1)}
 
 
 def test_frozen_y_contraction_outer_iterations(child):
@@ -95,14 +93,13 @@ def test_picard_range_passes_and_failure(child):
     term = engine.terminal_values(inst, lat)
     field_ = engine.zero_field(lat, inst.n)
     (ys, zs, trace), counters = _traced(child, engine.picard_range, "engine.picard_range",
-                                        lat, driver, term, 0, lat.grid.steps,
-                                        out=(field_.y, field_.z))
+                                        lat, driver, term, 0, lat.grid.steps, out=field_.y)
     assert len(trace) == 27
     assert counters == {"engine.picard_passes": 27,
-                        "engine.field_bytes": 2 * (ys.nbytes + zs.nbytes)}
+                        "engine.field_bytes": 2 * _field_bytes(lat, inst.n)}
     tracer = child.Tracer()
     with pytest.raises(engine.PicardNonconvergenceError):
         tracer.wrap(engine.picard_range, "engine.picard_range")(
-            lat, driver, term, 0, lat.grid.steps, out=(field_.y, field_.z),
+            lat, driver, term, 0, lat.grid.steps, out=field_.y,
             tol=1e-12, max_iter=3)
     assert tracer.counters == {"engine.picard_passes": 3}

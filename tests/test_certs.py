@@ -352,9 +352,10 @@ class TestSampler:
         assert_same_bits(np.concatenate(blocks), reference_uniforms(11, 30, 9))
 
     def test_rows_across_default_block_boundary(self):
-        block = q.certs._SAMPLE_BLOCK
+        # The sampler's Philox passes of _PHILOX_LANES rows end inside it.
+        block, lanes = q.certs._SAMPLE_BLOCK, q.certs._PHILOX_LANES
         u = q.certs._sample_uniforms(5, block + 3, 5)
-        for i in (0, block - 1, block, block + 2):
+        for i in (0, lanes - 1, lanes, block - 1, block, block + 2):
             assert_same_bits(u[i], philox_row(5, i, 5))
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 + 9, 2 ** 128 - 1])

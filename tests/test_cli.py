@@ -2,7 +2,6 @@
 
 import csv
 import hashlib
-import math
 import warnings
 
 import numpy as np
@@ -322,13 +321,13 @@ def reference_solution_csv(path, field, lattice):
         for k in range(lattice.grid.steps + 1):
             W = lattice.brownian(k)
             t_k = lattice.grid.time(k)
-            has_z = k < lattice.grid.steps
+            z = field.z[k] if k < lattice.grid.steps else None
             for idx in range(lattice.layer_size(k)):
                 row = [str(k), str(idx), repr(float(t_k))]
                 row += [repr(float(w)) for w in W[idx]]
                 row += [repr(float(v)) for v in field.y[lattice.rows(k)][idx]]
-                if has_z:
-                    row += [repr(float(v)) for v in field.z[lattice.rows(k)][idx].reshape(-1)]
+                if z is not None:
+                    row += [repr(float(v)) for v in z[idx].reshape(-1)]
                 else:
                     row += [""] * (n * d)
                 fh.write(",".join(row) + "\n")
@@ -361,21 +360,11 @@ SPECIAL_VALUES = (-0.0, 5e-324, 1e300, 1 / 3, 2.0, -1e-300, 0.1, -7.25)
 
 
 def synthetic_field(lattice, n, offset=0):
-    """A field whose cells cycle through SPECIAL_VALUES."""
-    def cells(shape, start):
-        count = math.prod(shape)
-        picks = [SPECIAL_VALUES[(start + i) % len(SPECIAL_VALUES)] for i in range(count)]
-        return np.array(picks, dtype=float).reshape(shape), start + count
-
-    ys, zs, at = [], [], offset
-    for k in range(lattice.grid.steps + 1):
-        m = lattice.layer_size(k)
-        y, at = cells((m, n), at)
-        ys.append(y)
-        if k < lattice.grid.steps:
-            z, at = cells((m, n, lattice.d), at)
-            zs.append(z)
-    return engine.SolutionField(np.concatenate(ys), np.concatenate(zs))
+    """A field whose Y cells cycle through SPECIAL_VALUES from the offset-th;
+    its Z cells are their projections."""
+    count = lattice.total_nodes * n
+    picks = [SPECIAL_VALUES[(offset + i) % len(SPECIAL_VALUES)] for i in range(count)]
+    return engine.SolutionField(np.array(picks, dtype=float).reshape(-1, n), lattice)
 
 
 class TestSolutionWriter:
@@ -466,8 +455,7 @@ class TestSolutionWriter:
         small = engine.build_lattice(TimeGrid(1.0, 3), 1)
         odd = synthetic_field(small, n=2)
         odd.y[::3] = np.nan
-        odd.z[::4] = np.inf
-        odd.y[1::5] = -np.inf
+        odd.y[1::5] = -np.inf  # Z cells of inf and nan too
         for f, lat, name in ((odd, small, "odd"), (field, lattice, "r22"), (odd, small, "odd2")):
             (tmp_path / name).mkdir()
             assert_same_solution_csv(tmp_path / name, f, lat)

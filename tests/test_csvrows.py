@@ -118,7 +118,7 @@ class TestRepr:
 
     def test_every_value_of_the_direct_remark22_field(self, direct_remark22):
         field, _ = direct_remark22
-        values = np.concatenate([field.y.ravel(), field.z.ravel()])
+        values = np.concatenate([field.y.ravel(), *(z.ravel() for z in field.z)])
         assert values.size == 1_283_202
         for lo in range(0, values.size, 2 ** 16):
             assert_repr(values[lo:lo + 2 ** 16])

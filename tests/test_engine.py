@@ -18,8 +18,8 @@ from dqbsde.engine import (InnerNonconvergenceError, NodeBudgetError, NonFiniteE
 
 from dqbsde.gendsl import STRUCTURED, EvalError, GeneratorModel, sum_squares
 
-from conftest import (field_sup_diff, make, pure_quadratic_config, remark22_config, shifted,
-                      structured_config, triangular_demo_config)
+from conftest import (field_sup_diff, flat_z, make, pure_quadratic_config, remark22_config,
+                      shifted, structured_config, triangular_demo_config)
 
 
 # The corner-slice kernels that the flat-window kernels replaced: each corner
@@ -71,24 +71,48 @@ def _layers(lattice, rows, k_lo, k_hi):
 
 
 def _out_rows(lattice, n, k_lo, k_hi, fill="zeros", term=None):
-    """Destination rows of layers k_lo..k_hi for backward_range and
+    """Destination y rows of layers k_lo..k_hi for backward_range and
     picard_range, holding NaN, zeros, or zeros under ``term`` in the top
     rows ("terminal"), as the rows of a stitched chunk below the first do."""
-    value = np.nan if fill == "nan" else 0.0
-    ys = np.full((lattice.rows(k_lo, k_hi + 1, k_lo).stop, n), value)
-    zs = np.full((lattice.rows(k_lo, k_hi, k_lo).stop, n, lattice.d), value)
+    ys = np.full((lattice.rows(k_lo, k_hi + 1, k_lo).stop, n), np.nan if fill == "nan" else 0.0)
     if fill == "terminal":
         ys[lattice.rows(k_hi, base=k_lo)] = term
-    return ys, zs
+    return ys
+
+
+# Textbook backward induction: each layer's z is projected, clipped row by
+# row onto the threshold and kept in a list.  It is the reference of
+# TestDeclinedZ's direct solves.
+
+def _ref_backward(lattice, driver, y_dependent, terminal, z_truncation=None, inner_tol=1e-12):
+    N, dt = lattice.grid.steps, lattice.grid.dt
+    ys, zs, clips = [None] * N + [terminal], [None] * N, 0
+    for k in range(N - 1, -1, -1):
+        expectation, z = engine.project(lattice, k, ys[k + 1])
+        if z_truncation is not None:
+            norms = np.sqrt(np.sum(z * z, axis=-1))
+            over = norms > z_truncation
+            z[over] *= (z_truncation / norms[over])[:, None]
+            clips += int(over.sum())
+        values = driver(k, lattice.grid.time(k), z)
+        y = expectation
+        for _ in range(200):  # one step when the driver reads no y
+            y_next = expectation + values(y) * dt
+            delta = float(np.abs(y_next - y).max())
+            y = y_next
+            if not y_dependent or delta <= inner_tol:
+                break
+        ys[k], zs[k] = y, z
+    return ys, zs, clips
 
 
 # The two-list Picard driver that the one-live-iterate driver replaced: a pass
 # builds fresh per-layer lists beside a private copy of the previous field.
-# It is the bit-for-bit reference of TestPicardReference; init_y and init_z
-# are flat rows, as picard_range takes them.
+# It is the bit-for-bit reference of TestPicardReference; init_y is flat
+# rows, as picard_range takes them, and init's z is projected from it.
 
 def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter=200,
-                      init_y=None, init_z=None, out=None):  # out is not read
+                      init_y=None, out=None):  # out is not read
     dt = lattice.grid.dt
     span = k_hi - k_lo
     n = terminal.shape[-1]
@@ -98,7 +122,8 @@ def _ref_picard_range(lattice, driver, terminal, k_lo, k_hi, tol=1e-10, max_iter
         return ys + [terminal], zs, [0.0]
     y_prev = ([a.copy() for a in _layers(lattice, init_y, k_lo, k_hi + 1)] if init_y is not None
               else [np.zeros((lattice.layer_size(k_lo + j), n)) for j in range(span + 1)])
-    z_prev = ([a.copy() for a in _layers(lattice, init_z, k_lo, k_hi)] if init_z is not None
+    z_prev = ([engine.project(lattice, k_lo + j, y_prev[j + 1])[1] for j in range(span)]
+              if init_y is not None
               else [np.zeros((lattice.layer_size(k_lo + j), n, lattice.d)) for j in range(span)])
     term = np.asarray(terminal, dtype=float)
     trace = []
@@ -341,7 +366,7 @@ class TestBackwardSolve:
         inst, lat = make(structured_config())
         f = q.backward_solve(inst, lat)
         assert f.y[0, 0] == 0.0
-        assert np.all(f.z == 1.0)
+        assert np.all(flat_z(f) == 1.0)
 
     def test_linear_decay_recursion(self):
         cfg = structured_config(**{"grid.N": 10, "generator.1.h": "-1.0*y1 + 0.0",
@@ -356,7 +381,7 @@ class TestBackwardSolve:
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat, inner_tol=1e-15)
         assert np.allclose(f.y, 1.0, atol=1e-12)
-        assert np.allclose(f.z, 0.0, atol=1e-12)
+        assert np.allclose(flat_z(f), 0.0, atol=1e-12)
 
     def test_martingale_identity_for_zero_generator(self):
         cfg = structured_config(**{"grid.N": 6, "terminal.1": "sin(w1)"})
@@ -369,7 +394,7 @@ class TestBackwardSolve:
         inst, lat = make(remark22_config(N=20))
         a = q.backward_solve(inst, lat)
         b = q.backward_solve(inst, lat)
-        assert a.y.tobytes() == b.y.tobytes() and a.z.tobytes() == b.z.tobytes()
+        assert a.y.tobytes() == b.y.tobytes() and flat_z(a).tobytes() == flat_z(b).tobytes()
 
     def test_degenerate_horizon(self):
         cfg = structured_config(**{"problem.T": 0.0, "grid.N": 3,
@@ -377,13 +402,13 @@ class TestBackwardSolve:
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat)
         assert np.all(f.y == 1.0)  # cos(0)
-        assert f.z.shape == (6, 1, 1) and np.all(f.z == 0.0)
+        assert flat_z(f).shape == (6, 1, 1) and np.all(flat_z(f) == 0.0)
 
     def test_z_truncation_counts(self):
         inst, lat = make(structured_config())
         f = q.backward_solve(inst, lat, z_truncation=0.5)
         assert f.trace.z_clips == 1
-        assert np.all(np.abs(f.z[lat.rows(0)]) <= 0.5 + 1e-15)
+        assert np.all(np.abs(f.z[0]) <= 0.5 + 1e-15)
 
     @pytest.mark.parametrize("cfg", [
         remark22_config(N=20),
@@ -391,7 +416,7 @@ class TestBackwardSolve:
                              "generator.1.g": "0.5*norm2(z1)"}),
     ], ids=["remark22", "d2"])
     def test_z_truncation_is_a_scheme_property(self, monkeypatch, cfg):
-        """Every stored Z row ends within the threshold, z_clips counts the rows
+        """Every Z row ends within the threshold, z_clips counts the rows
         scaled back onto it, and clipping one layer touches no other layer."""
         c = 1e-3
         inst, lat = make(cfg)
@@ -411,12 +436,12 @@ class TestBackwardSolve:
             norms = np.sqrt(sum_squares(raw))
             over = norms > c
             clipped += int(over.sum())
-            z = f.z[lat.rows(k)]
+            z = f.z[k]
             assert z[~over].tobytes() == raw[~over].tobytes()
             assert np.allclose(z[over], raw[over] * (c / norms[over])[:, None],
                                rtol=4 * np.finfo(float).eps, atol=0)
             assert np.all(np.sqrt(sum_squares(z)) <= c * (1 + 4 * np.finfo(float).eps))
-        assert 0 < clipped < f.z.shape[0] * f.z.shape[1]
+        assert 0 < clipped < flat_z(f).shape[0] * f.n
         assert f.trace.z_clips == clipped
 
     def test_inner_nonconvergence_reports_location(self):
@@ -445,16 +470,14 @@ class TestBackwardSolve:
         inst, lat = make(pure_quadratic_config(N=40))
         driver, y_dep = compile_driver(inst.generator)
         term = q.terminal_values(inst, lat)
-        one_y, one_z = _out_rows(lat, 1, 0, 40)
-        top_y, top_z = _out_rows(lat, 1, 15, 40)
-        bot_y, bot_z = _out_rows(lat, 1, 0, 15)
-        backward_range(lat, driver, y_dep, term, 0, 40, out=(one_y, one_z))
-        backward_range(lat, driver, y_dep, term, 15, 40, out=(top_y, top_z))
-        backward_range(lat, driver, y_dep, top_y[lat.rows(15, base=15)], 0, 15,
-                       out=(bot_y, bot_z))
+        one_y = _out_rows(lat, 1, 0, 40)
+        top_y = _out_rows(lat, 1, 15, 40)
+        bot_y = _out_rows(lat, 1, 0, 15)
+        backward_range(lat, driver, y_dep, term, 0, 40, out=one_y)
+        backward_range(lat, driver, y_dep, term, 15, 40, out=top_y)
+        backward_range(lat, driver, y_dep, top_y[lat.rows(15, base=15)], 0, 15, out=bot_y)
         assert one_y[lat.rows(0, 16)].tobytes() == bot_y.tobytes()
         assert one_y[lat.rows(15, 41)].tobytes() == top_y.tobytes()
-        assert one_z.tobytes() == bot_z.tobytes() + top_z.tobytes()
 
 
 class TestPicardSolve:
@@ -511,21 +534,19 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", keep_z=True, **kwargs):
+def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", **kwargs):
     """Run ``picard`` on layers k_lo..N of ``cfg`` with a fresh compiled
-    driver, into destination rows set to ``fill`` (with no Z rows unless
-    ``keep_z``); returns (outcome, ys, zs, trace), where ys, zs are
-    per-layer lists, the last complete pass when the iteration does not
-    converge."""
+    driver, into destination rows set to ``fill``; returns (outcome, ys, zs,
+    trace), where ys, zs are per-layer lists (picard_range's z derived from
+    its ys), the last complete pass when the iteration does not converge."""
     inst, lat = make(cfg)
     N = lat.grid.steps
     driver, _ = compile_driver(inst.generator)
     term = engine.terminal_values(inst, lat)
-    ys, zs = _out_rows(lat, inst.n, k_lo, N, fill, term)
-    kwargs["out"] = ys, zs if keep_z else zs[:0]
+    kwargs["out"] = _out_rows(lat, inst.n, k_lo, N, fill, term)
     if shift is not None:
         init = shifted(engine.zero_field(lat, inst.n), shift)
-        kwargs.update(init_y=init.y[lat.rows(k_lo, N + 1)], init_z=init.z[lat.rows(k_lo, N)])
+        kwargs.update(init_y=init.y[lat.rows(k_lo, N + 1)])
     try:
         outcome, (ys, zs, trace) = "converged", picard(lat, driver, term, k_lo, N, **kwargs)
     except PicardNonconvergenceError as err:
@@ -533,7 +554,7 @@ def _picard_outcome(picard, cfg, k_lo=0, shift=None, fill="zeros", keep_z=True, 
     except PicardDivergenceError as err:
         return "divergence", [], [], err.trace
     if isinstance(ys, np.ndarray):
-        ys, zs = _layers(lat, ys, k_lo, N + 1), _layers(lat, zs, k_lo, N)
+        ys, zs = _layers(lat, ys, k_lo, N + 1), list(zs)
     return outcome, ys, zs, trace
 
 
@@ -547,9 +568,8 @@ def _assert_same_outcome(got, want):
 
 def _counted_outcome(monkeypatch, cfg, **kwargs):
     """``picard_range``'s outcome on ``cfg`` and its number of ``project``
-    calls in its passes, beside the two-list driver's outcome.  The sweep
-    that fills the kept Z after the last pass, one call per layer, is not
-    counted."""
+    calls, beside the two-list driver's outcome.  Deriving the returned Z,
+    one call per layer, is not counted."""
     calls = []
     project = engine.project
 
@@ -605,7 +625,7 @@ class TestPicardReference:
             ys, zs, trace = _ref_picard_range(lat, compile_driver(inst.generator)[0],
                                               term, k - 1, k)
             assert field.y[lat.rows(k - 1, k + 1)].tobytes() == np.concatenate(ys).tobytes()
-            assert field.z[lat.rows(k - 1)].tobytes() == zs[0].tobytes()
+            assert field.z[k - 1].tobytes() == zs[0].tobytes()
             assert (len(chunk.changes), chunk.changes[-1]) == (len(trace), trace[-1])
             term = ys[0]
 
@@ -622,9 +642,10 @@ class TestPicardReference:
 
     @pytest.mark.parametrize("converged", [True, False], ids=["converged-y", "zero-z-pass-y"])
     def test_pass_zero_trusts_no_init(self, monkeypatch, converged):
-        # Pass 0's z is project(y) while init's is zero.  On the y-free
-        # pure-quadratic driver, a y taken from one pass at zero z comes out
-        # of pass 0 unchanged on every layer but 0, so it is not stationary.
+        # Pass 0 reads init's y and the z projected from it, values that no
+        # pass built, so it compares every layer with init's and skips none:
+        # from a converged y, whose pass 0 reproduces it, and from a y taken
+        # from one pass at zero z with layer 0 moved.
         cfg = pure_quadratic_config(N=20)
         if converged:
             _, init_y, _, _ = _picard_outcome(_ref_picard_range, cfg)
@@ -632,24 +653,26 @@ class TestPicardReference:
             init_y = list(_picard_outcome(_ref_picard_range, cfg, max_iter=1)[1])
             init_y[0] = init_y[0] + 1.0
         init_y = np.concatenate(init_y)
-        init_z = engine.zero_field(make(cfg)[1], 1).z
-        got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init_y, init_z=init_z)
+        got, want, projects = _counted_outcome(monkeypatch, cfg, init_y=init_y)
         _assert_same_outcome(got, want)
-        assert got[0] == "converged" and len(got[3]) > 2
+        assert got[0] == "converged" and projects >= 20 * (1 + min(2, len(got[3])))
 
     def test_unchanged_y_under_a_changed_layer_is_rebuilt(self, monkeypatch):
-        # dt = 1/4 keeps the sums exact.  Pass 1 moves y_3 by +-dt/8 in turn
-        # across the nodes, which leaves every E[y_3 | node] and so y_2 as
-        # they were, but changes z_2 = project(y_3); pass 2 must rebuild y_2.
+        # dt = 1/4 keeps the sums exact, and z_k = project(y_{k+1}) is the
+        # difference of neighbouring nodes.  Init's y_4 and y_3 step so that
+        # its z_3 is (0.5, 1.5, 0.5, 1.5) and its z_2 0.25; the driver reads
+        # no y.  Pass 1 moves y_3 by +-dt/8 in turn across the nodes, which
+        # leaves every E[y_3 | node] and so y_2 as they were, but changes
+        # z_2 = project(y_3); pass 2 must rebuild y_2.
         cfg = structured_config(**{"grid.N": 4, "generator.1.g": "norm(z1)",
                                    "terminal.1": "abs(w1)*(2-abs(w1))"})
         lat = make(cfg)[1]
         init = engine.zero_field(lat, 1)
-        init.z[lat.rows(3)] = np.array([0.5, 1.5, 0.5, 1.5]).reshape(4, 1, 1)
-        init.z[lat.rows(2)] = 0.25
-        got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init.y, init_z=init.z)
+        init.y[lat.rows(4), 0] = [0.0, 0.5, 2.0, 2.5, 4.0]
+        init.y[lat.rows(3), 0] = [0.0, 0.25, 0.5, 0.75]
+        got, want, _ = _counted_outcome(monkeypatch, cfg, init_y=init.y)
         _assert_same_outcome(got, want)
-        assert got[3] == [1.0, 0.125, 0.0625, 0.0]
+        assert got[3] == [4.0, 0.125, 0.0625, 0.0]  # pass 0 against init's y_4
 
     def test_signed_zero_is_a_change(self, monkeypatch):
         # y1 is +-0.0 everywhere and its sign flips from pass to pass, while
@@ -665,31 +688,59 @@ class TestPicardReference:
     def test_init_is_not_mutated_or_aliased(self):
         inst, lat = make(remark22_config(N=20))
         init = shifted(engine.zero_field(lat, inst.n), 0.5)
-        for a in (init.y, init.z):
-            a.flags.writeable = False  # a write in place would raise
-        values = init.y.copy(), init.z.copy()
+        init.y.flags.writeable = False  # a write in place would raise
+        values = init.y.copy()
 
         def unchanged():
-            return _same_bits(init.y, values[0]) and _same_bits(init.z, values[1])
+            return _same_bits(init.y, values)
 
         field_, trace = q.picard_solve(inst, lat, init=init)
         assert unchanged() and len(trace) > 2
-        assert not any(np.shares_memory(a, b) for a in (field_.y, field_.z)
-                       for b in (init.y, init.z))
+        assert not np.shares_memory(field_.y, init.y)
 
         # Fails at layer 10 once y is not init's.
         failing = _failing_at(compile_driver(inst.generator)[0], 10, 0.5, 0)
         term = engine.terminal_values(inst, lat)
         with pytest.raises(SolverError, match="failed at layer 10: planted failure"):
             engine.picard_range(lat, failing, term, 0, 20, out=_out_rows(lat, inst.n, 0, 20),
-                                init_y=init.y, init_z=init.z)
+                                init_y=init.y)
         assert unchanged()
 
 
+def _bmo_of(lattice, zs):
+    """The BMO estimate over per-layer Z lists, as estimate_bmo computed it
+    when a field stored Z."""
+    acc, best = np.zeros(lattice.layer_size(lattice.grid.steps)), 0.0
+    for k in range(lattice.grid.steps - 1, -1, -1):
+        acc = sum_squares(zs[k], 2) * lattice.grid.dt + engine.cond_exp(lattice, k, acc)
+        best = max(best, float(acc.max()))
+    return math.sqrt(best)
+
+
+def _chained_chunks(field_, inst, lat, **kwargs):
+    """The two-list driver run on each chunk of a stitched field's trace,
+    terminal side first: per-layer lists of y and z over layers 0..N."""
+    driver = compile_driver(inst.generator)[0]
+    term = engine.terminal_values(inst, lat)
+    ys, zs = [term], []
+    for chunk in field_.trace.chunks:
+        y, z, _ = _ref_picard_range(lat, driver, term, chunk.end_layer, chunk.start_layer,
+                                    **kwargs)
+        ys, zs, term = y[:-1] + ys, z + zs, y[0]
+    return ys, zs
+
+
+def _assert_field_is(field_, ys, zs):
+    assert field_.y.tobytes() == np.concatenate(ys).tobytes()
+    assert len(field_.z) == len(zs) and all(_same_bits(a, b) for a, b in zip(field_.z, zs))
+
+
 class TestDeclinedZ:
-    """picard_range with Z rows and with ``out=(ys, no rows)`` give the same
-    Y bits and trace, converged and partial, and the Z it keeps is the
-    two-list driver's; remark22's t/z stage depends on z."""
+    """No solver stores Z: a field holds Y, and its Z is derived layer by
+    layer.  The derived Z has the bits of the Z that the reference solvers
+    store (here the two-list Picard driver, a textbook backward induction
+    and the two-list driver chained over stitched chunks; test_drivers
+    compares the frozen-y and triangular ones), and so does estimate_bmo."""
 
     @pytest.mark.parametrize("cfg, kwargs", [
         (remark22_config(N=20), {}),
@@ -701,42 +752,87 @@ class TestDeclinedZ:
     ], ids=["remark22", "remark22-chunk-shifted", "remark22-nonconvergence", "joint-oracle-d2",
             "nonconvergence-d2", "divergence"])
     def test_same_y_and_trace(self, cfg, kwargs):
-        kept = _picard_outcome(engine.picard_range, cfg, **kwargs)
-        declined = _picard_outcome(engine.picard_range, cfg, keep_z=False, **kwargs)
-        _assert_same_outcome(kept, _picard_outcome(_ref_picard_range, cfg, **kwargs))
-        assert declined[0] == kept[0] and _same_bits(declined[3], kept[3])
-        assert len(declined[1]) == len(kept[1])
-        assert all(_same_bits(a, b) for a, b in zip(declined[1], kept[1]))
-        assert all(z.size == 0 for z in declined[2])
+        # picard_range's Y, trace and the Z derived from its Y, converged or
+        # partial, against the two-list driver's stored Z; remark22's t/z
+        # stage depends on z.
+        _assert_same_outcome(_picard_outcome(engine.picard_range, cfg, **kwargs),
+                             _picard_outcome(_ref_picard_range, cfg, **kwargs))
 
-    @pytest.mark.parametrize("keep_z", [True, False], ids=["with-z", "without-z"])
-    def test_held_driver_error(self, keep_z):
-        # The driver fails at layer 7 once y is nonzero.  Pass 0 evaluates it
-        # at y = 0 there; the value kept after pass 0 fails, and pass 1 raises
-        # that error on reaching layer 7, as the two-list driver does.
+    @pytest.mark.parametrize("cfg, c", [
+        (remark22_config(N=20), None),
+        (remark22_config(N=20), 1e-3),
+        (structured_config(**{"problem.d": 2, "grid.N": 6, "terminal.1": "clamp(w1*w2,-1,1)",
+                              "generator.1.g": "0.5*norm2(z1)"}), 1e-3),
+    ], ids=["remark22", "remark22-truncated", "d2-truncated"])
+    def test_direct(self, cfg, c):
+        inst, lat = make(cfg)
+        field_ = q.backward_solve(inst, lat, z_truncation=c)
+        driver, y_dep = compile_driver(inst.generator)
+        ys, zs, clips = _ref_backward(lat, driver, y_dep, engine.terminal_values(inst, lat), c)
+        _assert_field_is(field_, ys, zs)
+        assert field_.trace.z_clips == clips and (clips > 0) == (c is not None)
+        assert q.estimate_bmo(field_, lat) == _bmo_of(lat, zs)
+
+    def test_picard_solve_from_a_solved_init(self):
+        # Pass 0 reads init's Y and the Z projected from it.
+        inst, lat = make(remark22_config(N=20))
+        init = shifted(q.backward_solve(inst, lat), 0.125)
+        field_, trace = q.picard_solve(inst, lat, init=init, tol=1e-12)
+        ys, zs, want = _ref_picard_range(lat, compile_driver(inst.generator)[0],
+                                         engine.terminal_values(inst, lat), 0, 20, tol=1e-12,
+                                         init_y=init.y)
+        _assert_field_is(field_, ys, zs)
+        assert trace == want
+        assert q.estimate_bmo(field_, lat) == _bmo_of(lat, zs)
+
+    @pytest.mark.parametrize("cfg, horizon, kwargs", [
+        (remark22_config(N=20), 0.25, {}),
+        (pure_quadratic_config(gamma=6.0, N=50), "adaptive", {"max_iter": 100}),
+    ], ids=["horizon-0.25", "adaptive-one-halving"])
+    def test_stitched(self, cfg, horizon, kwargs):
+        inst, lat = make(cfg)
+        field_, trace = q.solve_stitched(inst, lat, horizon=horizon, **kwargs)
+        assert len(trace.chunks) == (4 if horizon == 0.25 else 2)
+        assert len(trace.halvings) == (horizon == "adaptive")
+        _assert_field_is(field_, *_chained_chunks(field_, inst, lat, **kwargs))
+
+    def test_zero_step_grid(self):
+        cfg = structured_config(**{"problem.T": 0.0, "grid.N": 3, "generator.1.g": "norm2(z1)",
+                                   "terminal.1": "cos(w1)", "terminal.bound": 1.0})
+        inst, lat = make(cfg)
+        ys, zs, _ = _ref_picard_range(lat, compile_driver(inst.generator)[0],
+                                      engine.terminal_values(inst, lat), 0, 3)
+        for field_ in (q.backward_solve(inst, lat, z_truncation=0.5), q.picard_solve(inst, lat)[0],
+                       q.solve_stitched(inst, lat)[0]):
+            _assert_field_is(field_, ys, zs)
+            assert q.estimate_bmo(field_, lat) == 0.0
+
+    @pytest.mark.parametrize("init", [True, False], ids=["with-z", "without-z"])
+    def test_held_driver_error(self, init):
+        # The driver fails at layer 7 once y is not init's: pass 0 evaluates
+        # it at init's y there, with the z projected from init's Y ("with-z",
+        # init one pass of the two-list driver) or with zero y and z.  The
+        # value kept after pass 0 fails, and pass 1 raises that error on
+        # reaching layer 7, as the two-list driver does.
         cfg = remark22_config(N=20)
         inst, lat = make(cfg)
-        failing = _failing_at(compile_driver(inst.generator)[0], 7, 0.0, 3)
+        kwargs = {}
+        if init:
+            first = _picard_outcome(_ref_picard_range, cfg, tol=0.0, max_iter=1)[1]
+            kwargs["init_y"] = np.concatenate(first)
+        failing = _failing_at(compile_driver(inst.generator)[0], 7,
+                              kwargs["init_y"][lat.rows(7)] if init else 0.0, 3)
         term = engine.terminal_values(inst, lat)
         message = "^driver evaluation failed at layer 7: planted failure at position 3$"
         with pytest.raises(SolverError, match=message):
-            _ref_picard_range(lat, failing, term, 0, 20)
-        ys, zs = _out_rows(lat, inst.n, 0, 20)
+            _ref_picard_range(lat, failing, term, 0, 20, **kwargs)
+        ys = _out_rows(lat, inst.n, 0, 20)
         with pytest.raises(SolverError, match=message):
-            engine.picard_range(lat, failing, term, 0, 20, out=(ys, zs if keep_z else zs[:0]))
+            engine.picard_range(lat, failing, term, 0, 20, out=ys, **kwargs)
         # Pass 1 stopped at layer 7: the rows below it still hold pass 0.
-        pass0 = _picard_outcome(_ref_picard_range, cfg, tol=0.0, max_iter=1)[1]
+        pass0 = _picard_outcome(_ref_picard_range, cfg, tol=0.0, max_iter=1, **kwargs)[1]
         assert all(_same_bits(ys[lat.rows(k)], pass0[k]) for k in range(8))
         assert not any(_same_bits(ys[lat.rows(k)], pass0[k]) for k in range(8, 20))
-
-    def test_readers_of_z_reject_a_field_without_it(self):
-        inst, lat = make(remark22_config(N=20))
-        field_, _ = q.picard_solve(inst, lat, keep_z=False)
-        assert field_.z.shape == (0, 2, 1)
-        with pytest.raises(ValueError, match="^estimate_bmo needs Z"):
-            q.estimate_bmo(field_, lat)
-        with pytest.raises(ValueError, match="^a Picard init needs Z"):
-            q.picard_solve(inst, lat, init=field_)
 
 
 FILLS = ["nan", "terminal", "zeros"]
@@ -750,17 +846,21 @@ class TestDestinationIndependence:
 
     @pytest.mark.parametrize("fill", FILLS)
     def test_backward_range(self, fill):
-        # remark22 reads y, so its step is implicit.  pure_quadratic reads
-        # none, so its explicit step stages the driver at whatever the rows
-        # held, NaN included, and must not see it.
+        # remark22 reads y, so its step is implicit and reports no change.
+        # pure_quadratic reads none, so its explicit step stages the driver
+        # at whatever the rows held, NaN included, and must not see it; the
+        # change it reports against rows that held NaN is NaN.
         for cfg in (remark22_config(N=20), pure_quadratic_config(N=20)):
             inst, lat = make(cfg)
             driver, y_dep = compile_driver(inst.generator)
             term = engine.terminal_values(inst, lat)
-            ys, zs = _out_rows(lat, inst.n, 0, 20, fill, term)
-            backward_range(lat, driver, y_dep, term, 0, 20, out=(ys, zs))
-            want = q.backward_solve(inst, lat)
-            assert ys.tobytes() == want.y.tobytes() and zs.tobytes() == want.z.tobytes()
+            ys = _out_rows(lat, inst.n, 0, 20, fill, term)
+            change = backward_range(lat, driver, y_dep, term, 0, 20, out=ys)
+            assert ys.tobytes() == q.backward_solve(inst, lat).y.tobytes()
+            if y_dep:
+                assert change == 0.0
+            else:
+                assert math.isnan(change) == (fill == "nan") and change != 0.0
 
     @pytest.mark.parametrize("fill", FILLS)
     @pytest.mark.parametrize("cfg, kwargs", [
@@ -781,14 +881,14 @@ class TestDestinationIndependence:
         upper = _ref_picard_range(lat, compile_driver(inst.generator)[0],
                                   engine.terminal_values(inst, lat), 12, 20)
         term = upper[0][0]
-        ys, zs = _out_rows(lat, 1, 0, 12, fill, term)
+        ys = _out_rows(lat, 1, 0, 12, fill, term)
         top = ys[lat.rows(12)]
         top[...] = term
         got_y, got_z, got_trace = engine.picard_range(
-            lat, compile_driver(inst.generator)[0], top, 0, 12, out=(ys, zs))
+            lat, compile_driver(inst.generator)[0], top, 0, 12, out=ys)
         want = _ref_picard_range(lat, compile_driver(inst.generator)[0], term, 0, 12)
         _assert_same_outcome(
-            ("converged", _layers(lat, got_y, 0, 13), _layers(lat, got_z, 0, 12), got_trace),
+            ("converged", _layers(lat, got_y, 0, 13), list(got_z), got_trace),
             ("converged",) + want)
         assert got_trace[0] == float(np.abs(term).max())
 
@@ -811,7 +911,7 @@ class TestFieldStatistics:
     def test_bmo_homogeneity(self):
         inst, lat = make(remark22_config(N=12))
         f = q.backward_solve(inst, lat)
-        doubled = q.SolutionField(f.y, 2.0 * f.z)
+        doubled = q.SolutionField(2.0 * f.y, lat)  # Z is linear in Y
         assert q.estimate_bmo(doubled, lat) == pytest.approx(
             2.0 * q.estimate_bmo(f, lat), rel=1e-12)
 
@@ -875,11 +975,12 @@ class TestWrappedDriver:
         N = lat.grid.steps
 
         def solves(drv):
-            ys, zs = _out_rows(lat, inst.n, 0, N)
-            backward_range(lat, drv, y_dep, term, 0, N, out=(ys, zs))
-            picard = engine.picard_range(lat, drv, term, 0, N, out=_out_rows(lat, inst.n, 0, N),
-                                         tol=1e-12, max_iter=2000)
-            return [ys.tobytes(), zs.tobytes()] + [np.asarray(a).tobytes() for a in picard]
+            ys = _out_rows(lat, inst.n, 0, N)
+            backward_range(lat, drv, y_dep, term, 0, N, out=ys)
+            picard_y, _, trace = engine.picard_range(lat, drv, term, 0, N,
+                                                     out=_out_rows(lat, inst.n, 0, N),
+                                                     tol=1e-12, max_iter=2000)
+            return [ys.tobytes(), picard_y.tobytes(), np.asarray(trace).tobytes()]
 
         assert solves(lambda *a: driver(*a)) == solves(driver)
 
@@ -888,7 +989,7 @@ class TestWrappedDriver:
             tri = q.solve_triangular(*make(TRI_D2))
             stitched, _ = q.solve_stitched(*make(remark22_config(N=20)), horizon=0.25,
                                            mode="direct")
-            return [a.tobytes() for f in (tri, stitched) for a in (f.y, f.z)]
+            return [f.y.tobytes() for f in (tri, stitched)]
 
         want = solves()
         # Wrap the driver of every backward_range call of the contraction and

@@ -148,35 +148,32 @@ def cmd_certify(args) -> int:
 def cmd_check(args) -> int:
     csvrows = _csvrows()
     out = Path(args.out) / "check.csv"
-    try:
-        if args.inequality == "log":
-            scan = certs.scan_log_inequality(
-                _parse_range(args.xrange, "xrange"),
-                _parse_range(args.yrange, "yrange"),
-                _parse_range(args.crange, "crange"))
-            X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
-            _write_csv(out, ("x", "y", "C", "residual"),
-                       csvrows.float_rows(X, Y, C, scan.residuals))
-            print(f"minResidual = {_fmt(scan.min_residual)} at "
-                  f"x={_fmt(scan.argmin[0])} y={_fmt(scan.argmin[1])} C={_fmt(scan.argmin[2])}")
-            print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
-            print(f"argminCellOffset = {scan.max_argmin_cell_offset}")
-            return EXIT_OK if scan.min_residual >= RESIDUAL_SLACK else EXIT_STRICT
-        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-        scan = certs.scan_young_power(
-            alphas,
-            _parse_range(args.lrange, "lrange"),
-            _parse_range(args.erange, "erange"),
-            _parse_range(args.zrange, "zrange"))
-        A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
-        _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
-                   csvrows.float_rows(L, A, E, Z, scan.residuals))
+    if args.inequality == "log":
+        scan = certs.scan_log_inequality(
+            _parse_range(args.xrange, "xrange"),
+            _parse_range(args.yrange, "yrange"),
+            _parse_range(args.crange, "crange"))
+        X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
+        _write_csv(out, ("x", "y", "C", "residual"),
+                   csvrows.float_rows(X, Y, C, scan.residuals))
         print(f"minResidual = {_fmt(scan.min_residual)} at "
-              f"L={_fmt(scan.argmin[0])} alpha={_fmt(scan.argmin[1])} "
-              f"eps={_fmt(scan.argmin[2])} z={_fmt(scan.argmin[3])}")
+              f"x={_fmt(scan.argmin[0])} y={_fmt(scan.argmin[1])} C={_fmt(scan.argmin[2])}")
+        print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
+        print(f"argminCellOffset = {scan.max_argmin_cell_offset}")
         return EXIT_OK if scan.min_residual >= RESIDUAL_SLACK else EXIT_STRICT
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    scan = certs.scan_young_power(
+        alphas,
+        _parse_range(args.lrange, "lrange"),
+        _parse_range(args.erange, "erange"),
+        _parse_range(args.zrange, "zrange"))
+    A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
+    _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
+               csvrows.float_rows(L, A, E, Z, scan.residuals))
+    print(f"minResidual = {_fmt(scan.min_residual)} at "
+          f"L={_fmt(scan.argmin[0])} alpha={_fmt(scan.argmin[1])} "
+          f"eps={_fmt(scan.argmin[2])} z={_fmt(scan.argmin[3])}")
+    return EXIT_OK if scan.min_residual >= RESIDUAL_SLACK else EXIT_STRICT
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +189,21 @@ def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.Latti
     _write_csv(path, header, _csvrows().solution_rows(field, lattice))
 
 
+def _solve(args, instance: ProblemInstance, lattice: engine.LatticeModel) -> engine.SolutionField:
+    """The solve that ``--mode`` names, for ``solve`` and ``compare``."""
+    if args.mode == "direct":
+        return engine.backward_solve(instance, lattice, inner_tol=args.inner_tol,
+                                     inner_max_iter=args.max_iter,
+                                     z_truncation=getattr(args, "z_truncation", None))
+    if args.mode == "picard":
+        return engine.picard_solve(instance, lattice, tol=args.tol, max_iter=args.max_iter)[0]
+    if args.mode == "stitched":
+        return drivers.solve_stitched(
+            instance, lattice, tol=args.tol, max_iter=args.max_iter,
+            horizon=args.horizon if args.horizon == "adaptive" else float(args.horizon))[0]
+    return drivers.solve_triangular(instance, lattice, tol=args.tol, max_outer=args.max_iter)
+
+
 def cmd_solve(args) -> int:
     _csvrows()
     instance = _load_instance(args)
@@ -200,38 +212,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     pairs = [("mode", args.mode), ("threads", args.threads)]
     try:
-        extra = []
-        if args.mode == "direct":
-            field = engine.backward_solve(instance, lattice,
-                                          inner_tol=args.inner_tol,
-                                          inner_max_iter=args.max_iter,
-                                          z_truncation=args.z_truncation)
-        elif args.mode == "picard":
-            field, _ = engine.picard_solve(instance, lattice,
-                                           tol=args.tol, max_iter=args.max_iter)
-        elif args.mode == "stitched":
-            field, trace = drivers.solve_stitched(
-                instance, lattice, mode="picard", tol=args.tol, max_iter=args.max_iter,
-                horizon=args.horizon if args.horizon == "adaptive" else float(args.horizon))
-            for idx, chunk in enumerate(trace.chunks):
-                rows = lattice.rows(chunk.end_layer, chunk.start_layer + 1)
-                extra += [
-                    (f"chunk.{idx}.startLayer", chunk.start_layer),
-                    (f"chunk.{idx}.endLayer", chunk.end_layer),
-                    (f"chunk.{idx}.iterations", len(chunk.changes)),
-                    (f"chunk.{idx}.finalChange", chunk.changes[-1]),
-                    (f"chunk.{idx}.supY", engine.sup_norm_y(replace(field, y=field.y[rows]))),
-                ]
-            for idx, halving in enumerate(trace.halvings):
-                extra.append((f"halving.{idx}",
-                               f"{_fmt(halving.before)} -> {_fmt(halving.after)}"))
-        else:  # triangular
-            field = drivers.solve_triangular(instance, lattice,
-                                             tol=args.tol, max_outer=args.max_iter)
-            outer = [len(c) for c in field.trace.changes]
-            per = len(outer) // instance.n  # every component marches the same sub-intervals
-            for i in range(instance.n):
-                extra.append((f"component.{i + 1}.outerIterations", sum(outer[i * per:][:per])))
+        field = _solve(args, instance, lattice)
     except engine.SolverError as err:
         pairs.append(("converged", False))
         for i, change in enumerate(getattr(err, "trace", [])):
@@ -255,7 +236,23 @@ def cmd_solve(args) -> int:
         ("bmoWithinBound", bmo_log <= cert.bmo_bound_log),
         ("zClips", trace.z_clips),
     ]
-    pairs += extra
+    if args.mode == "stitched":
+        for idx, chunk in enumerate(trace.chunks):
+            rows = lattice.rows(chunk.end_layer, chunk.start_layer + 1)
+            pairs += [
+                (f"chunk.{idx}.startLayer", chunk.start_layer),
+                (f"chunk.{idx}.endLayer", chunk.end_layer),
+                (f"chunk.{idx}.iterations", len(chunk.changes)),
+                (f"chunk.{idx}.finalChange", chunk.changes[-1]),
+                (f"chunk.{idx}.supY", engine.sup_norm_y(replace(field, y=field.y[rows]))),
+            ]
+        for idx, halving in enumerate(trace.halvings):
+            pairs.append((f"halving.{idx}", f"{_fmt(halving.before)} -> {_fmt(halving.after)}"))
+    elif args.mode == "triangular":
+        outer = [len(c) for c in trace.changes]
+        per = len(outer) // instance.n  # every component marches the same sub-intervals
+        for i in range(instance.n):
+            pairs.append((f"component.{i + 1}.outerIterations", sum(outer[i * per:][:per])))
     _write_report(out / "report.txt", pairs)
     _solution_csv(out / "solution.csv", field, lattice)
     return EXIT_OK
@@ -288,15 +285,7 @@ def cmd_compare(args) -> int:
         oracle_y = drivers.oracle_joint_picard(instance, lattice,
                                                tight_tol=args.tol / 100.0).y
 
-    if args.mode == "triangular":
-        field = drivers.solve_triangular(instance, lattice, tol=args.tol,
-                                         max_outer=args.max_iter)
-    elif args.mode == "picard":
-        field, _ = engine.picard_solve(instance, lattice, tol=args.tol,
-                                       max_iter=args.max_iter)
-    else:
-        field = engine.backward_solve(instance, lattice, inner_tol=args.inner_tol,
-                                      inner_max_iter=args.max_iter)
+    field = _solve(args, instance, lattice)
 
     max_diff, at_layer, at_node = 0.0, 0, 0
     for k in range(lattice.grid.steps + 1):
@@ -441,8 +430,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, low in (("threads", 1), ("falsify", 0), ("max_iter", 1)):
-            if getattr(args, name, low) < low:
+        for name, low in (("threads", 1), ("falsify", 0), ("max_iter", 1), ("tol", 0),
+                          ("inner_tol", 0), ("z_truncation", 0)):
+            value = getattr(args, name, None)
+            if value is not None and not value >= low:  # NaN is not >= low
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
         if getattr(args, "z_truncation", None) is not None and args.mode != "direct":
             raise UsageError("--z-truncation needs --mode direct")

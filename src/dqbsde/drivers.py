@@ -29,8 +29,9 @@ import numpy as np
 
 from . import certs
 from .engine import (Chunk, Halving, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
-                     SolutionField, SolverError, backward_range, compile_driver, cond_exp,
-                     log_cond_exp, picard_range, project, terminal_values, zero_field)
+                     SolutionField, SolverError, _check_dims, backward_range, compile_driver,
+                     cond_exp, log_cond_exp, picard_range, picard_solve, project,
+                     terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
                      check_triangular_deps, scan_refs)
 from .model import ProblemInstance
@@ -95,6 +96,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
     ``mode`` "picard" iterates each chunk to its fixed point; "direct" runs
     plain backward induction per chunk (chunking is then exactly neutral).
     """
+    _check_dims(instance, lattice)
     if mode not in ("picard", "direct"):
         raise ValueError(f"unknown stitch mode {mode!r}")
     dt = lattice.grid.dt
@@ -103,6 +105,8 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
         L = lattice.grid.steps
     else:
         ratio = float(horizon) / dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"chunk horizon {horizon} is not finite")
         L = int(round(ratio))
         if L < 1:
             raise ValueError(f"chunk horizon {horizon} is below one layer (dt={dt})")
@@ -175,6 +179,7 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
 
 def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarProblem:
     """Wrap a one-component instance as a ScalarProblem."""
+    _check_dims(instance, lattice)
     if instance.n != 1:
         raise ValueError("scalar_problem requires n = 1")
     driver, _ = compile_driver(instance.generator)
@@ -206,6 +211,7 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
     the solved components' ``Y_{k+1}``, the field's derived Z.  No later
     column is read, since component i may read no later z.
     """
+    _check_dims(instance, lattice)
     gen = instance.generator
     if gen.kind != TRIANGULAR:
         raise ValueError("solve_triangular requires a triangular generator")
@@ -300,12 +306,7 @@ def oracle_joint_picard(instance: ProblemInstance, lattice: LatticeModel,
                         tight_tol: float = 1e-12, max_iter: int = 2000) -> SolutionField:
     """Brute-force reference: whole-system fixed point at a tight tolerance
     with a raised iteration budget; no structural shortcuts."""
-    driver, _ = compile_driver(instance.generator)
-    term = terminal_values(instance, lattice)
-    field_ = zero_field(lattice, instance.n)
-    picard_range(lattice, driver, term, 0, lattice.grid.steps,
-                 tol=tight_tol, max_iter=max_iter, out=field_.y)
-    return field_
+    return picard_solve(instance, lattice, tol=tight_tol, max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -251,18 +251,17 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance()
-            rhs = self.term()
-            node = Bin(op.text, node, rhs, pos=op.pos)
-        return node
+        return self.binary("+-", self.term)
 
     def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
+        return self.binary("*/", self.unary)
+
+    def binary(self, ops: str, operand) -> Node:
+        """operand ((op in ops) operand)*, folded to the left."""
+        node = operand()
+        while self.peek().kind == "OP" and self.peek().text in ops:
             op = self.advance()
-            rhs = self.unary()
+            rhs = operand()
             node = Bin(op.text, node, rhs, pos=op.pos)
         return node
 
@@ -745,33 +744,17 @@ class RefSet:
     z_indices: frozenset
     uses_normz: bool
     uses_normy: bool
-    uses_w: bool
-    uses_t: bool
 
 
 def scan_refs(node: Node) -> RefSet:
-    ys, zs = set(), set()
-    flags = {"normz": False, "normy": False, "w": False, "t": False}
-
-    def walk(nd: Node) -> None:
-        if isinstance(nd, YVar):
-            ys.add(nd.index)
-        elif isinstance(nd, ZRow):
-            zs.add(nd.index)
-        elif isinstance(nd, NormZ):
-            flags["normz"] = True
-        elif isinstance(nd, NormY):
-            flags["normy"] = True
-        elif isinstance(nd, WVar):
-            flags["w"] = True
-        elif isinstance(nd, TVar):
-            flags["t"] = True
-        for kid in _children(nd):
-            walk(kid)
-
-    walk(node)
-    return RefSet(frozenset(ys), frozenset(zs), flags["normz"], flags["normy"],
-                  flags["w"], flags["t"])
+    nodes, stack = [], [node]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(_children(nodes[-1]))
+    kinds = {type(nd) for nd in nodes}
+    return RefSet(frozenset(nd.index for nd in nodes if isinstance(nd, YVar)),
+                  frozenset(nd.index for nd in nodes if isinstance(nd, ZRow)),
+                  NormZ in kinds, NormY in kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,6 @@ _SCALAR_KEYS = {
     "triangular.C1", "triangular.C2", "triangular.C3",
 }
 
-_TRIANGULAR_DEFAULTS = {
-    "triangular.powerAlpha": "0",
-    "triangular.lipBeta": "0",
-    "triangular.C1": "0",
-    "triangular.C2": "0",
-}
-
 
 def read_config_file(path) -> dict:
     """Read a flat ``key = value`` config file ('#' starts a comment)."""
@@ -311,25 +304,19 @@ def assemble_problem(config: Mapping) -> ProblemInstance:
         declared_bound=_get_float(config, "terminal.bound"),
     )
 
-    bound_default = repr(terminal.declared_bound)
     params = AssumptionParams(
         gamma=_get_float(config, "params.gamma"),
         lip_k=_get_float(config, "params.K"),
         delta=_get_float(config, "params.delta"),
-        alpha=parse_breakpoints(_get(config, "params.alpha")) if "params.alpha" in config
-        else CoefficientFunction(((0.0, 0.0),)),
-        beta=parse_breakpoints(_get(config, "params.beta")) if "params.beta" in config
-        else CoefficientFunction(((0.0, 0.0),)),
-        eta=parse_breakpoints(_get(config, "params.eta")) if "params.eta" in config
-        else CoefficientFunction(((0.0, 0.0),)),
+        alpha=parse_breakpoints(config.get("params.alpha", "0=0")),
+        beta=parse_breakpoints(config.get("params.beta", "0=0")),
+        eta=parse_breakpoints(config.get("params.eta", "0=0")),
         c0=_get_float(config, "params.C0"),
-        power_alpha=_get_float(config, "triangular.powerAlpha",
-                               _TRIANGULAR_DEFAULTS["triangular.powerAlpha"]),
-        lip_beta=_get_float(config, "triangular.lipBeta",
-                            _TRIANGULAR_DEFAULTS["triangular.lipBeta"]),
-        a1_c=_get_float(config, "triangular.C1", _TRIANGULAR_DEFAULTS["triangular.C1"]),
-        a2_c=_get_float(config, "triangular.C2", _TRIANGULAR_DEFAULTS["triangular.C2"]),
-        xi_bound=_get_float(config, "triangular.C3", bound_default),
+        power_alpha=_get_float(config, "triangular.powerAlpha", "0"),
+        lip_beta=_get_float(config, "triangular.lipBeta", "0"),
+        a1_c=_get_float(config, "triangular.C1", "0"),
+        a2_c=_get_float(config, "triangular.C2", "0"),
+        xi_bound=_get_float(config, "triangular.C3", repr(terminal.declared_bound)),
     )
 
     return ProblemInstance(n=n, d=d, grid=grid, generator=generator,

@@ -536,6 +536,40 @@ class TestMaxIterBelowOne:
         assert not out.exists()
 
 
+class TestFloatOptions:
+    BAD = [("--tol", "nan"), ("--tol", "-1"), ("--inner-tol", "nan"), ("--inner-tol", "-0.5")]
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (("solve",), "--z-truncation", "-1"), (("solve",), "--z-truncation", "nan"),
+        *((("solve",), option, value) for option, value in BAD),
+        *((("compare", "--oracle", "joint"), option, value) for option, value in BAD),
+    ], ids=lambda a: a[0] if isinstance(a, tuple) else a)
+    def test_nan_or_negative_is_usage_error(self, tmp_path, capsys, remark_cfg, argv,
+                                            option, value):
+        out = tmp_path / "o"
+        assert run(*argv, "--config", remark_cfg, option, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {option} must be >= 0\n"
+        assert not out.exists()
+
+    def test_infinite_values_allowed(self, tmp_path, remark_cfg):
+        plain, clipped = tmp_path / "plain", tmp_path / "clipped"
+        assert run("solve", "--config", remark_cfg, "--out", str(plain)) == 0
+        assert run("solve", "--config", remark_cfg, "--z-truncation", "inf",
+                   "--out", str(clipped)) == 0
+        for name in ("report.txt", "solution.csv"):
+            assert (plain / name).read_bytes() == (clipped / name).read_bytes()
+        assert run("solve", "--config", remark_cfg, "--mode", "picard", "--tol", "inf",
+                   "--out", str(tmp_path / "picard")) == 0
+
+
+class TestNonFiniteHorizon:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_config_error_without_traceback(self, tmp_path, capsys, remark_cfg, value):
+        assert run("solve", "--config", remark_cfg, "--mode", "stitched", "--horizon", value,
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"config error: chunk horizon {value} is not finite\n"
+
+
 class TestCompareMaxIter:
     def test_direct_mode_honours_max_iter(self, tmp_path, remark_cfg, capsys):
         # remark22 needs about five inner y-iterations per layer.

@@ -75,6 +75,12 @@ class TestSolveStitched:
         with pytest.raises(ValueError, match="align"):
             q.solve_stitched(inst, lat, horizon=0.25)
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_horizon_must_be_finite(self, horizon):
+        inst, lat = make(pure_quadratic_config(N=10))
+        with pytest.raises(ValueError, match=f"chunk horizon {horizon} is not finite"):
+            q.solve_stitched(inst, lat, horizon=horizon)
+
     def test_adaptive_floor(self):
         inst, lat = make(pure_quadratic_config(gamma=80.0, N=4))
         with pytest.raises(AdaptiveFloorError):
@@ -348,6 +354,28 @@ class TestOracleJointPicard:
         ref = q.oracle_joint_picard(inst, lat, tight_tol=1e-12)
         direct = q.backward_solve(inst, lat, inner_tol=1e-14)
         assert field_sup_diff(ref, direct) <= 1e-11
+
+    def test_is_picard_solve_at_the_tight_tolerance(self):
+        inst, lat = make(triangular_demo_config(N=12)
+                         | {"problem.d": 2, "triangular.lipBeta": 2.0})
+        oracle = q.oracle_joint_picard(inst, lat, tight_tol=1e-11, max_iter=300)
+        ref, changes = q.picard_solve(inst, lat, tol=1e-11, max_iter=300)
+        assert oracle.y.tobytes() == ref.y.tobytes()
+        assert oracle.trace.changes == [changes]
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    (lambda inst: q.build_lattice(q.build_time_grid(2.0, inst.grid.steps), inst.d),
+     "lattice grid differs from the instance grid"),
+    (lambda inst: q.build_lattice(inst.grid, 2), "lattice dimension 2 != problem dimension 1"),
+], ids=["grid", "dimension"])
+@pytest.mark.parametrize("entry", [q.solve_stitched, q.oracle_joint_picard, q.solve_triangular,
+                                   q.scalar_problem],
+                         ids=lambda fn: fn.__name__)
+def test_lattice_of_another_problem_rejected(entry, mismatch, message):
+    inst, _ = make(contraction_config(N=8))
+    with pytest.raises(ValueError, match=message):
+        entry(inst, mismatch(inst))
 
 
 class TestShapeMatchers:

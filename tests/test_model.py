@@ -145,6 +145,14 @@ class TestAssembleProblem:
         assert inst.params.lip_beta == 0.0
         assert inst.params.xi_bound == 1.0
 
+    def test_omitted_optional_keys_read_as_zero(self):
+        stated = structured_config(**{
+            "params.alpha": "0=0", "params.beta": "0=0", "params.eta": "0=0",
+            "triangular.powerAlpha": 0, "triangular.lipBeta": 0,
+            "triangular.C1": 0, "triangular.C2": 0})
+        assert q.assemble_problem(structured_config()).params == \
+            q.assemble_problem(stated).params
+
     def test_breakpoint_parsing(self):
         f = q.parse_breakpoints("0=1; 0.5=2.5")
         assert f.breakpoints == ((0.0, 1.0), (0.5, 2.5))

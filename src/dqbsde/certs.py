@@ -65,7 +65,7 @@ def check_log_inequality(x: float, y: float, C: float) -> float:
     scan_log_inequality's cell at (x, y, C), bit for bit.  Overflow gives
     IEEE +-inf, like lambda's saturation: (1e308, 1e-300, 1) gives +inf.
     """
-    if x <= 0 or y <= 0 or C <= 0:
+    if not (0 < x < math.inf and 0 < y < math.inf and 0 < C < math.inf):  # NaN fails too
         raise ValueError("check_log_inequality needs x, y, C > 0")
     return _at_point(_log_residual, x, y, C)
 
@@ -87,6 +87,8 @@ def _log_axis(spec, name: str) -> np.ndarray:
     lo, hi, count = spec
     if count < 1:
         raise ValueError(f"{name}: empty range")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name}: bounds must be finite")
     if lo <= 0 or hi <= 0:
         raise ValueError(f"{name}: bounds must be positive")
     if lo > hi:
@@ -237,7 +239,8 @@ def check_young_power(L: float, alpha: float, eps: float, z_norm: float) -> floa
     z_norm = 0 allowed.  Overflow gives IEEE +-inf, like lambda's
     saturation: (1e200, 0.5, 1, 1) gives +inf.
     """
-    if L <= 0 or eps <= 0 or not (-1.0 < alpha < 1.0) or z_norm < 0:
+    if not (0 < L < math.inf and 0 < eps < math.inf and -1.0 < alpha < 1.0
+            and 0 <= z_norm < math.inf):  # NaN fails too
         raise ValueError("check_young_power: parameter out of range")
     return _at_point(_young_residual, alpha, L, eps, z_norm)
 
@@ -357,8 +360,7 @@ _SHIFT11 = np.uint64(11)
 # the two round multipliers, each with its low and high 32-bit limbs
 _PHILOX_M0, _PHILOX_M1 = ((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
                           for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
-_SAMPLE_BLOCK = 2 ** 12  # samples drawn and tested per block; bounds the memory
-_PHILOX_LANES = 2 ** 11  # samples a Philox pass draws; its temporaries set the falsifier's peak
+_SAMPLE_BLOCK = 2 ** 11  # samples a Philox pass draws and the falsifier tests; sets its peak
 
 
 def _philox_round_keys(seed: int) -> list:
@@ -375,53 +377,43 @@ def _philox_round_keys(seed: int) -> list:
 def _mulhilo(a: np.ndarray, mult) -> tuple:
     """(hi, lo) words of the 128-bit product of uint64 `a` and a multiplier
     (m, its low and its high 32 bits); lo wraps, hi is assembled from
-    32-bit limbs.  A low limb is x - (x >> 32 << 32), as in the CSV
-    writer's own in-place product (``csvcells._shortest``)."""
+    32-bit limbs.  Every step is exact mod 2**64."""
     m, m_lo, m_hi = mult
+    low = np.uint64(0xFFFFFFFF)
     a_hi = a >> _SHIFT32
-    a_lo = a - (a_hi << _SHIFT32)
+    a_lo = a & low
     mid = (a_lo * m_lo) >> _SHIFT32
     cross = a_hi * m_lo
     hi = cross >> _SHIFT32
-    mid += cross - (hi << _SHIFT32)
+    mid += cross & low
     cross = a_lo * m_hi
-    cross_hi = cross >> _SHIFT32
-    mid += cross - (cross_hi << _SHIFT32)
-    hi += cross_hi + a_hi * m_hi + (mid >> _SHIFT32)
+    mid += cross & low
+    hi += (cross >> _SHIFT32) + a_hi * m_hi + (mid >> _SHIFT32)
     return hi, a * m
 
 
-def _philox_uniforms(round_keys: list, index: np.ndarray, per_sample: int) -> np.ndarray:
-    """Row r holds the first per_sample doubles that
-    np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index[r]]))
-    draws: block j is Philox4x64-10 of counter (j+1, 0, 0, index[r]), its four
-    words taken in order, each mapped to (w >> 11) * 2**-53."""
+def _sample_uniforms(seed: int, count: int, per_sample: int, start: int = 0) -> np.ndarray:
+    """(count, per_sample) uniforms; row r holds the first per_sample doubles
+    that np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, start + r]))
+    draws: block j is Philox4x64-10 of counter (j+1, 0, 0, start + r), its four
+    words taken in order, each mapped to (w >> 11) * 2**-53.  Every sample has
+    its own counter, so any index partition reproduces them."""
+    round_keys = _philox_round_keys(seed)
     blocks = -(-per_sample // 4)
     zero = np.zeros((1, 1), dtype=np.uint64)
-    # (m, blocks) lanes; broadcasting keeps the first rounds on the distinct values
+    # (count, blocks) lanes; broadcasting keeps the first rounds on the distinct values
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
     c1, c2 = zero, zero
-    c3 = np.asarray(index, dtype=np.uint64)[:, None]
+    c3 = np.arange(start, start + count, dtype=np.uint64)[:, None]
     for k0, k1 in round_keys:
         hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
         hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.empty((len(index), blocks, 4), dtype=np.uint64)
+    out = np.empty((count, per_sample))
     for w, c in enumerate((c0, c1, c2, c3)):
-        words[:, :, w] = c
-    words = words.reshape(len(index), 4 * blocks)[:, :per_sample]
-    return (words >> _SHIFT11).astype(np.float64) * 2.0 ** -53
-
-
-def _sample_uniforms(seed: int, count: int, per_sample: int, start: int = 0) -> np.ndarray:
-    """(count, per_sample) uniforms of samples start, start + 1, ...; sample i
-    comes from its own counter block of a counter-based generator, so any
-    index partition reproduces them."""
-    keys = _philox_round_keys(seed)
-    return np.concatenate([np.empty((0, per_sample))] + [
-        _philox_uniforms(keys, np.arange(start + lo, start + min(count, lo + _PHILOX_LANES),
-                                         dtype=np.uint64), per_sample)
-        for lo in range(0, count, _PHILOX_LANES)])
+        cols = len(range(w, per_sample, 4))
+        np.multiply(c[:, :cols] >> _SHIFT11, 2.0 ** -53, out=out[:, w::4])
+    return out
 
 
 def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 10_000,

@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for name, low in (("threads", 1), ("falsify", 0), ("max_iter", 1), ("tol", 0),
-                          ("inner_tol", 0), ("z_truncation", 0)):
+                          ("inner_tol", 0), ("z_truncation", 0), ("tolerance", 0)):
             value = getattr(args, name, None)
             if value is not None and not value >= low:  # NaN is not >= low
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")

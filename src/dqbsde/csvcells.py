@@ -26,7 +26,8 @@ doubles", 2020): the shortest decimal in the value's rounding interval, of
 two such the closer one, and on a tie the even one.  Python, unlike Java,
 allows a single digit, so Java's ``s >= 100`` guard and its ``10*c`` path
 for tiny subnormals are left out.  The 64x128-bit products are summed from
-32-bit limbs as in ``certs._mulhilo``, in the scratch.
+32-bit limbs in the scratch, a low limb cut by shifts (``x << 32 >> 32``, in
+place) where ``certs._mulhilo`` uses ``&``: a solve runs no bitwise loop.
 
 No float operation touches a value, so the bytes do not depend on the
 host's SIMD.  The cells use only integer ``+ - *``, shifts, ``%``, table

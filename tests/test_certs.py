@@ -48,6 +48,12 @@ class TestLogInequality:
             with pytest.raises(ValueError, match="^check_log_inequality needs"):
                 q.check_log_inequality(*bad)
 
+    @pytest.mark.parametrize("bad", [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan),
+                                     (math.inf, 1, 1), (1, math.inf, 1), (1, 1, math.inf)])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="^check_log_inequality needs"):
+            q.check_log_inequality(*bad)
+
     def test_scan_positive_on_modest_grid(self):
         scan = q.scan_log_inequality((1e-6, 1e6, 24), (1e-6, 1e6, 24), (1e-6, 1e6, 24))
         assert scan.min_residual > 0
@@ -82,6 +88,13 @@ class TestLogInequality:
             q.scan_log_inequality((1.0, 2.0, 0), (1, 1, 1), (1, 1, 1))
         with pytest.raises(ValueError, match="positive"):
             q.scan_log_inequality((-1.0, 2.0, 4), (1, 1, 1), (1, 1, 1))
+        for bad in ((math.nan, 1.0, 4), (1.0, math.nan, 4), (1.0, math.inf, 4)):
+            with pytest.raises(ValueError, match="^x: bounds must be finite$"):
+                q.scan_log_inequality(bad, (1, 1, 1), (1, 1, 1))
+            with pytest.raises(ValueError, match="^y: bounds must be finite$"):
+                q.scan_log_inequality((1, 1, 1), bad, (1, 1, 1))
+            with pytest.raises(ValueError, match="^C: bounds must be finite$"):
+                q.scan_log_inequality((1, 1, 1), (1, 1, 1), bad)
 
 
 class TestC1Lambda:
@@ -248,6 +261,15 @@ class TestYoungPower:
             q.check_young_power(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="^check_young_power: parameter"):
             q.check_young_power(1.0, 1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            for args in ((bad, 0.5, 1, 1), (1, bad, 1, 1), (1, 0.5, bad, 1), (1, 0.5, 1, bad)):
+                with pytest.raises(ValueError, match="^check_young_power: parameter"):
+                    q.check_young_power(*args)
+            for axis, name in enumerate(("L", "eps", "z")):
+                ranges = [(1, 1, 1)] * 3
+                ranges[axis] = (1.0, bad, 3)
+                with pytest.raises(ValueError, match=f"^{name}: bounds must be finite$"):
+                    q.scan_young_power((0.5,), *ranges)
         with pytest.raises(ValueError, match="^scan_young_power: empty"):
             q.scan_young_power((), (1, 1, 1), (1, 1, 1), (1, 1, 1))
 
@@ -352,21 +374,21 @@ class TestSampler:
         assert_same_bits(np.concatenate(blocks), reference_uniforms(11, 30, 9))
 
     def test_rows_across_default_block_boundary(self):
-        # The sampler's Philox passes of _PHILOX_LANES rows end inside it.
-        block, lanes = q.certs._SAMPLE_BLOCK, q.certs._PHILOX_LANES
+        # rows on both sides of a falsifier block's edge, drawn in one pass
+        block = q.certs._SAMPLE_BLOCK
         u = q.certs._sample_uniforms(5, block + 3, 5)
-        for i in (0, lanes - 1, lanes, block - 1, block, block + 2):
+        for i in (0, block - 1, block, block + 2):
             assert_same_bits(u[i], philox_row(5, i, 5))
+        assert q.certs._sample_uniforms(5, 0, 5).shape == (0, 5)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 + 9, 2 ** 128 - 1])
     def test_scattered_indices(self, seed):
         # large counter words exercise the carries of the 32-bit limb multiply
-        index = np.array([2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3], dtype=np.uint64)
-        keys = q.certs._philox_round_keys(seed)
-        for per in (3, 9):
-            got = q.certs._philox_uniforms(keys, index, per)
-            want = np.stack([philox_row(seed, int(i), per) for i in index])
-            assert_same_bits(got, want)
+        for i in (2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):
+            for per in (3, 9):
+                got = q.certs._sample_uniforms(seed, 2, per, start=i)
+                want = np.stack([philox_row(seed, j, per) for j in (i, i + 1)])
+                assert_same_bits(got, want)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_domain_matches_philox(self, seed):
@@ -374,6 +396,23 @@ class TestSampler:
             np.random.Philox(key=seed)
         with pytest.raises(ValueError):
             q.certs._sample_uniforms(seed, 3, 2)
+
+
+_U64_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+_U64 = st.one_of(st.sampled_from(_U64_EDGES), st.integers(0, 2 ** 64 - 1))
+
+
+class TestMulhilo:
+    """The limb product is the 128-bit product of Python ints, split in words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_U64, st.lists(_U64, max_size=8))
+    def test_matches_python_ints(self, m, drawn):
+        a = _U64_EDGES + drawn
+        mult = tuple(np.uint64(v) for v in (m, m & 0xFFFFFFFF, m >> 32))
+        hi, lo = q.certs._mulhilo(np.array(a, dtype=np.uint64), mult)
+        assert [int(v) for v in hi] == [x * m >> 64 for x in a]
+        assert [int(v) for v in lo] == [x * m % 2 ** 64 for x in a]
 
 
 def triangular_a1_config():

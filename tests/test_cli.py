@@ -149,6 +149,19 @@ class TestCheck:
             header = next(csv.reader(fh))
         assert header == ["L", "alpha", "eps", "z", "residual"]
 
+    @pytest.mark.parametrize("argv, axis", [
+        (("--xrange", "nan:1:5"), "x"), (("--xrange", "1:inf:5"), "x"),
+        (("--inequality", "young", "--lrange", "1:nan:3"), "L"),
+    ], ids=lambda a: ":".join(a) if isinstance(a, tuple) else a)
+    def test_nonfinite_bound_is_config_error(self, tmp_path, capsys, argv, axis):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("check", *argv, "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == f"config error: {axis}: bounds must be finite\n"
+        assert not (out / "check.csv").exists()
+
 
 class TestSolve:
     def test_solution_csv_schema(self, tmp_path, remark_cfg):
@@ -543,6 +556,8 @@ class TestFloatOptions:
         (("solve",), "--z-truncation", "-1"), (("solve",), "--z-truncation", "nan"),
         *((("solve",), option, value) for option, value in BAD),
         *((("compare", "--oracle", "joint"), option, value) for option, value in BAD),
+        (("compare", "--oracle", "joint"), "--tolerance", "nan"),
+        (("compare", "--oracle", "joint"), "--tolerance", "-1"),
     ], ids=lambda a: a[0] if isinstance(a, tuple) else a)
     def test_nan_or_negative_is_usage_error(self, tmp_path, capsys, remark_cfg, argv,
                                             option, value):
@@ -560,6 +575,8 @@ class TestFloatOptions:
             assert (plain / name).read_bytes() == (clipped / name).read_bytes()
         assert run("solve", "--config", remark_cfg, "--mode", "picard", "--tol", "inf",
                    "--out", str(tmp_path / "picard")) == 0
+        assert run("compare", "--config", remark_cfg, "--oracle", "joint", "--tolerance", "inf",
+                   "--out", str(tmp_path / "compare")) == 0
 
 
 class TestNonFiniteHorizon:

@@ -7,9 +7,9 @@ from .certs import (Certificate, FalsificationReport, Violation, build_certifica
                     compute_lambda_log, contraction_horizon, exp_moment_bound_log,
                     falsify_assumptions, reverify_violation, scan_log_inequality,
                     scan_young_power)
-from .drivers import (ScalarProblem, frozen_y_contraction, match_linear, match_pure_quadratic,
-                      match_zero, oracle_joint_picard, oracle_linear, oracle_pure_quadratic,
-                      scalar_problem, solve_stitched, solve_triangular)
+from .drivers import (frozen_y_contraction, match_linear, match_pure_quadratic, match_zero,
+                      oracle_joint_picard, oracle_linear, oracle_pure_quadratic, scalar_problem,
+                      solve_stitched, solve_triangular)
 from .engine import (LatticeModel, RunTrace, SolutionField, backward_solve, build_lattice,
                      cond_exp, estimate_bmo, log_cond_exp, picard_solve, project,
                      sup_norm_y, terminal_values, zero_field)

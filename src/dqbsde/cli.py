@@ -145,14 +145,20 @@ def cmd_certify(args) -> int:
 # check
 # ---------------------------------------------------------------------------
 
+def _scan_budget(counts, max_nodes: int) -> None:
+    """Refuse a scan of more cells than --max-nodes before any array is made."""
+    cells = math.prod(max(count, 0) for count in counts)
+    if cells > max_nodes:
+        raise engine.NodeBudgetError(f"check scan needs {cells} cells, budget is {max_nodes}")
+
+
 def cmd_check(args) -> int:
     csvrows = _csvrows()
     out = Path(args.out) / "check.csv"
     if args.inequality == "log":
-        scan = certs.scan_log_inequality(
-            _parse_range(args.xrange, "xrange"),
-            _parse_range(args.yrange, "yrange"),
-            _parse_range(args.crange, "crange"))
+        axes = [_parse_range(getattr(args, name), name) for name in ("xrange", "yrange", "crange")]
+        _scan_budget([count for _, _, count in axes], args.max_nodes)
+        scan = certs.scan_log_inequality(*axes)
         X, Y, C = np.meshgrid(scan.xs, scan.ys, scan.cs, indexing="ij", sparse=True)
         _write_csv(out, ("x", "y", "C", "residual"),
                    csvrows.float_rows(X, Y, C, scan.residuals))
@@ -162,11 +168,9 @@ def cmd_check(args) -> int:
         print(f"argminCellOffset = {scan.max_argmin_cell_offset}")
         return EXIT_OK if scan.min_residual >= RESIDUAL_SLACK else EXIT_STRICT
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    scan = certs.scan_young_power(
-        alphas,
-        _parse_range(args.lrange, "lrange"),
-        _parse_range(args.erange, "erange"),
-        _parse_range(args.zrange, "zrange"))
+    axes = [_parse_range(getattr(args, name), name) for name in ("lrange", "erange", "zrange")]
+    _scan_budget([len(alphas)] + [count for _, _, count in axes], args.max_nodes)
+    scan = certs.scan_young_power(alphas, *axes)
     A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
     _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
                csvrows.float_rows(L, A, E, Z, scan.residuals))
@@ -180,13 +184,13 @@ def cmd_check(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _solution_csv(path: Path, field: engine.SolutionField, lattice: engine.LatticeModel):
-    n, d = field.n, lattice.d
+def _solution_csv(path: Path, field: engine.SolutionField):
+    n, d = field.n, field.lattice.d
     header = (["layer", "nodeIndex", "t"]
               + [f"W_{j}" for j in range(1, d + 1)]
               + [f"Y_{i}" for i in range(1, n + 1)]
               + [f"Z_{i}{j}" for i in range(1, n + 1) for j in range(1, d + 1)])
-    _write_csv(path, header, _csvrows().solution_rows(field, lattice))
+    _write_csv(path, header, _csvrows().solution_rows(field))
 
 
 def _solve(args, instance: ProblemInstance, lattice: engine.LatticeModel) -> engine.SolutionField:
@@ -221,8 +225,8 @@ def cmd_solve(args) -> int:
         raise
 
     trace = field.trace
-    sup_y = engine.sup_norm_y(field)
-    bmo = engine.estimate_bmo(field, lattice)
+    sup_y = engine.sup_norm_y(field.y)
+    bmo = engine.estimate_bmo(field)
     bmo_log = math.log(bmo ** 2) if bmo > 0 else -math.inf
     pairs += [
         ("converged", True),
@@ -244,7 +248,7 @@ def cmd_solve(args) -> int:
                 (f"chunk.{idx}.endLayer", chunk.end_layer),
                 (f"chunk.{idx}.iterations", len(chunk.changes)),
                 (f"chunk.{idx}.finalChange", chunk.changes[-1]),
-                (f"chunk.{idx}.supY", engine.sup_norm_y(replace(field, y=field.y[rows]))),
+                (f"chunk.{idx}.supY", engine.sup_norm_y(field.y[rows])),
             ]
         for idx, halving in enumerate(trace.halvings):
             pairs.append((f"halving.{idx}", f"{_fmt(halving.before)} -> {_fmt(halving.after)}"))
@@ -254,7 +258,7 @@ def cmd_solve(args) -> int:
         for i in range(instance.n):
             pairs.append((f"component.{i + 1}.outerIterations", sum(outer[i * per:][:per])))
     _write_report(out / "report.txt", pairs)
-    _solution_csv(out / "solution.csv", field, lattice)
+    _solution_csv(out / "solution.csv", field)
     return EXIT_OK
 
 
@@ -430,8 +434,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, low in (("threads", 1), ("falsify", 0), ("max_iter", 1), ("tol", 0),
-                          ("inner_tol", 0), ("z_truncation", 0), ("tolerance", 0)):
+        for name, low in (("threads", 1), ("max_nodes", 1), ("falsify", 0), ("max_iter", 1),
+                          ("tol", 0), ("inner_tol", 0), ("z_truncation", 0), ("tolerance", 0)):
             value = getattr(args, name, None)
             if value is not None and not value >= low:  # NaN is not >= low
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")

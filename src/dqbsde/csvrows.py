@@ -85,10 +85,11 @@ def _int_words(top: int) -> int:
     return (len(str(top)) + 8) // 8
 
 
-def solution_rows(field, lattice):
+def solution_rows(field):
     """Chunks of solution.csv rows ``k,idx,t,W..,Y..,Z..`` in flat node
     order; the terminal layer's Z cells are empty.  Each layer's Z is
     derived once, into one buffer sized for the largest layer."""
+    lattice = field.lattice
     n, d, steps = field.n, lattice.d, lattice.grid.steps
     y, z, z_end = field.y, field.z, lattice.rows(0, steps).stop
     z_buf = np.empty((lattice.layer_size(steps - 1), n, d))

@@ -22,7 +22,6 @@ isolate scheme error from discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -41,22 +40,12 @@ class AdaptiveFloorError(SolverError):
     """Adaptive stitching reached a one-layer chunk and still failed."""
 
 
-@dataclass
-class ScalarProblem:
-    """A one-component equation: driver(k, t, z (m,1,d)) -> values(y (m,1))
-    -> (m,1), staged as ``compile_driver``'s, plus terminal values on the
-    last layer, shape (m_N, 1)."""
-
-    driver: Callable
-    terminal: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # The backward march and the stitched global solve
 # ---------------------------------------------------------------------------
 
-def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Callable,
-           field_: SolutionField, adaptive: bool = False):
+def _march(field_: SolutionField, terminal: np.ndarray, L: int, solve_chunk: Callable,
+           adaptive: bool = False):
     """Solve layers N..0 into the y rows of ``field_`` in chunks of at most
     L layers, terminal side first, recording each chunk and halving in its
     trace.  ``solve_chunk(term, k_lo, k_hi, ys)`` writes the chunk into its
@@ -65,8 +54,8 @@ def _march(lattice: LatticeModel, terminal: np.ndarray, L: int, solve_chunk: Cal
     With ``adaptive`` a chunk whose Picard iteration fails is retried at
     half the length, down to one layer, and the failed attempt's passes are
     kept in its ``Halving``."""
+    lattice, y, trace = field_.lattice, field_.y, field_.trace
     dt = lattice.grid.dt
-    y, trace = field_.y, field_.trace
     k_hi = lattice.grid.steps
     while k_hi > 0:
         k_lo = max(0, k_hi - L)
@@ -124,7 +113,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
                        trace=field_.trace)
         return [0.0]
 
-    _march(lattice, terminal_values(instance, lattice), L, solve_chunk, field_, adaptive)
+    _march(field_, terminal_values(instance, lattice), L, solve_chunk, adaptive)
     return field_, field_.trace
 
 
@@ -132,10 +121,11 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 # Frozen-y contraction and the sequential triangular solve
 # ---------------------------------------------------------------------------
 
-def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: LatticeModel,
-                         tol: float = 1e-10, max_outer: int = 200,
+def frozen_y_contraction(driver: Callable, terminal: np.ndarray, lip_beta: float,
+                         lattice: LatticeModel, tol: float = 1e-10, max_outer: int = 200,
                          out: Optional[np.ndarray] = None):
-    """Solve a scalar equation by iterating the y-freezing map on
+    """Solve the scalar equation of ``driver`` (staged as ``compile_driver``'s
+    with n = 1) and ``terminal`` (m_N, 1) by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
     with y in flat storage covering layers 0..N, z its ``ZLayers``, and a
     trace chunk per sub-interval holding the sup-change of each outer
@@ -165,7 +155,7 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
         change = float(np.abs(term).max())  # the terminal against the zero iterate
         changes = []
         for _ in range(max_outer):
-            changes.append(max(change, backward_range(lattice, problem.driver, False, term,
+            changes.append(max(change, backward_range(lattice, driver, False, term,
                                                       k_lo, k_hi, out=ys)))
             if changes[-1] <= tol:
                 return changes
@@ -173,17 +163,18 @@ def frozen_y_contraction(problem: ScalarProblem, lip_beta: float, lattice: Latti
         raise PicardNonconvergenceError(changes)
 
     field_ = zero_field(lattice, 1) if out is None else SolutionField(out, lattice)
-    _march(lattice, np.asarray(problem.terminal, dtype=float), L, solve_chunk, field_)
+    _march(field_, np.asarray(terminal, dtype=float), L, solve_chunk)
     return field_.y, field_.z, field_.trace
 
 
-def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> ScalarProblem:
-    """Wrap a one-component instance as a ScalarProblem."""
+def scalar_problem(instance: ProblemInstance, lattice: LatticeModel) -> tuple:
+    """A one-component instance's (driver, terminal), the first arguments of
+    ``frozen_y_contraction``."""
     _check_dims(instance, lattice)
     if instance.n != 1:
         raise ValueError("scalar_problem requires n = 1")
     driver, _ = compile_driver(instance.generator)
-    return ScalarProblem(driver=driver, terminal=terminal_values(instance, lattice))
+    return driver, terminal_values(instance, lattice)
 
 
 def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
@@ -244,11 +235,10 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
             return values
 
-        problem = ScalarProblem(driver=drv, terminal=field_.y[top, i - 1:i])
         try:
             field_.trace.chunks += frozen_y_contraction(
-                problem, instance.params.lip_beta, lattice, tol=tol, max_outer=max_outer,
-                out=field_.y[:, i - 1:i])[2].chunks
+                drv, field_.y[top, i - 1:i], instance.params.lip_beta, lattice, tol=tol,
+                max_outer=max_outer, out=field_.y[:, i - 1:i])[2].chunks
         except SolverError as err:
             err.args = (f"component {i}: {err}",)  # same class, trace, partial and layer
             raise

@@ -310,14 +310,14 @@ def zero_field(lattice: LatticeModel, n: int) -> SolutionField:
     return SolutionField(np.zeros((lattice.total_nodes, n)), lattice)
 
 
-def sup_norm_y(field_: SolutionField) -> float:
-    """Max over nodes of the Euclidean norm of the Y vector, reduced in
+def sup_norm_y(y: np.ndarray) -> float:
+    """Max over the rows of y (nodes, n) of the Euclidean norm, reduced in
     blocks of rows: whole-field temporaries would set a solve's peak memory."""
-    return math.sqrt(max(float(sum_squares(field_.y[i:i + 4096]).max())
-                         for i in range(0, len(field_.y), 4096)))
+    return math.sqrt(max(float(sum_squares(y[i:i + 4096]).max())
+                         for i in range(0, len(y), 4096)))
 
 
-def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
+def estimate_bmo(field_: SolutionField) -> float:
     """Discrete BMO estimate of Z: sqrt of the max over (layer, node) of the
     conditional remaining quadratic variation E[sum_{j>=k} |Z_j|^2 dt | node],
     each layer's Z derived as the walk reaches it.
@@ -325,6 +325,7 @@ def estimate_bmo(field_: SolutionField, lattice: LatticeModel) -> float:
     The supremum runs over grid times only, a restriction of the general
     stopping-time supremum.
     """
+    lattice = field_.lattice
     N = lattice.grid.steps
     dt = lattice.grid.dt
     acc = np.zeros(lattice.layer_size(N))

@@ -8,6 +8,7 @@ falsifier) consumes the validated ``ProblemInstance``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -40,6 +41,8 @@ class TimeGrid:
 def build_time_grid(horizon: float, steps: int) -> TimeGrid:
     if steps < 1:
         raise ConfigError(f"grid steps must be >= 1, got {steps}")
+    if not math.isfinite(horizon):
+        raise ConfigError(f"problem.T must be finite, got {horizon}")
     if horizon < 0:
         raise ConfigError(f"horizon must be >= 0, got {horizon}")
     return TimeGrid(float(horizon), int(steps))
@@ -61,6 +64,8 @@ class CoefficientFunction:
         object.__setattr__(self, "breakpoints", pts)
         if not pts:
             raise ConfigError("coefficient function needs at least one breakpoint")
+        if not all(math.isfinite(x) for pt in pts for x in pt):
+            raise ConfigError("breakpoints must be finite")
         if pts[0][0] != 0.0:
             raise ConfigError("first breakpoint must start at t=0")
         for (a, va), (b, _) in zip(pts, pts[1:]):
@@ -121,6 +126,13 @@ class AssumptionParams:
     xi_bound: float = 0.0
 
     def __post_init__(self):
+        for nm, key in (("gamma", "params.gamma"), ("lip_k", "params.K"),
+                        ("delta", "params.delta"), ("c0", "params.C0"),
+                        ("power_alpha", "triangular.powerAlpha"),
+                        ("lip_beta", "triangular.lipBeta"), ("a1_c", "triangular.C1"),
+                        ("a2_c", "triangular.C2"), ("xi_bound", "triangular.C3")):
+            if not math.isfinite(getattr(self, nm)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, nm)}")
         if not self.gamma > 0:
             raise ConfigError(f"params.gamma must be > 0, got {self.gamma}")
         if self.lip_k < 0:
@@ -145,6 +157,8 @@ class TerminalCondition:
     declared_bound: float
 
     def __post_init__(self):
+        if not math.isfinite(self.declared_bound):
+            raise ConfigError(f"terminal.bound must be finite, got {self.declared_bound}")
         if self.declared_bound < 0:
             raise ConfigError("terminal.bound must be >= 0")
 
@@ -241,6 +255,13 @@ def _get_float(config: Mapping, key: str, default: Optional[str] = None) -> floa
         raise ConfigError(f"key {key!r}: expected number, got {raw!r}") from None
 
 
+def _get_breakpoints(config: Mapping, key: str) -> CoefficientFunction:
+    try:
+        return parse_breakpoints(config.get(key, "0=0"))
+    except ConfigError as err:
+        raise ConfigError(f"key {key!r}: {err}") from None
+
+
 def _parse_dsl(config: Mapping, key: str, n: int, d: int, context: str) -> Expr:
     text = str(_get(config, key))
     try:
@@ -308,9 +329,9 @@ def assemble_problem(config: Mapping) -> ProblemInstance:
         gamma=_get_float(config, "params.gamma"),
         lip_k=_get_float(config, "params.K"),
         delta=_get_float(config, "params.delta"),
-        alpha=parse_breakpoints(config.get("params.alpha", "0=0")),
-        beta=parse_breakpoints(config.get("params.beta", "0=0")),
-        eta=parse_breakpoints(config.get("params.eta", "0=0")),
+        alpha=_get_breakpoints(config, "params.alpha"),
+        beta=_get_breakpoints(config, "params.beta"),
+        eta=_get_breakpoints(config, "params.eta"),
         c0=_get_float(config, "params.C0"),
         power_alpha=_get_float(config, "triangular.powerAlpha", "0"),
         lip_beta=_get_float(config, "triangular.lipBeta", "0"),

@@ -120,8 +120,8 @@ def test_06_a_priori_bound():
     cert = q.build_certificate(inst)
     falsification = q.falsify_assumptions(inst, seed=0, count=10_000, radius=10.0)
     field, plan = q.solve_stitched(inst, lat, horizon=0.5, mode="picard", tol=1e-10)
-    sup_y = q.sup_norm_y(field)
-    bmo = q.estimate_bmo(field, lat)
+    sup_y = q.sup_norm_y(field.y)
+    bmo = q.estimate_bmo(field)
     bmo_log = math.log(bmo ** 2)
     elapsed = time.perf_counter() - t0
     ok = (cert.h3_satisfied and falsification.clean
@@ -168,8 +168,7 @@ def test_08_triangular_equivalence():
 
 def test_09_contraction_schedule():
     inst, lat = make(contraction_config(N=40, lip_beta=2.0))
-    sp = q.scalar_problem(inst, lat)
-    _, _, trace = q.frozen_y_contraction(sp, 2.0, lat, tol=1e-10)
+    _, _, trace = q.frozen_y_contraction(*q.scalar_problem(inst, lat), 2.0, lat, tol=1e-10)
     intervals_ok = (len(trace.chunks) == 4
                     and all(abs((c.start_layer - c.end_layer) * lat.grid.dt - 0.25) < 1e-12
                             for c in trace.chunks))

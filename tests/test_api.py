@@ -17,9 +17,9 @@ PUBLIC_NAMES = [
     "falsify_assumptions", "reverify_violation", "scan_log_inequality",
     "scan_young_power",
     # drivers
-    "ScalarProblem", "frozen_y_contraction", "match_linear", "match_pure_quadratic",
-    "match_zero", "oracle_joint_picard", "oracle_linear", "oracle_pure_quadratic",
-    "scalar_problem", "solve_stitched", "solve_triangular",
+    "frozen_y_contraction", "match_linear", "match_pure_quadratic", "match_zero",
+    "oracle_joint_picard", "oracle_linear", "oracle_pure_quadratic", "scalar_problem",
+    "solve_stitched", "solve_triangular",
     # engine
     "LatticeModel", "RunTrace", "SolutionField", "backward_solve", "build_lattice", "cond_exp",
     "estimate_bmo", "log_cond_exp", "picard_solve", "project", "sup_norm_y",

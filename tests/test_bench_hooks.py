@@ -83,7 +83,7 @@ def test_solve_stitched_chunks_and_halvings(child):
 def test_frozen_y_contraction_outer_iterations(child):
     inst, lat = make(contraction_config(N=40, lip_beta=2.0))
     _, counters = _traced(child, q.frozen_y_contraction, "drivers.frozen_y_contraction",
-                          q.scalar_problem(inst, lat), 2.0, lat)
+                          *q.scalar_problem(inst, lat), 2.0, lat)
     assert counters == {"drivers.outer_iterations": 13 + 14 + 14 + 13}
 
 

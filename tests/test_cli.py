@@ -321,9 +321,9 @@ class TestConverge:
 # CSV writers against the cell-by-cell writers they replaced
 # ---------------------------------------------------------------------------
 
-def reference_solution_csv(path, field, lattice):
+def reference_solution_csv(path, field):
     """The cell-by-cell solution.csv writer the block writer must match."""
-    n = field.n
+    n, lattice = field.n, field.lattice
     d = lattice.d
     header = (["layer", "nodeIndex", "t"]
               + [f"W_{j}" for j in range(1, d + 1)]
@@ -362,10 +362,10 @@ def reference_check_rows(scan):
             for iz, z in enumerate(scan.zs))
 
 
-def assert_same_solution_csv(tmp_path, field, lattice):
+def assert_same_solution_csv(tmp_path, field):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    cli._solution_csv(new, field, lattice)
-    reference_solution_csv(ref, field, lattice)
+    cli._solution_csv(new, field)
+    reference_solution_csv(ref, field)
     assert new.read_bytes() == ref.read_bytes()
 
 
@@ -389,21 +389,21 @@ class TestSolutionWriter:
         instance, lattice = make(cfg)
         field = q.backward_solve(instance, lattice)
         assert field.n == n and lattice.d == d
-        assert_same_solution_csv(tmp_path, field, lattice)
+        assert_same_solution_csv(tmp_path, field)
 
     def test_zero_dt_grid(self, tmp_path):
         # T = 0 gives dt = 0: W cells of negative 2u - k are -0.0.
         instance, lattice = make(dict(remark22_config(N=4), **{"problem.T": 0.0}))
         assert lattice.grid.dt == 0.0
         field = q.backward_solve(instance, lattice)
-        assert_same_solution_csv(tmp_path, field, lattice)
+        assert_same_solution_csv(tmp_path, field)
         assert "-0.0" in (tmp_path / "new.csv").read_text()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_special_values(self, tmp_path, d):
         lattice = engine.build_lattice(TimeGrid(1.0, 5), d)
         field = synthetic_field(lattice, n=2)
-        assert_same_solution_csv(tmp_path, field, lattice)
+        assert_same_solution_csv(tmp_path, field)
         text = (tmp_path / "new.csv").read_text()
         for token in ("-0.0", "5e-324", "1e+300", "0.3333333333333333", "2.0"):
             assert token in text
@@ -414,7 +414,7 @@ class TestSolutionWriter:
         # fall below, on and above a pass of 3 rows.
         monkeypatch.setattr(csvrows, "PASS", 3 * (1 + d))
         lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
-        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=1, offset=3), lattice)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=1, offset=3))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
@@ -430,11 +430,11 @@ class TestSolutionWriter:
         starts = range(0, total, block)
         assert any(terminal < lo for lo in starts)
         assert any(lo < terminal < lo + block for lo in starts)
-        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=block), lattice)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=block))
         field = q.backward_solve(*make(dict(
             remark22_config(N=5) if n == 2 else pure_quadratic_config(N=5),
             **{"problem.d": d, "problem.T": 0.7, "terminal.1": f"0.25*clamp(w{d},-1,1)"})))
-        assert_same_solution_csv(tmp_path, field, lattice)
+        assert_same_solution_csv(tmp_path, field)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
@@ -448,7 +448,7 @@ class TestSolutionWriter:
         monkeypatch.setattr(csvrows, "PASS", rows * cols + 1)
         chunks = chunk_rows(monkeypatch)
         lattice = engine.build_lattice(TimeGrid(0.7, 5), d)
-        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=rows), lattice)
+        assert_same_solution_csv(tmp_path, synthetic_field(lattice, n=n, offset=rows))
         total, terminal = lattice.total_nodes, lattice.rows(5).start
         layer_starts = {lattice.rows(k).start for k in range(6)}
         pass_ends = set(range(rows, total, rows))
@@ -469,9 +469,9 @@ class TestSolutionWriter:
         odd = synthetic_field(small, n=2)
         odd.y[::3] = np.nan
         odd.y[1::5] = -np.inf  # Z cells of inf and nan too
-        for f, lat, name in ((odd, small, "odd"), (field, lattice, "r22"), (odd, small, "odd2")):
+        for f, name in ((odd, "odd"), (field, "r22"), (odd, "odd2")):
             (tmp_path / name).mkdir()
-            assert_same_solution_csv(tmp_path / name, f, lat)
+            assert_same_solution_csv(tmp_path / name, f)
         assert b",nan," in (tmp_path / "odd" / "new.csv").read_bytes()
         assert (tmp_path / "odd" / "new.csv").read_bytes() == (tmp_path / "odd2" / "new.csv").read_bytes()
 
@@ -585,6 +585,80 @@ class TestNonFiniteHorizon:
         assert run("solve", "--config", remark_cfg, "--mode", "stitched", "--horizon", value,
                    "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"config error: chunk horizon {value} is not finite\n"
+
+
+class TestNonFiniteConfig:
+    """A NaN or infinite config number is a config error before any work:
+    NaN passed the ``x < 0`` range checks, so the falsifier compared every
+    sample with a NaN right-hand side and reported none."""
+
+    def test_falsifier_with_nan_constant(self, tmp_path, capsys):
+        small = write_config(tmp_path / "small.cfg", remark22_config(N=20) | {"params.K": 0.01})
+        assert run("certify", "--config", str(small), "--falsify", "2000", "--strict",
+                   "--out", str(tmp_path / "small")) == 4
+        assert "violation" in capsys.readouterr().err
+        nan = write_config(tmp_path / "nan.cfg", remark22_config(N=20) | {"params.K": "nan"})
+        out = tmp_path / "nan"
+        assert run("certify", "--config", str(nan), "--falsify", "2000", "--strict",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: params.K must be finite, got nan\n"
+        assert not (out / "certificate.txt").exists()
+
+    def test_infinite_horizon(self, tmp_path, capsys):
+        path = write_config(tmp_path / "t.cfg", remark22_config(N=20) | {"problem.T": "inf"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("solve", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == "config error: problem.T must be finite, got inf\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestCheckBudget:
+    """check counts its scan's cells from the parsed ranges and refuses more
+    than --max-nodes before it allocates any of them.  The large grids
+    here would need terabytes, so without the check numpy refuses them at
+    once rather than filling memory."""
+
+    @pytest.mark.parametrize("argv, cells, budget", [
+        (("--xrange", "1:2:1000000000000"), 3_600_000_000_000_000, 2_000_000),
+        (("--max-nodes", "215999"), 216_000, 215_999),
+        (("--inequality", "young", "--max-nodes", "6911"), 6_912, 6_911),
+        (("--inequality", "young", "--alphas", "0.5", "--zrange", "1:2:1000000000000"),
+         144_000_000_000_000, 2_000_000),
+    ], ids=["huge-x", "log-default", "young-default", "young-z"])
+    def test_over_budget(self, tmp_path, capsys, argv, cells, budget):
+        out = tmp_path / "o"
+        assert run("check", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: check scan needs {cells} cells, budget is {budget}\n")
+        assert not (out / "check.csv").exists()
+
+    @pytest.mark.parametrize("argv", [("--max-nodes", "216000"),
+                                      ("--inequality", "young", "--max-nodes", "6912")],
+                             ids=["log", "young"])
+    def test_default_grid_at_its_budget(self, tmp_path, argv):
+        assert run("check", *argv, "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "check.csv").exists()
+
+    def test_empty_range_keeps_its_message(self, tmp_path, capsys):
+        # Two negative counts multiply to a large product; an empty axis is
+        # still reported as such.
+        assert run("check", "--xrange", "1:2:-3000", "--yrange", "1:2:-3000",
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "config error: x: empty range\n"
+
+
+class TestMaxNodesBelowOne:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [("solve",), ("check",), ("certify",),
+                                      ("compare", "--oracle", "joint"), ("converge",)],
+                             ids=lambda argv: argv[0])
+    def test_usage_error(self, tmp_path, capsys, remark_cfg, argv, value):
+        out = tmp_path / "o"
+        assert run(*argv, "--config", remark_cfg, "--max-nodes", value, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "usage error: --max-nodes must be >= 1\n"
+        assert not out.exists()
 
 
 class TestCompareMaxIter:

@@ -17,10 +17,8 @@ from conftest import make, remark22_config
 
 @pytest.fixture(scope="module")
 def direct_remark22():
-    """The direct solve of remark22 at N=800 (the direct-r22 workload) and
-    its lattice."""
-    instance, lattice = make(remark22_config(N=800))
-    return q.backward_solve(instance, lattice), lattice
+    """The direct solve of remark22 at N=800 (the direct-r22 workload)."""
+    return q.backward_solve(*make(remark22_config(N=800)))
 
 
 def texts(values):
@@ -117,7 +115,7 @@ class TestRepr:
         assert text == ",0.5,-2.0,1e+300,3e-05,123456.789,-0.0"
 
     def test_every_value_of_the_direct_remark22_field(self, direct_remark22):
-        field, _ = direct_remark22
+        field = direct_remark22
         values = np.concatenate([field.y.ravel(), *(z.ravel() for z in field.z)])
         assert values.size == 1_283_202
         for lo in range(0, values.size, 2 ** 16):
@@ -143,7 +141,7 @@ class TestWriterMemory:
         csvcells._tables()
         tracemalloc.start()
         try:
-            cli._solution_csv(tmp_path / "solution.csv", *direct_remark22)
+            cli._solution_csv(tmp_path / "solution.csv", direct_remark22)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

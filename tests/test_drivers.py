@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dqbsde as q
 from dqbsde import certs, csvrows, drivers, engine
@@ -41,10 +42,10 @@ class TestSolveStitched:
         field, plan = q.solve_stitched(inst, lat, horizon=0.5, mode="picard",
                                        tol=1e-10)
         cert = q.build_certificate(inst)
-        sup_y = [q.sup_norm_y(replace(field, y=field.y[lat.rows(c.end_layer, c.start_layer + 1)]))
+        sup_y = [q.sup_norm_y(field.y[lat.rows(c.end_layer, c.start_layer + 1)])
                  for c in plan.chunks]
         assert all(s <= cert.lambda_bound for s in sup_y)
-        assert max(sup_y) == q.sup_norm_y(field)
+        assert max(sup_y) == q.sup_norm_y(field.y)
 
     def test_adaptive_halving_logged(self):
         inst, lat = make(pure_quadratic_config(gamma=6.0, N=50))
@@ -96,7 +97,7 @@ class TestFrozenYContraction:
         sp = q.scalar_problem(inst, lat)
         # driver reads y, so freezing matters; with lip_beta 0 the schedule
         # must still be a single interval
-        ys, zs, trace = q.frozen_y_contraction(sp, 0.0, lat, tol=1e-10)
+        ys, zs, trace = q.frozen_y_contraction(*sp, 0.0, lat, tol=1e-10)
         assert len(trace.chunks) == 1
 
     def test_y_free_driver_confirms_in_one_extra_iteration(self):
@@ -104,7 +105,7 @@ class TestFrozenYContraction:
                                    "terminal.1": "clamp(w1,-1,1)"})
         inst, lat = make(cfg)
         sp = q.scalar_problem(inst, lat)
-        ys, zs, trace = q.frozen_y_contraction(sp, 0.0, lat, tol=1e-10)
+        ys, zs, trace = q.frozen_y_contraction(*sp, 0.0, lat, tol=1e-10)
         assert len(trace.chunks) == 1
         assert len(trace.changes[0]) == 2          # solve, then a zero-change pass
         assert trace.changes[0][1] == 0.0
@@ -112,7 +113,7 @@ class TestFrozenYContraction:
     def test_schedule_quarter_intervals(self):
         inst, lat = make(contraction_config(N=40, lip_beta=2.0))
         sp = q.scalar_problem(inst, lat)
-        ys, zs, trace = q.frozen_y_contraction(sp, 2.0, lat, tol=1e-10)
+        ys, zs, trace = q.frozen_y_contraction(*sp, 2.0, lat, tol=1e-10)
         assert len(trace.chunks) == 4
         assert all(abs((c.start_layer - c.end_layer) * lat.grid.dt - 0.25) < 1e-12
                    for c in trace.chunks)
@@ -121,12 +122,12 @@ class TestFrozenYContraction:
     def test_outer_limit_below_one_rejected(self, limit):
         inst, lat = make(contraction_config(N=8))
         with pytest.raises(ValueError, match="^max_outer must be >= 1"):
-            q.frozen_y_contraction(q.scalar_problem(inst, lat), 2.0, lat, max_outer=limit)
+            q.frozen_y_contraction(*q.scalar_problem(inst, lat), 2.0, lat, max_outer=limit)
 
     def test_matches_backward_solve_on_linear_driver(self):
         inst, lat = make(linear_config(-1.0, 0.0, N=10))
         sp = q.scalar_problem(inst, lat)
-        ys, _, _ = q.frozen_y_contraction(sp, 1.0, lat, tol=1e-12)
+        ys, _, _ = q.frozen_y_contraction(*sp, 1.0, lat, tol=1e-12)
         assert ys[0, 0] == pytest.approx((1 + 0.1) ** -10, abs=1e-10)
 
 
@@ -135,7 +136,7 @@ class TestSolveTriangular:
         cfg = triangular_demo_config(terminal1="0", terminal2="0", bound=0.0)
         inst, lat = make(cfg)
         f = q.solve_triangular(inst, lat)
-        assert q.sup_norm_y(f) == 0.0
+        assert q.sup_norm_y(f.y) == 0.0
         assert np.all(flat_z(f) == 0.0)
 
     def test_matches_joint_picard(self, triangular_demo_instance):
@@ -197,7 +198,7 @@ class TestTriangularWithoutZ:
         assert got.trace.changes == want_changes
 
 
-def _ref_frozen_y(problem, lip_beta, lat, tol=1e-10, max_outer=200):
+def _ref_frozen_y(driver, terminal, lip_beta, lat, tol=1e-10, max_outer=200):
     """The textbook frozen-y map: each outer iteration keeps a full copy of
     the chunk's previous iterate, evaluates the driver at that copy and
     takes its change against it.  Returns flat (y, z) and each chunk's
@@ -207,7 +208,7 @@ def _ref_frozen_y(problem, lip_beta, lat, tol=1e-10, max_outer=200):
     L = N if not math.isfinite(H) or H >= lat.grid.horizon else int(math.floor(H / dt + 1e-9))
     y = np.zeros((lat.total_nodes, 1))
     z = np.zeros((lat.rows(0, N).stop, 1, lat.d))
-    y[lat.rows(N)] = problem.terminal
+    y[lat.rows(N)] = terminal
     chunks = []
     k_hi = N
     while k_hi > 0:
@@ -217,7 +218,7 @@ def _ref_frozen_y(problem, lip_beta, lat, tol=1e-10, max_outer=200):
         for _ in range(max_outer):
             for k in range(k_hi - 1, k_lo - 1, -1):
                 expectation, z[lat.rows(k)] = engine.project(lat, k, y[lat.rows(k + 1)])
-                values = problem.driver(k, lat.grid.time(k), z[lat.rows(k)])
+                values = driver(k, lat.grid.time(k), z[lat.rows(k)])
                 y[lat.rows(k)] = expectation + values(prev[lat.rows(k)]) * dt
             live = lat.rows(k_lo, k_hi + 1)
             changes.append(float(np.abs(y[live] - prev[live]).max()))
@@ -249,8 +250,8 @@ def _ref_triangular(inst, lat, tol=1e-10, max_outer=200):
                 return np.broadcast_to(np.asarray(out, dtype=float), (len(y_k),))[:, None]
             return values
 
-        problem = drivers.ScalarProblem(driver, y[lat.rows(N), i:i + 1].copy())
-        y_i, z_i, changes = _ref_frozen_y(problem, inst.params.lip_beta, lat, tol, max_outer)
+        y_i, z_i, changes = _ref_frozen_y(driver, y[lat.rows(N), i:i + 1].copy(),
+                                          inst.params.lip_beta, lat, tol, max_outer)
         y[:, i:i + 1], z[:, i:i + 1] = y_i, z_i
         chunks += changes
     return y, z, chunks
@@ -267,16 +268,16 @@ class TestFrozenYReference:
     def test_driver_reading_y(self, lip_beta, intervals, d):
         inst, lat = make(contraction_config(N=24, lip_beta=lip_beta) | {"problem.d": d})
         problem = drivers.scalar_problem(inst, lat)
-        y, z, trace = drivers.frozen_y_contraction(problem, lip_beta, lat)
-        want_y, want_z, want_changes = _ref_frozen_y(problem, lip_beta, lat)
+        y, z, trace = drivers.frozen_y_contraction(*problem, lip_beta, lat)
+        want_y, want_z, want_changes = _ref_frozen_y(*problem, lip_beta, lat)
         assert len(trace.chunks) == intervals
         assert y.tobytes() == want_y.tobytes()
         assert np.concatenate(list(z)).tobytes() == want_z.tobytes()
         assert trace.changes == want_changes
         with pytest.raises(engine.PicardNonconvergenceError) as want:
-            _ref_frozen_y(problem, lip_beta, lat, max_outer=3)
+            _ref_frozen_y(*problem, lip_beta, lat, max_outer=3)
         with pytest.raises(engine.PicardNonconvergenceError) as got:
-            drivers.frozen_y_contraction(problem, lip_beta, lat, max_outer=3)
+            drivers.frozen_y_contraction(*problem, lip_beta, lat, max_outer=3)
         assert got.value.trace == want.value.trace
 
     @pytest.mark.parametrize("cfg", [
@@ -347,7 +348,7 @@ class TestOracleJointPicard:
         cfg = structured_config(**{"terminal.1": "0", "terminal.bound": 0.0})
         inst, lat = make(cfg)
         f = q.oracle_joint_picard(inst, lat)
-        assert q.sup_norm_y(f) == 0.0
+        assert q.sup_norm_y(f.y) == 0.0
 
     def test_cross_check_with_backward(self):
         inst, lat = make(pure_quadratic_config(N=40))
@@ -461,7 +462,7 @@ class TestLiveFields:
         inst, lat = make(contraction_config(N=24, lip_beta=0.25)
                          | {"problem.d": 2, "generator.1.k": "0.25*y1 + 0.5*norm2(z1)"})
         problem = drivers.scalar_problem(inst, lat)
-        assert _live_ratio(lambda: drivers.frozen_y_contraction(problem, 0.25, lat),
+        assert _live_ratio(lambda: drivers.frozen_y_contraction(*problem, 0.25, lat),
                            lat, 1) <= 0.8
 
     def test_stitched_four_chunks(self):
@@ -473,8 +474,8 @@ class TestLiveFields:
         inst, lat = make(contraction_config(N=24, lip_beta=2.0)
                          | {"problem.d": 2, "generator.1.k": "0.25*y1 + 0.5*norm2(z1)"})
         problem = drivers.scalar_problem(inst, lat)
-        assert len(drivers.frozen_y_contraction(problem, 2.0, lat)[2].chunks) == 4
-        assert _live_ratio(lambda: drivers.frozen_y_contraction(problem, 2.0, lat),
+        assert len(drivers.frozen_y_contraction(*problem, 2.0, lat)[2].chunks) == 4
+        assert _live_ratio(lambda: drivers.frozen_y_contraction(*problem, 2.0, lat),
                            lat, 1) <= 0.8
 
     def test_direct_solve_bmo_and_solution_rows(self):
@@ -484,8 +485,84 @@ class TestLiveFields:
 
         def run():
             field_ = q.backward_solve(inst, lat)
-            q.estimate_bmo(field_, lat)
-            for _ in csvrows.solution_rows(field_, lat):
+            q.estimate_bmo(field_)
+            for _ in csvrows.solution_rows(field_):
                 pass
 
         assert _live_ratio(run, lat, 2) <= 0.9
+
+
+# ---------------------------------------------------------------------------
+# Cross-scheme agreement on random admissible instances
+# ---------------------------------------------------------------------------
+
+def _structured_family(n, d, T, N, c, a, b, s):
+    """g_i = c norm2(z_i), h_i = a y_i + b_i and terminal clamp(s w1, -1, 1)."""
+    cfg = structured_config(**{"problem.n": n, "problem.d": d, "problem.T": T, "grid.N": N,
+                               "params.gamma": max(2.0 * abs(c), 1.0)})
+    for i in range(1, n + 1):
+        cfg[f"generator.{i}.g"] = f"{c!r}*norm2(z{i})"
+        cfg[f"generator.{i}.h"] = f"{a!r}*y{i} + {b[i - 1]!r}"
+        cfg[f"terminal.{i}"] = f"clamp({s!r}*w1,-1,1)"
+    return cfg
+
+
+def _triangular_family(d, T, N, c, a, e, b, s):
+    """k_i = c_i norm2(z_i) + a_i y_i + b_i, component 2 also reading
+    e (y1 + norm(z1)); lipBeta is max |a_i|, so a_i beyond 1 splits [0, T]
+    into several sub-intervals."""
+    return triangular_demo_config(N=N) | {
+        "problem.d": d, "problem.T": T, "triangular.lipBeta": max(map(abs, a)),
+        "generator.1.k": f"{c[0]!r}*norm2(z1) + {a[0]!r}*y1 + {b[0]!r}",
+        "generator.2.k": f"{c[1]!r}*norm2(z2) + {a[1]!r}*y2 + {e!r}*(y1 + norm(z1)) + {b[1]!r}",
+        "terminal.1": f"clamp({s[0]!r}*w1,-1,1)", "terminal.2": f"clamp({s[1]!r}*w{d},-1,1)"}
+
+
+_unit = st.floats(-1.0, 1.0)
+_dims = st.sampled_from([1, 2])
+_horizons = st.floats(0.0, 0.5)
+_steps = st.sampled_from([2, 4, 6, 8, 10, 12])
+_slopes = st.floats(-4.0, 4.0)
+
+
+class TestCrossScheme:
+    """Direct, Picard, stitched and triangular solves of one instance agree,
+    and they meet the linear oracle where the driver is a constant."""
+
+    @given(n=_dims, d=_dims, T=_horizons, N=_steps, c=_unit, a=_unit,
+           b=st.tuples(_unit, _unit), s=_slopes)
+    @settings(max_examples=25, deadline=None)
+    def test_structured_schemes_agree(self, n, d, T, N, c, a, b, s):
+        inst, lat = make(_structured_family(n, d, T, N, c, a, b, s))
+        direct = q.backward_solve(inst, lat, inner_tol=1e-12)
+        for field_ in (q.picard_solve(inst, lat, tol=1e-12)[0],
+                       q.solve_stitched(inst, lat, horizon=T / 2, tol=1e-12)[0]):
+            assert np.abs(field_.y - direct.y).max() <= 1e-8
+
+    @given(d=_dims, T=_horizons, N=_steps, c=st.tuples(_unit, _unit),
+           a=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), e=_unit,
+           b=st.tuples(_unit, _unit), s=st.tuples(_slopes, _slopes))
+    @settings(max_examples=25, deadline=None)
+    def test_triangular_matches_joint_picard(self, d, T, N, c, a, e, b, s):
+        inst, lat = make(_triangular_family(d, T, N, c, a, e, b, s))
+        f = q.solve_triangular(inst, lat, tol=1e-12)
+        ref = q.oracle_joint_picard(inst, lat, tight_tol=1e-12)
+        assert field_sup_diff(f, ref) <= 1e-8
+
+    @given(n=_dims, d=_dims, T=_horizons, N=_steps, b=st.tuples(_unit, _unit), s=_slopes)
+    @settings(max_examples=25, deadline=None)
+    def test_constant_driver_is_linear_oracle(self, n, d, T, N, b, s):
+        # c = a = 0 leaves f_i = b_i, whose solution is E[xi | node] + b_i (T - t).
+        cfg = _structured_family(n, d, T, N, 0.0, 0.0, b, s)
+        inst, lat = make(cfg)
+        tri = q.assemble_problem(
+            {k: v for k, v in cfg.items() if not k.startswith("generator.")}
+            | {"generator.kind": "triangular"}
+            | {f"generator.{i}.k": repr(b[i - 1]) for i in range(1, n + 1)})
+        term = engine.terminal_values(inst, lat)
+        want = np.stack([q.oracle_linear(0.0, b[i], term[:, i], lat) for i in range(n)], axis=1)
+        for field_ in (q.backward_solve(inst, lat, inner_tol=1e-12),
+                       q.picard_solve(inst, lat, tol=1e-12)[0],
+                       q.solve_stitched(inst, lat, horizon=T / 2, tol=1e-12)[0],
+                       q.solve_triangular(tri, lat, tol=1e-12)):
+            assert np.abs(field_.y - want).max() <= 1e-12

@@ -486,7 +486,7 @@ class TestPicardSolve:
         inst, lat = make(cfg)
         f, trace = q.picard_solve(inst, lat)
         assert len(trace) == 1 and trace[0] == 0.0
-        assert q.sup_norm_y(f) == 0.0
+        assert q.sup_norm_y(f.y) == 0.0
 
     def test_agrees_with_backward_solve(self):
         inst, lat = make(pure_quadratic_config(N=50))
@@ -771,7 +771,7 @@ class TestDeclinedZ:
         ys, zs, clips = _ref_backward(lat, driver, y_dep, engine.terminal_values(inst, lat), c)
         _assert_field_is(field_, ys, zs)
         assert field_.trace.z_clips == clips and (clips > 0) == (c is not None)
-        assert q.estimate_bmo(field_, lat) == _bmo_of(lat, zs)
+        assert q.estimate_bmo(field_) == _bmo_of(lat, zs)
 
     def test_picard_solve_from_a_solved_init(self):
         # Pass 0 reads init's Y and the Z projected from it.
@@ -783,7 +783,7 @@ class TestDeclinedZ:
                                          init_y=init.y)
         _assert_field_is(field_, ys, zs)
         assert trace == want
-        assert q.estimate_bmo(field_, lat) == _bmo_of(lat, zs)
+        assert q.estimate_bmo(field_) == _bmo_of(lat, zs)
 
     @pytest.mark.parametrize("cfg, horizon, kwargs", [
         (remark22_config(N=20), 0.25, {}),
@@ -805,7 +805,7 @@ class TestDeclinedZ:
         for field_ in (q.backward_solve(inst, lat, z_truncation=0.5), q.picard_solve(inst, lat)[0],
                        q.solve_stitched(inst, lat)[0]):
             _assert_field_is(field_, ys, zs)
-            assert q.estimate_bmo(field_, lat) == 0.0
+            assert q.estimate_bmo(field_) == 0.0
 
     @pytest.mark.parametrize("init", [True, False], ids=["with-z", "without-z"])
     def test_held_driver_error(self, init):
@@ -896,24 +896,24 @@ class TestDestinationIndependence:
 class TestFieldStatistics:
     def test_sup_norm_examples(self):
         inst, lat = make(structured_config())
-        assert q.sup_norm_y(q.zero_field(lat, 2)) == 0.0
+        assert q.sup_norm_y(q.zero_field(lat, 2).y) == 0.0
         const = shifted(q.zero_field(lat, 2), 0.5)
-        assert q.sup_norm_y(const) == pytest.approx(0.5 * math.sqrt(2), rel=1e-15)
+        assert q.sup_norm_y(const.y) == pytest.approx(0.5 * math.sqrt(2), rel=1e-15)
         f = q.backward_solve(inst, lat)
-        assert q.sup_norm_y(f) == 1.0  # terminal nodes sit at +-1
+        assert q.sup_norm_y(f.y) == 1.0  # terminal nodes sit at +-1
 
     def test_bmo_examples(self):
         inst, lat = make(structured_config())
-        assert q.estimate_bmo(q.zero_field(lat, 1), lat) == 0.0
+        assert q.estimate_bmo(q.zero_field(lat, 1)) == 0.0
         f = q.backward_solve(inst, lat)
-        assert q.estimate_bmo(f, lat) == pytest.approx(1.0, rel=1e-15)
+        assert q.estimate_bmo(f) == pytest.approx(1.0, rel=1e-15)
 
     def test_bmo_homogeneity(self):
         inst, lat = make(remark22_config(N=12))
         f = q.backward_solve(inst, lat)
         doubled = q.SolutionField(2.0 * f.y, lat)  # Z is linear in Y
-        assert q.estimate_bmo(doubled, lat) == pytest.approx(
-            2.0 * q.estimate_bmo(f, lat), rel=1e-12)
+        assert q.estimate_bmo(doubled) == pytest.approx(
+            2.0 * q.estimate_bmo(f), rel=1e-12)
 
     def test_bmo_longer_horizon_at_root(self):
         # constant Z = 1 on [0, T]: estimate is sqrt(T)
@@ -921,7 +921,7 @@ class TestFieldStatistics:
                                    "terminal.1": "w1", "terminal.bound": 8.0})
         inst, lat = make(cfg)
         f = q.backward_solve(inst, lat)
-        assert q.estimate_bmo(f, lat) == pytest.approx(2.0, rel=1e-12)
+        assert q.estimate_bmo(f) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestDriverStage:

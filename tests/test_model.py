@@ -162,6 +162,51 @@ class TestAssembleProblem:
             q.parse_breakpoints("0=x")
 
 
+class TestNonFiniteNumbers:
+    """NaN and +-inf fail validation in every numeric key: a range check
+    written ``x < 0`` lets NaN through, and an infinite horizon or constant
+    only fails later, inside a solve or a certificate."""
+
+    FLOAT_KEYS = ("problem.T", "terminal.bound", "params.gamma", "params.K", "params.delta",
+                  "params.C0", "triangular.powerAlpha", "triangular.lipBeta", "triangular.C1",
+                  "triangular.C2", "triangular.C3")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+            q.assemble_problem(triangular_demo_config(N=4) | {key: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["problem.n", "problem.d", "grid.N"])
+    def test_integer_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^key '{key}': expected integer"):
+            q.assemble_problem(structured_config(**{key: value}))
+
+    @pytest.mark.parametrize("text", ["0=nan", "0=inf", "0=-inf", "0=1; nan=2", "0=1; inf=2"])
+    @pytest.mark.parametrize("key", ["params.alpha", "params.beta", "params.eta"])
+    def test_coefficient_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"^key '{key}': breakpoints must be finite$"):
+            q.assemble_problem(structured_config(**{key: text}))
+
+    def test_constructors(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^problem.T must be finite"):
+                q.build_time_grid(bad, 4)
+            with pytest.raises(ConfigError, match="^breakpoints must be finite$"):
+                q.CoefficientFunction(((0.0, 1.0), (bad, 2.0)))
+            with pytest.raises(ConfigError, match="^terminal.bound must be finite"):
+                q.TerminalCondition((), bad)
+
+    def test_range_messages(self):
+        with pytest.raises(ConfigError, match="^horizon must be >= 0, got -1.0$"):
+            q.build_time_grid(-1.0, 4)
+        with pytest.raises(ConfigError, match="^params.gamma must be > 0, got 0.0$"):
+            q.assemble_problem(structured_config(**{"params.gamma": 0.0}))
+        with pytest.raises(ConfigError, match="^key 'params.alpha': coefficient values must be"):
+            q.assemble_problem(structured_config(**{"params.alpha": "0=-1"}))
+
+
 class TestConfigFile(object):
     def test_round_trip(self, tmp_path):
         p = tmp_path / "c.cfg"

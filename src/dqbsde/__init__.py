@@ -14,8 +14,7 @@ from .engine import (LatticeModel, RunTrace, SolutionField, backward_solve, buil
                      cond_exp, estimate_bmo, log_cond_exp, picard_solve, project,
                      sup_norm_y, terminal_values, zero_field)
 from .gendsl import (EvalEnv, EvalError, Expr, GeneratorModel, ParseError,
-                     catalog_generator, check_triangular_deps, eval_expr,
-                     parse_expr, pretty, scan_refs)
+                     check_triangular_deps, eval_expr, parse_expr, pretty, scan_refs)
 from .model import (AssumptionParams, CoefficientFunction, ConfigError,
                     ProblemInstance, TerminalCondition, TimeGrid, assemble_problem,
                     build_time_grid, parse_breakpoints, read_config_file)

@@ -146,13 +146,16 @@ def compute_c1_lambda(n: int, gamma: float, c0: float, T: float) -> tuple:
 
     C1 = (n/gamma) log(2 e^{c0} + 2) + gamma T/3 + n (1 + 2n/gamma)(c0 + 2T) + 3 n c0
     lambda = C1 exp(n c0 (gamma + 2)), returned as +inf past the double range
-    (the log form stays available via compute_lambda_log).
+    (the log form stays available via compute_lambda_log).  Where 2 e^{c0} + 2
+    overflows a double (c0 above ~709.08), its log is c0 + log 2 + log1p(e^{-c0});
+    C1 is +inf only where its own sums overflow (c0 near 1e308).
     """
     return _c1_lambda(n, gamma, c0, T, "compute_c1_lambda")[:2]
 
 
 def compute_lambda_log(n: int, gamma: float, c0: float, T: float) -> float:
-    """Natural log of lambda; finite even when lambda overflows a double."""
+    """Natural log of lambda; finite even when lambda overflows a double, and
+    +inf exactly when C1 is."""
     return _c1_lambda(n, gamma, c0, T, "compute_lambda_log")[2]
 
 
@@ -160,7 +163,13 @@ def _c1_lambda(n: int, gamma: float, c0: float, T: float, caller: str) -> tuple:
     """(C1, lambda, log lambda); `caller` is the entry point errors name."""
     if n < 1 or gamma <= 0 or c0 < 0 or T < 0:
         raise ValueError(f"{caller} needs n >= 1, gamma > 0, c0 >= 0, T >= 0")
-    c1 = (n / gamma * math.log(2.0 * math.exp(c0) + 2.0)
+    try:
+        grow = 2.0 * math.exp(c0) + 2.0
+    except OverflowError:  # e^{c0} alone is past the double range
+        grow = math.inf
+    log_grow = (math.log(grow) if grow < math.inf
+                else c0 + math.log(2.0) + math.log1p(math.exp(-c0)))
+    c1 = (n / gamma * log_grow
           + gamma * T / 3.0
           + n * (1.0 + 2.0 * n / gamma) * (c0 + 2.0 * T)
           + 3.0 * n * c0)
@@ -444,7 +453,8 @@ def falsify_assumptions(instance: ProblemInstance, seed: int = 0, count: int = 1
         zA = radius * (2.0 * u[:, 1 + 2 * n:1 + 2 * n + n * d] - 1.0).reshape(m, n, d)
         zB = radius * (2.0 * u[:, 1 + 2 * n + n * d:] - 1.0).reshape(m, n, d)
         recorder.begin(start)
-        falsify(instance, t, yA, yB, zA, zB, recorder)
+        with np.errstate(over="ignore"):  # an overflowing rhs is +inf, which add skips
+            falsify(instance, t, yA, yB, zA, zB, recorder)
 
     violations = [v for site in recorder.violations.values() for v in site]
     del violations[recorder.max_recorded:]
@@ -619,8 +629,9 @@ def evaluate_assumption(instance: ProblemInstance, v: Violation) -> tuple:
 
     probe = _SiteProbe(v.assumption, v.component)
     falsify = _falsify_structured if instance.generator.kind == STRUCTURED else _falsify_triangular
-    falsify(instance, t=np.array([v.t]), yA=row(v.y, (n,)), yB=row(v.y2, (n,)),
-            zA=row(v.z, (n, d)), zB=row(v.z2, (n, d)), rec=probe)
+    with np.errstate(over="ignore"):
+        falsify(instance, t=np.array([v.t]), yA=row(v.y, (n,)), yB=row(v.y2, (n,)),
+                zA=row(v.z, (n, d)), zB=row(v.z2, (n, d)), rec=probe)
     if probe.found is None:
         raise ValueError(f"no {v.assumption} check for component {v.component} "
                          f"in a {instance.generator.kind} generator")

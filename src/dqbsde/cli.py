@@ -321,8 +321,8 @@ def cmd_converge(args) -> int:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"--n-list: bad integers in {args.n_list!r}") from None
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("--n-list must be ascending with at least 3 entries")
+    if len(n_list) < 3 or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("--n-list must be ascending from >= 1 with at least 3 entries")
     if instance.n != 1:
         raise ConfigError("convergence study needs a scalar instance")
 

@@ -308,7 +308,7 @@ def _is_zero(node) -> bool:
 
 
 def match_pure_quadratic(gen: GeneratorModel) -> Optional[float]:
-    """Recognize f^i = c |z^i|^2 with h = 0 (catalog shape); returns gamma = 2c."""
+    """Recognize f^i = c |z^i|^2 with h = 0; returns gamma = 2c."""
     if gen.kind != STRUCTURED:
         return None
     coeff = None
@@ -332,7 +332,7 @@ def match_pure_quadratic(gen: GeneratorModel) -> Optional[float]:
 
 
 def match_linear(gen: GeneratorModel) -> Optional[tuple]:
-    """Recognize f^i = a y_i + c with g = 0 (catalog shape); returns (a, c)."""
+    """Recognize f^i = a y_i + c with g = 0; returns (a, c)."""
     if gen.kind != STRUCTURED:
         return None
     found = None

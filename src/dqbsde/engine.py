@@ -345,6 +345,7 @@ def compile_driver(gen: GeneratorModel) -> tuple:
     """Return (driver, y_dependent).  driver(k, t, z (m,n,d)) stages layer k
     at time t and returns its stage, values(y (m,n)) -> (m,n); the layer
     index k lets composed drivers substitute already-solved fields.
+    ``y_dependent`` is the plan's ``reads_y``: whether values(y) reads y.
 
     The schemes are explicit in z and implicit in y, so a solver stages a
     layer once and calls its stage on every inner y-iteration.  All
@@ -376,7 +377,7 @@ def compile_driver(gen: GeneratorModel) -> tuple:
 
         return values
 
-    return driver, gen.y_dependent()
+    return driver, plan.reads_y
 
 
 def terminal_values(instance: ProblemInstance, lattice: LatticeModel) -> np.ndarray:

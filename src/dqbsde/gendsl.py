@@ -524,16 +524,18 @@ class EvalPlan:
 
     The fast run splits the ops in two stages: ``stage_tz`` runs those that
     read no y, ``stage_y`` the rest, so a caller holding z fixed runs the
-    first stage once.  Each stage drops a slot after its last reader; what
-    ``stage_tz`` returns keeps only the slots that ``stage_y`` reads and the
-    outputs.  When those kept arrays are smaller than ``_NUMPY_CACHED_BYTES``,
-    each is copied, as it is made, into a row of one block: numpy keeps up to
-    seven freed buffers of each such size, and every lattice layer has new
-    sizes, so one small buffer per kept value would stay allocated for every
-    layer.  The fast run checks no domain: it runs under one errstate that
-    raises on overflow, invalid and divide, and gives up (returns None) on
-    any such error, on a non-finite leaf or on the batch-level ``pow`` guard.
-    When it finishes, every check passes.
+    first stage once; ``reads_y`` tells whether ``stage_y`` has any op, that
+    is whether some root reads a y component or normy.  Each stage drops a
+    slot after its last reader; what ``stage_tz`` returns keeps only the
+    slots that ``stage_y`` reads and the outputs.  When those kept arrays are
+    smaller than ``_NUMPY_CACHED_BYTES``, each is copied, as it is made, into
+    a row of one block: numpy keeps up to seven freed buffers of each such
+    size, and every lattice layer has new sizes, so one small buffer per kept
+    value would stay allocated for every layer.  The fast run checks no
+    domain: it runs under one errstate that raises on overflow, invalid and
+    divide, and gives up (returns None) on any such error, on a non-finite
+    leaf or on the batch-level ``pow`` guard.  When it finishes, every check
+    passes.
 
     The checked run runs the ops in walk order under errstate(all="ignore")
     and applies the reference checks as row masks.  A row gets what that
@@ -553,6 +555,7 @@ class EvalPlan:
         self._walk = _with_releases(self._ops, set(self.outputs))
         tz_ops = [op for op in self._ops if op[0] not in self._y_slots]
         y_ops = [op for op in self._ops if op[0] in self._y_slots]
+        self.reads_y = bool(y_ops)
         keep = set(self.outputs).union(*(op[-1] for op in y_ops))
         self._tz = _with_releases(tz_ops, keep)
         self._y = _with_releases(y_ops, set(self.outputs))
@@ -758,7 +761,7 @@ def scan_refs(node: Node) -> RefSet:
 
 
 # ---------------------------------------------------------------------------
-# Generator models and the built-in catalog
+# Generator models
 # ---------------------------------------------------------------------------
 
 STRUCTURED = "structured"
@@ -791,14 +794,6 @@ class GeneratorModel:
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    def y_dependent(self) -> bool:
-        exprs = self.k if self.kind == TRIANGULAR else tuple(self.g) + tuple(self.h)
-        for e in exprs:
-            refs = scan_refs(e.root)
-            if refs.y_indices or refs.uses_normy:
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class DepViolation:
@@ -830,61 +825,3 @@ def check_triangular_deps(gen: GeneratorModel) -> list[DepViolation]:
             if refs.uses_normz:
                 violations.append(DepViolation(i, "normz"))
     return violations
-
-
-CATALOG_NAMES = ("pure_quadratic", "linear", "remark22", "triangular_demo")
-
-
-def catalog_generator(name: str, params: Optional[dict] = None) -> GeneratorModel:
-    """Build a named generator from the built-in catalog.
-
-    params: ``n`` (required), ``d`` (default 1), plus per-entry constants:
-    ``gamma`` (pure_quadratic), ``a``/``c`` (linear), ``delta`` (remark22).
-    """
-    params = dict(params or {})
-    if name not in CATALOG_NAMES:
-        raise ValueError(f"unknown catalog generator {name!r}")
-    try:
-        n = int(params.pop("n"))
-    except KeyError:
-        raise ValueError(f"catalog generator {name!r} needs parameter 'n'") from None
-    d = int(params.pop("d", 1))
-
-    def gexpr(text: str) -> Expr:
-        return parse_expr(text, n, d, GENERATOR)
-
-    if name == "pure_quadratic":
-        if "gamma" not in params:
-            raise ValueError("pure_quadratic needs parameter 'gamma'")
-        gamma = float(params.pop("gamma"))
-        _reject_extra(name, params)
-        g = tuple(gexpr(f"{gamma / 2.0!r}*norm2(z{i})") for i in range(1, n + 1))
-        h = tuple(gexpr("0") for _ in range(n))
-        return GeneratorModel(STRUCTURED, n, d, g=g, h=h)
-    if name == "linear":
-        a = float(params.pop("a", 0.0))
-        c = float(params.pop("c", 0.0))
-        _reject_extra(name, params)
-        g = tuple(gexpr("0") for _ in range(n))
-        h = tuple(gexpr(f"{a!r}*y{i} + {c!r}") for i in range(1, n + 1))
-        return GeneratorModel(STRUCTURED, n, d, g=g, h=h)
-    if name == "remark22":
-        if "delta" not in params:
-            raise ValueError("remark22 needs parameter 'delta'")
-        delta = float(params.pop("delta"))
-        _reject_extra(name, params)
-        g = tuple(gexpr(f"norm2(z{i})*sin(log(norm(z{i})+1))") for i in range(1, n + 1))
-        h = tuple(gexpr(f"normy + sin(pow(normz,{1.0 + delta!r})) + log(normz+1)")
-                  for _ in range(n))
-        return GeneratorModel(STRUCTURED, n, d, g=g, h=h)
-    # triangular_demo: own-row quadratic plus a feed from the previous component
-    _reject_extra(name, params)
-    k = [gexpr("0.5*norm2(z1)")]
-    for i in range(2, n + 1):
-        k.append(gexpr(f"y{i - 1} + 0.5*norm2(z{i})"))
-    return GeneratorModel(TRIANGULAR, n, d, k=tuple(k))
-
-
-def _reject_extra(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameter(s) for {name!r}: {sorted(params)}")

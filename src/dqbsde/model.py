@@ -40,11 +40,11 @@ class TimeGrid:
 
 def build_time_grid(horizon: float, steps: int) -> TimeGrid:
     if steps < 1:
-        raise ConfigError(f"grid steps must be >= 1, got {steps}")
+        raise ConfigError(f"grid.N must be >= 1, got {steps}")
     if not math.isfinite(horizon):
         raise ConfigError(f"problem.T must be finite, got {horizon}")
     if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+        raise ConfigError(f"problem.T must be >= 0, got {horizon}")
     return TimeGrid(float(horizon), int(steps))
 
 
@@ -126,11 +126,11 @@ class AssumptionParams:
     xi_bound: float = 0.0
 
     def __post_init__(self):
-        for nm, key in (("gamma", "params.gamma"), ("lip_k", "params.K"),
-                        ("delta", "params.delta"), ("c0", "params.C0"),
-                        ("power_alpha", "triangular.powerAlpha"),
-                        ("lip_beta", "triangular.lipBeta"), ("a1_c", "triangular.C1"),
-                        ("a2_c", "triangular.C2"), ("xi_bound", "triangular.C3")):
+        keys = {"gamma": "params.gamma", "lip_k": "params.K", "delta": "params.delta",
+                "c0": "params.C0", "power_alpha": "triangular.powerAlpha",
+                "lip_beta": "triangular.lipBeta", "a1_c": "triangular.C1",
+                "a2_c": "triangular.C2", "xi_bound": "triangular.C3"}
+        for nm, key in keys.items():
             if not math.isfinite(getattr(self, nm)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, nm)}")
         if not self.gamma > 0:
@@ -145,7 +145,7 @@ class AssumptionParams:
             raise ConfigError(f"triangular.powerAlpha must lie in (-1,1), got {self.power_alpha}")
         for nm in ("lip_beta", "a1_c", "a2_c", "xi_bound"):
             if getattr(self, nm) < 0:
-                raise ConfigError(f"{nm} must be >= 0")
+                raise ConfigError(f"{keys[nm]} must be >= 0, got {getattr(self, nm)}")
 
 
 @dataclass(frozen=True)

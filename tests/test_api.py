@@ -26,8 +26,7 @@ PUBLIC_NAMES = [
     "terminal_values", "zero_field",
     # gendsl
     "EvalEnv", "EvalError", "Expr", "GeneratorModel", "ParseError",
-    "catalog_generator", "check_triangular_deps", "eval_expr", "parse_expr",
-    "pretty", "scan_refs",
+    "check_triangular_deps", "eval_expr", "parse_expr", "pretty", "scan_refs",
     # model
     "AssumptionParams", "CoefficientFunction", "ConfigError", "ProblemInstance",
     "TerminalCondition", "TimeGrid", "assemble_problem", "build_time_grid",

@@ -149,6 +149,32 @@ class TestC1Lambda:
             q.build_certificate(bad)
 
 
+class TestLargeC0:
+    """Where 2 e^{c0} + 2 overflows a double (c0 above ~709.08), C1 takes its
+    log as c0 + log 2 + log1p(e^{-c0}); below that cut the bits are the
+    linear form's."""
+
+    def test_bits_below_the_cut(self):
+        assert q.compute_c1_lambda(2, 2.5, 709.0, 1.0) == (8519.787851077781, math.inf)
+        assert q.compute_lambda_log(2, 2.5, 709.0, 1.0) == 6390.050146719405
+        for c0 in (709.0, 709.08):
+            c1, _ = q.compute_c1_lambda(2, 2.5, c0, 1.0)
+            linear = (2 / 2.5 * math.log(2.0 * math.exp(c0) + 2.0) + 2.5 / 3.0
+                      + 2 * (1.0 + 4 / 2.5) * (c0 + 2.0) + 6.0 * c0)
+            assert c1 == linear
+
+    def test_finite_and_nondecreasing_past_the_cut(self):
+        c0s = (709.0, 709.08, 709.09, 709.5, 709.78, 710.0)
+        c1s = [q.compute_c1_lambda(2, 2.5, c0, 1.0)[0] for c0 in c0s]
+        logs = [q.compute_lambda_log(2, 2.5, c0, 1.0) for c0 in c0s]
+        assert all(math.isfinite(v) for v in c1s + logs)
+        assert c1s == sorted(c1s) and logs == sorted(logs)
+
+    def test_overflowing_sums_give_inf(self):
+        c1, lam = q.compute_c1_lambda(2, 2.5, 1e308, 1.0)
+        assert c1 == lam == q.compute_lambda_log(2, 2.5, 1e308, 1.0) == math.inf
+
+
 def ks_rate(eta, gamma, n):
     """The pointwise rate: compute_ks_integral of a constant eta over [0, 1]."""
     return q.compute_ks_integral(q.CoefficientFunction(((0.0, eta),)), gamma, n, 1.0)
@@ -469,6 +495,33 @@ class TestFalsifier:
         assert "A1" in {v.assumption for v in report.violations}
         for v in report.violations:
             assert q.reverify_violation(inst, v)
+
+    @pytest.mark.parametrize("config, key, site", [
+        (remark22_config, "params.K", "H1b"), (remark22_config, "params.gamma", "H1a"),
+        (triangular_demo_config, "triangular.lipBeta", "A2"),
+        (triangular_demo_config, "triangular.C1", "A1"),
+        (triangular_demo_config, "triangular.C2", "A2"),
+    ], ids=lambda p: getattr(p, "__name__", p))
+    def test_huge_constant_is_an_infinite_rhs(self, config, key, site):
+        """A right-hand side that overflows is +inf, which no sample violates;
+        neither the falsifier nor its rerun of one check warns."""
+        inst, _ = make(config(N=4) | {key: 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = q.falsify_assumptions(inst, seed=0, count=2000)
+            assert (report.sample_count, report.violation_count) == (2000, 0)
+            assert not report.domain_errors
+            z = np.full((inst.n, inst.d), 3.0)
+            v = q.Violation(site, 1, 0.5, np.ones(inst.n), z, -np.ones(inst.n), -z, 0.0, 0.0)
+            lhs, rhs = q.certs.evaluate_assumption(inst, v)
+        assert math.isfinite(lhs) and rhs == math.inf
+
+    def test_huge_constant_keeps_other_violations(self):
+        inst, _ = make(planted_h2_config() | {"params.K": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = q.falsify_assumptions(inst, seed=7, count=2000, radius=1e6)
+        assert report.violation_count == 978 and not report.domain_errors
 
     def test_domain_errors_recorded_not_fatal(self):
         cfg = structured_config(**{"generator.1.h": "log(y1)"})

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -298,6 +299,11 @@ class TestConverge:
                    "--out", str(tmp_path / "o")) == 2
         assert run("converge", "--config", pq_cfg, "--n-list", "50,25,100",
                    "--out", str(tmp_path / "o")) == 2
+
+    def test_entry_below_one_names_the_option(self, tmp_path, capsys, pq_cfg):
+        assert run("converge", "--config", pq_cfg, "--n-list", "0,2,4",
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error: --n-list must be")
 
     def test_zero_generator_exact(self, tmp_path, capsys):
         cfg = structured_config(**{"terminal.bound": 16.0})
@@ -614,6 +620,26 @@ class TestNonFiniteConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestLargeC0:
+    def test_certify_and_solve_past_the_double_range(self, tmp_path, capsys):
+        """C0 beyond ~709.09 overflowed 2 e^{C0} + 2: lambdaLog read inf, and
+        past ~709.78 certify and solve died with an OverflowError."""
+        logs = []
+        for c0 in (709.0, 709.08, 709.09, 709.5, 710.0, 1e308):
+            path = str(write_config(tmp_path / "c.cfg", remark22_config(N=4) | {"params.C0": c0}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("certify", "--config", path, "--out", str(tmp_path / "c")) == 0
+                assert run("solve", "--config", path, "--out", str(tmp_path / "s")) == 0
+            assert capsys.readouterr().err == ""
+            text = (tmp_path / "c" / "certificate.txt").read_text()
+            cert = dict(line.split(" = ") for line in text.splitlines())
+            assert cert["lambda"] == "inf"
+            logs.append(float(cert["lambdaLog"]))
+        assert all(math.isfinite(v) for v in logs[:-1]) and logs[:-1] == sorted(logs[:-1])
+        assert logs[-1] == math.inf
+
+
 class TestCheckBudget:
     """check counts its scan's cells from the parsed ranges and refuses more
     than --max-nodes before it allocates any of them.  The large grids
@@ -800,3 +826,34 @@ class TestSolverFailure:
             assert capsys.readouterr().err == "solver error: non-finite value at layer 1, node 0\n"
             assert (out / "report.txt").read_text() == (
                 f"mode = {mode}\nthreads = 1\nconverged = false\n")
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53,
+             709.78, 710.0]
+_EXTREME_KEYS = [(remark22_config, key) for key in ("params.gamma", "params.K", "params.delta",
+                                                    "params.C0", "terminal.bound", "problem.T")]
+_EXTREME_KEYS += [(triangular_demo_config, f"triangular.{key}")
+                  for key in ("powerAlpha", "lipBeta", "C1", "C2", "C3")]
+
+
+class TestExtremeConfigNumbers:
+    """Finite extremes of each numeric config key through ``certify --falsify``
+    in process: no exception and no warning escapes ``main``, the exit code is
+    0 or 2, and a config error is one stderr line that names its key."""
+
+    @pytest.mark.parametrize("value", _EXTREMES, ids=repr)
+    @pytest.mark.parametrize("config, key", _EXTREME_KEYS,
+                             ids=lambda p: getattr(p, "__name__", p))
+    def test_certify_keeps_its_contract(self, tmp_path, capsys, config, key, value):
+        path = write_config(tmp_path / "x.cfg", config(N=4) | {key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("certify", "--config", str(path), "--falsify", "2000",
+                       "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert key in err
+        else:
+            assert err == ""

@@ -381,20 +381,20 @@ def test_lattice_of_another_problem_rejected(entry, mismatch, message):
 
 class TestShapeMatchers:
     def test_pure_quadratic_recognized(self):
-        gen = q.catalog_generator("pure_quadratic", {"n": 2, "gamma": 1.7})
+        gen = make(pure_quadratic_config(gamma=1.7))[0].generator
         assert match_pure_quadratic(gen) == pytest.approx(1.7, rel=1e-15)
 
     def test_linear_recognized(self):
-        gen = q.catalog_generator("linear", {"n": 1, "a": -1.5, "c": 0.25})
+        gen = make(linear_config(-1.5, 0.25))[0].generator
         assert match_linear(gen) == (-1.5, 0.25)
 
     def test_remark22_not_matched(self):
-        gen = q.catalog_generator("remark22", {"n": 2, "delta": 0.5})
+        gen = make(remark22_config())[0].generator
         assert match_pure_quadratic(gen) is None
         assert match_linear(gen) is None
 
     def test_zero_recognized(self):
-        gen = q.catalog_generator("linear", {"n": 1, "a": 0.0, "c": 0.0})
+        gen = make(linear_config(0.0, 0.0))[0].generator
         assert match_linear(gen) == (0.0, 0.0)
         inst, _ = make(structured_config())
         assert match_zero(inst.generator)

@@ -1,4 +1,4 @@
-"""Expression language: tokenizer, parser, evaluator, catalog."""
+"""Expression language: tokenizer, parser, evaluator, plans."""
 
 import itertools
 
@@ -11,10 +11,10 @@ import dqbsde.gendsl as g
 from dqbsde.engine import compile_driver
 from dqbsde.gendsl import (Bin, Clamp, EvalEnv, EvalError, EvalPlan, Expr, Func, Neg, Norm,
                            NormY, NormZ, Num, ParseError, TVar, YVar, ZRow,
-                           catalog_generator, check_triangular_deps, eval_expr, parse_expr,
-                           pretty, scan_refs, sum_squares)
+                           check_triangular_deps, eval_expr, parse_expr, pretty, scan_refs,
+                           sum_squares)
 
-from conftest import depth, reference_eval
+from conftest import depth, make, pure_quadratic_config, reference_eval, remark22_config
 
 REMARK_TEXT = "norm2(z1)*sin(log(norm(z1)+1)) + normy + sin(pow(normz,1.5)) + log(normz+1)"
 
@@ -189,6 +189,13 @@ CORPUS = [
     "-(y1+y2)*-2.0",
     "t/(1+t)/(2+t) - t*t*t",
     "sign(y1)*log(normy+1)",
+    "0",
+    "0.85*norm2(z1)",
+    "0.85*norm2(z2)",
+    "-1.5*y1 + 0.25",
+    "-1.5*y2 + 0.25",
+    "norm2(z1)*sin(log(norm(z1)+1))",
+    "normy + sin(pow(normz,1.5)) + log(normz+1)",
 ]
 
 
@@ -199,18 +206,6 @@ class TestRoundTrip:
         printed = pretty(e)
         again = parse_expr(printed, 2, 2)
         assert again.root == e.root
-
-    def test_catalog_round_trip(self):
-        models = [
-            catalog_generator("pure_quadratic", {"n": 2, "d": 2, "gamma": 1.7}),
-            catalog_generator("linear", {"n": 2, "a": -1.5, "c": 0.25}),
-            catalog_generator("remark22", {"n": 2, "delta": 0.5}),
-            catalog_generator("triangular_demo", {"n": 3}),
-        ]
-        for gen in models:
-            exprs = gen.k if gen.kind == g.TRIANGULAR else tuple(gen.g) + tuple(gen.h)
-            for e in exprs:
-                assert parse_expr(pretty(e), gen.n, gen.d).root == e.root
 
 
 def _ast_strategy(n=2, d=2):
@@ -252,33 +247,6 @@ class TestRandomRoundTrip:
         assert again.root == node
 
 
-class TestCatalog:
-    def test_pure_quadratic(self):
-        gen = catalog_generator("pure_quadratic", {"n": 1, "gamma": 1.0})
-        assert pretty(gen.g[0]) == "0.5*norm2(z1)"
-        assert gen.h[0].root == Num(0.0)
-
-    def test_remark22_two_components(self):
-        gen = catalog_generator("remark22", {"n": 2, "d": 1, "delta": 0.5})
-        assert gen.kind == g.STRUCTURED and gen.n == 2
-        full = parse_expr(pretty(gen.g[0]) + " + " + pretty(gen.h[0]), 2, 1)
-        assert full.root == parse_expr(REMARK_TEXT, 2, 1).root
-
-    def test_triangular_demo(self):
-        gen = catalog_generator("triangular_demo", {"n": 2})
-        assert pretty(gen.k[0]) == "0.5*norm2(z1)"
-        assert pretty(gen.k[1]) == "y1+0.5*norm2(z2)"
-        assert check_triangular_deps(gen) == []
-
-    def test_unknown_name_and_missing_param(self):
-        with pytest.raises(ValueError):
-            catalog_generator("nope", {"n": 1})
-        with pytest.raises(ValueError):
-            catalog_generator("pure_quadratic", {"n": 1})
-        with pytest.raises(ValueError):
-            catalog_generator("remark22", {"delta": 0.5})
-
-
 class TestTriangularDeps:
     def test_forward_reference_caught(self):
         k = (
@@ -297,7 +265,7 @@ class TestTriangularDeps:
             == [(1, "normz")]
 
     def test_structured_rejected(self):
-        gen = catalog_generator("pure_quadratic", {"n": 1, "gamma": 1.0})
+        gen = make(pure_quadratic_config())[0].generator
         with pytest.raises(ValueError, match="not triangular"):
             check_triangular_deps(gen)
 
@@ -449,6 +417,12 @@ class TestPlan:
         assert driver_outcome(stage, y2) == driver_outcome(reference_driver(gen)(0, t, z), y2)
         assert driver_outcome(stage, y) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ast_strategy(), min_size=1, max_size=3))
+    def test_reads_y_iff_some_root_reads_y(self, roots):
+        refs = [scan_refs(r) for r in roots]
+        assert EvalPlan(roots).reads_y == any(r.y_indices or r.uses_normy for r in refs)
+
     def test_signed_zero_literals_stay_apart(self):
         roots = [Num(0.0), Num(-0.0), Bin("*", Num(-0.0), TVar()), Bin("*", Num(0.0), TVar())]
         env = EvalEnv(t=2.0, y=np.zeros(2), z=np.zeros((2, 2)))
@@ -457,7 +431,7 @@ class TestPlan:
         assert [bool(np.signbit(v)) for v in got] == [False, True, True, False]
 
     def test_subexpressions_are_shared_across_roots(self):
-        gen = catalog_generator("remark22", {"n": 2, "delta": 0.5})
+        gen = make(remark22_config())[0].generator
         roots = [Bin("+", gi.root, hi.root) for gi, hi in zip(gen.g, gen.h)]
         plan = EvalPlan(roots)
         # Two own-row parts of 6 ops each, one shared h of 10 ops, two sums.
@@ -466,7 +440,7 @@ class TestPlan:
         assert len(stage_y) == 2 + 2 + 2  # normy, two adds in h, g + h twice
 
     def test_stage_y_keeps_only_what_it_reads(self):
-        gen = catalog_generator("remark22", {"n": 2, "delta": 0.5})
+        gen = make(remark22_config())[0].generator
         plan = EvalPlan([Bin("+", gi.root, hi.root) for gi, hi in zip(gen.g, gen.h)])
         z = np.arange(1.0, 7.0).reshape(3, 2, 1) / 7.0
         tz = plan.stage_tz(0.5, z)

@@ -199,12 +199,22 @@ class TestNonFiniteNumbers:
                 q.TerminalCondition((), bad)
 
     def test_range_messages(self):
-        with pytest.raises(ConfigError, match="^horizon must be >= 0, got -1.0$"):
+        with pytest.raises(ConfigError, match="^problem.T must be >= 0, got -1.0$"):
             q.build_time_grid(-1.0, 4)
         with pytest.raises(ConfigError, match="^params.gamma must be > 0, got 0.0$"):
             q.assemble_problem(structured_config(**{"params.gamma": 0.0}))
         with pytest.raises(ConfigError, match="^key 'params.alpha': coefficient values must be"):
             q.assemble_problem(structured_config(**{"params.alpha": "0=-1"}))
+
+    @pytest.mark.parametrize("key", ["triangular.lipBeta", "triangular.C1", "triangular.C2",
+                                     "triangular.C3"])
+    def test_triangular_range_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1.0$"):
+            q.assemble_problem(triangular_demo_config() | {key: -1.0})
+
+    def test_grid_steps_name_the_key(self):
+        with pytest.raises(ConfigError, match="^grid.N must be >= 1, got 0$"):
+            q.assemble_problem(structured_config(**{"grid.N": 0}))
 
 
 class TestConfigFile(object):

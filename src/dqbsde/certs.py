@@ -155,7 +155,7 @@ def compute_c1_lambda(n: int, gamma: float, c0: float, T: float) -> tuple:
 
 def compute_lambda_log(n: int, gamma: float, c0: float, T: float) -> float:
     """Natural log of lambda; finite even when lambda overflows a double, and
-    +inf exactly when C1 is."""
+    +inf where C1 or the exponent n c0 (gamma + 2) overflows."""
     return _c1_lambda(n, gamma, c0, T, "compute_lambda_log")[2]
 
 

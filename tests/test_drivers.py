@@ -380,9 +380,18 @@ def test_lattice_of_another_problem_rejected(entry, mismatch, message):
 
 
 class TestShapeMatchers:
+    TWO_COMPONENTS = {"problem.n": 2, "generator.2.g": "0.85*norm2(z2)",
+                      "generator.2.h": "0", "terminal.2": "0"}
+
     def test_pure_quadratic_recognized(self):
-        gen = make(pure_quadratic_config(gamma=1.7))[0].generator
+        gen = make(pure_quadratic_config(gamma=1.7) | self.TWO_COMPONENTS)[0].generator
+        assert gen.n == 2
         assert match_pure_quadratic(gen) == pytest.approx(1.7, rel=1e-15)
+
+    def test_pure_quadratic_unequal_coefficients_not_matched(self):
+        cfg = pure_quadratic_config(gamma=1.7) | self.TWO_COMPONENTS
+        gen = make(cfg | {"generator.2.g": "0.9*norm2(z2)"})[0].generator
+        assert match_pure_quadratic(gen) is None
 
     def test_linear_recognized(self):
         gen = make(linear_config(-1.5, 0.25))[0].generator

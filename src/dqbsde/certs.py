@@ -148,7 +148,8 @@ def compute_c1_lambda(n: int, gamma: float, c0: float, T: float) -> tuple:
     lambda = C1 exp(n c0 (gamma + 2)), returned as +inf past the double range
     (the log form stays available via compute_lambda_log).  Where 2 e^{c0} + 2
     overflows a double (c0 above ~709.08), its log is c0 + log 2 + log1p(e^{-c0});
-    C1 is +inf only where its own sums overflow (c0 near 1e308).
+    C1 is +inf only where its own sums overflow (c0 near 1e308, or a gamma so
+    small that n/gamma does).
     """
     return _c1_lambda(n, gamma, c0, T, "compute_c1_lambda")[:2]
 
@@ -171,7 +172,8 @@ def _c1_lambda(n: int, gamma: float, c0: float, T: float, caller: str) -> tuple:
                 else c0 + math.log(2.0) + math.log1p(math.exp(-c0)))
     c1 = (n / gamma * log_grow
           + gamma * T / 3.0
-          + n * (1.0 + 2.0 * n / gamma) * (c0 + 2.0 * T)
+          # exactly 0 when c0 + 2T is, also where 2n/gamma overflows (gamma subnormal)
+          + (n * (1.0 + 2.0 * n / gamma) * (c0 + 2.0 * T) if c0 + 2.0 * T else 0.0)
           + 3.0 * n * c0)
     log_lam = math.log(c1) + n * c0 * (gamma + 2.0)
     return c1, (math.exp(log_lam) if log_lam <= _LOG_OVERFLOW else math.inf), log_lam

@@ -29,7 +29,7 @@ import numpy as np
 from . import certs
 from .engine import (Chunk, Halving, LatticeModel, PicardDivergenceError, PicardNonconvergenceError,
                      SolutionField, SolverError, _check_dims, backward_range, compile_driver,
-                     cond_exp, log_cond_exp, picard_range, picard_solve, project,
+                     cond_exp, log_cond_exp, picard_range, picard_solve, project_z,
                      terminal_values, zero_field)
 from .gendsl import (Bin, EvalPlan, GeneratorModel, Norm, Num, STRUCTURED, TRIANGULAR, YVar,
                      check_triangular_deps, scan_refs)
@@ -123,7 +123,7 @@ def solve_stitched(instance: ProblemInstance, lattice: LatticeModel,
 
 def frozen_y_contraction(driver: Callable, terminal: np.ndarray, lip_beta: float,
                          lattice: LatticeModel, tol: float = 1e-10, max_outer: int = 200,
-                         out: Optional[np.ndarray] = None):
+                         out: Optional[np.ndarray] = None, y_dependent: bool = True):
     """Solve the scalar equation of ``driver`` (staged as ``compile_driver``'s
     with n = 1) and ``terminal`` (m_N, 1) by iterating the y-freezing map on
     sub-intervals of length min(1/(2*lip_beta), T); returns (y, z, trace)
@@ -134,7 +134,10 @@ def frozen_y_contraction(driver: Callable, terminal: np.ndarray, lip_beta: float
     chunk's y rows hold the frozen iterate (zero at first), and an outer
     iteration is one explicit ``backward_range`` over the chunk: it stages
     the driver at the old y_k that the rows hold, writes the new layer over
-    it and returns the largest change.
+    it and returns the largest change.  Without ``y_dependent`` (``driver``'s
+    stage reads no y) the map is constant, so its first image is the fixed
+    point: a chunk takes that one outer iteration, and its trace holds that
+    one change, whatever ``tol``.
     """
     if lip_beta < 0:
         raise ValueError("lip_beta must be >= 0")
@@ -157,7 +160,7 @@ def frozen_y_contraction(driver: Callable, terminal: np.ndarray, lip_beta: float
         for _ in range(max_outer):
             changes.append(max(change, backward_range(lattice, driver, False, term,
                                                       k_lo, k_hi, out=ys)))
-            if changes[-1] <= tol:
+            if changes[-1] <= tol or not y_dependent:
                 return changes
             change = 0.0  # the terminal's rows no longer change
         raise PicardNonconvergenceError(changes)
@@ -198,9 +201,11 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
 
     The driver gets layer k's z from one layer buffer whose column i-1 holds
     the z it is staged with.  A component that reads an earlier z (``normz``
-    reads every z) gets columns 0..i-2 there at staging as ``project`` of
+    reads every z) gets columns 0..i-2 there at staging as ``project_z`` of
     the solved components' ``Y_{k+1}``, the field's derived Z.  No later
-    column is read, since component i may read no later z.
+    column is read, since component i may read no later z.  A component
+    that reads no own y (no y_i, no normy) has a constant frozen-y map, so
+    it takes one outer iteration per sub-interval.
     """
     _check_dims(instance, lattice)
     gen = instance.generator
@@ -226,8 +231,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
             z_k = z_layer[:m]
             z_k[:, _i - 1:_i] = z
             if _earlier:  # the earlier components' z, as their solves projected it
-                project(lattice, k, field_.y[lattice.rows(k + 1), :_i - 1],
-                        out=z_k[:, :_i - 1])
+                project_z(lattice, k, field_.y[lattice.rows(k + 1), :_i - 1],
+                          out=z_k[:, :_i - 1])
 
             def values(y):
                 out = _plan.evaluate(t, field_.y[lattice.rows(k)], z_k)[0]
@@ -238,7 +243,8 @@ def solve_triangular(instance: ProblemInstance, lattice: LatticeModel,
         try:
             field_.trace.chunks += frozen_y_contraction(
                 drv, field_.y[top, i - 1:i], instance.params.lip_beta, lattice, tol=tol,
-                max_outer=max_outer, out=field_.y[:, i - 1:i])[2].chunks
+                max_outer=max_outer, out=field_.y[:, i - 1:i],
+                y_dependent=i in refs.y_indices or refs.uses_normy)[2].chunks
         except SolverError as err:
             err.args = (f"component {i}: {err}",)  # same class, trace, partial and layer
             raise

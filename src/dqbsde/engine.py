@@ -16,21 +16,23 @@ Kernel layout: in C order on the (k+2)^d child grid, the child of a node
 through corner c in {0,1}^d sits o(c) = sum_j c_j (k+2)^(d-1-j) nodes on, so
 corner c's block is the flat child array shifted by o(c) (times the value
 size), and all 2^d blocks are contiguous windows of one length.  Kernels
-sweep the windows in slabs of whole u_1-planes: each slab's windows are summed
-in lexicographic corner order into one scratch of SLAB values a buffer, made
-once per call, and its layer nodes gathered from there.  project adds q * block,
-q = 2^-d / sqrt(dt), to z_j when c_j = 1 and subtracts it when c_j = 0 (the
-first corner by negation): (-a)*b == -(a*b) and x + (-p) == x - p in IEEE 754,
-so this is bit for bit the sum of ((2 c_j - 1) 2^-d / sqrt(dt)) * block over
-the corners.  Slabs change no bit: each element is folded from the same
-operands in the same order, and + - * round each element on its own.
+sweep the windows in slabs of whole u_1-planes.  A slab multiplies its child
+rows (o(1,...,1) past its windows) once by each weight, w = 2^-d and
+q = 2^-d / sqrt(dt), so each corner's w * block and q * block is a view into
+a product, summed in lexicographic corner order into slab buffers made once
+per call, and its layer nodes are gathered from there.  project adds q * block
+to z_j when c_j = 1 and subtracts it when c_j = 0 (the first corner by
+negation): (-a)*b == -(a*b) and x + (-p) == x - p in IEEE 754, so this is bit
+for bit the sum of ((2 c_j - 1) 2^-d / sqrt(dt)) * block over the corners.
+Slabs and products change no bit: each element is the same product of the
+same operands, folded in the same order, and + - * round each on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -131,17 +133,22 @@ def build_lattice(grid: TimeGrid, d: int, max_nodes: int = DEFAULT_NODE_BUDGET) 
     return lattice
 
 
-SLAB = 16384  # values per buffer of the kernels' scratch, which follows this one size
+SLAB = 16384  # the kernels' scratch holds at most (1 + outputs) * SLAB values
 
 
-def _sweep(lattice: LatticeModel, k: int, child_values, fold, columns=False, out=None):
-    """Return layer k's y and, with ``columns``, its z (``out`` or new; None
-    without columns), made slab by slab: fold(windows, bufs, tmp) gets a
-    slab's 2^d corner windows in lexicographic corner order and writes the
-    slab's rows of y and of each z[..., j] into bufs, with tmp as scratch.
+def _sweep(lattice: LatticeModel, k: int, child_values, fold, scales=(), columns=False, out=None,
+           mean=True):
+    """Return layer k's y (None without ``mean``) and, with ``columns``, its
+    z (``out`` or new; None without columns), made slab by slab: each factor
+    in ``scales`` multiplies the slab's child rows once, and fold(windows,
+    total, zs) gets each product's 2^d corner windows (the child's own
+    without scales) in lexicographic corner order and writes the slab's rows
+    of y into total (None without mean) and of each z[..., j] into zs[j].
     The slab of planes u_1 in [a, b) is the window rows [a S, min(b S, L)),
     S = (k+2)^(d-1), and y's rows [a s, b s), s = (k+1)^(d-1); for d = 1
-    these are the same rows, so fold writes straight into y and z."""
+    these are the same rows, so fold writes straight into y and z.  The slab
+    buffers and the products hold at most (1 + outputs) * SLAB values, unless
+    one plane alone takes more."""
     if not (0 <= k < lattice.grid.steps):
         raise ValueError(f"layer {k} out of range")
     d = lattice.d
@@ -151,20 +158,26 @@ def _sweep(lattice: LatticeModel, k: int, child_values, fold, columns=False, out
     for _ in range(d):
         offsets, plane = offsets + [o + plane for o in offsets], plane * (k + 2)
     child = child.reshape((plane,) + shape)
-    plane, sub, length = plane // (k + 2), (k + 1) ** (d - 1), len(child) - offsets[-1]
-    y = np.empty((sub * (k + 1),) + shape)
-    z = (np.empty(y.shape + (d,)) if out is None else out) if columns else None
-    outs = [y] + [z[..., j] for j in range(d)] if columns else [y]
-    per = min(k + 1, SLAB // (plane * math.prod(shape) or 1) or 1)  # planes a slab
-    scratch = np.empty((1 if d == 1 else 1 + len(outs), per * plane) + shape)
-    tmp, bufs = scratch[0], scratch[1:]
+    plane, sub, reach = plane // (k + 2), (k + 1) ** (d - 1), offsets[-1]
+    y = np.empty((sub * (k + 1),) + shape) if mean else None
+    z = (np.empty((sub * (k + 1),) + shape + (d,)) if out is None else out) if columns else None
+    outs = ([y] if mean else []) + ([z[..., j] for j in range(d)] if columns else [])
+    slabbed = 0 if d == 1 else len(outs)
+    # A slab's plane takes a row in bufs and in each product (the raw child counts as one).
+    budget = (1 + len(outs)) * SLAB // (math.prod(shape) or 1) - len(scales) * reach
+    per = min(k + 1, max(budget // ((slabbed + max(len(scales), 1)) * plane), 1))  # planes a slab
+    # No zero-size scratch: such allocations cost a d = 1 CSV dump ~70 KB of peak RSS.
+    bufs = np.empty((slabbed, per * plane) + shape) if slabbed else None
+    products = np.empty((len(scales), per * plane + reach) + shape) if scales else ()
     for a in range(0, k + 1, per):
-        lo, hi = a * plane, min((a + per) * plane, length)
-        windows = [child[lo + o:hi + o] for o in offsets]
-        if d == 1:  # fold writes straight into y and z
-            fold(windows, [dst[lo:hi] for dst in outs] if per <= k else outs, tmp[:hi - lo])
+        lo, hi = a * plane, min((a + per) * plane, len(child) - reach)
+        rows = child[lo:hi + reach]
+        blocks = [np.multiply(rows, s, out=p[:len(rows)]) for s, p in zip(scales, products)]
+        windows = [[b[o:o + hi - lo] for o in offsets] for b in blocks or [rows]]
+        dsts = ([dst[lo:hi] for dst in outs] if per <= k else outs) if d == 1 else bufs[:, :hi - lo]
+        fold(windows, dsts[0] if mean else None, dsts[mean:])
+        if d == 1:  # fold wrote straight into y and z
             continue
-        fold(windows, bufs[:, :hi - lo], tmp[:hi - lo])
         b = min(a + per, k + 1)  # the last slab's last node is its window's last row
         nodes = (slice(b - a),) + (slice(k + 1),) * (d - 1)
         for buf, dst in zip(bufs, outs):  # splitting dst's leading axis: a view
@@ -173,38 +186,36 @@ def _sweep(lattice: LatticeModel, k: int, child_values, fold, columns=False, out
     return y, z
 
 
-def _fold(w, q, windows, bufs, tmp):
-    """_sweep's fold for cond_exp and project: bufs[0] sums w * window over
-    the corners, and each further buffer (project's z_j) adds q * window when
-    c_j = 1 and subtracts it when c_j = 0 (the first corner by negation)."""
-    expectation, columns = bufs[0], bufs[1:]
-    np.multiply(windows[0], w, out=expectation)
-    for window in windows[1:]:
-        np.add(expectation, np.multiply(window, w, out=tmp), out=expectation)
-    if len(columns):
-        np.multiply(windows[0], q, out=tmp)
-        for column in columns:
-            np.negative(tmp, out=column)
-        for i, window in enumerate(windows[1:], 1):
-            np.multiply(window, q, out=tmp)
-            for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
-                op = np.add if i >> (len(columns) - 1 - j) & 1 else np.subtract
-                op(column, tmp, out=column)
+def _fold(windows, total, columns):
+    """_sweep's fold for cond_exp, project and project_z: total (unless
+    None) sums the first product's windows over the corners, and each column
+    z_j adds the last product's window when c_j = 1 and subtracts it when
+    c_j = 0 (the first corner by negation)."""
+    if total is not None:
+        np.add(windows[0][0], windows[0][1], out=total)
+        for window in windows[0][2:]:
+            np.add(total, window, out=total)
+    for column in columns:
+        np.negative(windows[-1][0], out=column)
+    for i, window in enumerate(windows[-1][1:], 1):
+        for j, column in enumerate(columns):  # c_j of corner i is bit d-1-j of i
+            op = np.add if i >> (len(columns) - 1 - j) & 1 else np.subtract
+            op(column, window, out=column)
 
 
 def cond_exp(lattice: LatticeModel, k: int, child_values) -> np.ndarray:
     """Exact one-step conditional expectation from layer k+1 to layer k."""
-    return _sweep(lattice, k, child_values, partial(_fold, lattice.child_weight, None))[0]
+    return _sweep(lattice, k, child_values, _fold, (lattice.child_weight,))[0]
 
 
 def log_cond_exp(lattice: LatticeModel, k: int, child_log_values) -> np.ndarray:
     """Conditional expectation carried in natural log space:
     log E[exp(V) | node] computed by log-sum-exp over the children."""
-    def fold(windows, bufs, tmp):
-        np.logaddexp(windows[0], windows[1], out=bufs[0])
-        for window in windows[2:]:
-            np.logaddexp(bufs[0], window, out=bufs[0])
-        np.add(bufs[0], math.log(lattice.child_weight), out=bufs[0])
+    def fold(windows, total, _):
+        np.logaddexp(windows[0][0], windows[0][1], out=total)
+        for window in windows[0][2:]:
+            np.logaddexp(total, window, out=total)
+        np.add(total, math.log(lattice.child_weight), out=total)
 
     return _sweep(lattice, k, child_log_values, fold)[0]
 
@@ -216,11 +227,21 @@ def project(lattice: LatticeModel, k: int, child_values, out=None):
     z has one trailing axis of length d beyond the child value shape and is
     written into ``out`` when one is given.
     """
+    scales = (lattice.child_weight, _regression_weight(lattice))
+    return _sweep(lattice, k, child_values, _fold, scales, True, out)
+
+
+def project_z(lattice: LatticeModel, k: int, child_values, out=None) -> np.ndarray:
+    """project's z alone, bit for bit: the regression's windows are folded
+    into z, and no expectation is formed."""
+    return _sweep(lattice, k, child_values, _fold, (_regression_weight(lattice),), True, out,
+                  False)[1]
+
+
+def _regression_weight(lattice: LatticeModel) -> float:
     if lattice.grid.dt == 0.0:
         raise ValueError("project undefined on a zero-step grid (dt = 0)")
-    w = lattice.child_weight
-    return _sweep(lattice, k, child_values, partial(_fold, w, w / math.sqrt(lattice.grid.dt)),
-                  True, out)
+    return lattice.child_weight / math.sqrt(lattice.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -278,9 +299,10 @@ class SolutionField:
 class ZLayers:
     """Z of layers k_lo..k_hi-1 of Y rows laid out as ``backward_range``'s,
     derived when read: item j is layer k = k_lo + j's z, a fresh
-    (layer_size(k), n, d) array, ``project(lattice, k, y[rows(k+1)])``
-    clipped by ``_truncate_rows`` when ``z_truncation`` is set (zeros when
-    dt = 0), which is the z every solver staged at layer k's last build."""
+    (layer_size(k), n, d) array, ``project_z(lattice, k, y[rows(k+1)])``
+    (project's z) clipped by ``_truncate_rows`` when ``z_truncation`` is set
+    (zeros when dt = 0), which is the z every solver staged at layer k's last
+    build."""
 
     lattice: LatticeModel
     y: np.ndarray = field(repr=False)
@@ -300,7 +322,7 @@ class ZLayers:
         if lattice.grid.dt == 0.0:
             return np.zeros((lattice.layer_size(k), self.y.shape[1], lattice.d))
         with np.errstate(over="ignore", invalid="ignore"):  # as in the solve that projected it
-            z = project(lattice, k, self.y[lattice.rows(k + 1, base=self.k_lo)], out=out)[1]
+            z = project_z(lattice, k, self.y[lattice.rows(k + 1, base=self.k_lo)], out=out)
         if self.z_truncation is not None:
             _truncate_rows(z, self.z_truncation)
         return z
@@ -559,7 +581,7 @@ def picard_range(lattice: LatticeModel, driver: DriverFn, terminal: np.ndarray,
             r = lattice.rows(k, base=k_lo)
             z = z_buf[:lattice.layer_size(k)]
             if init_y is not None:
-                project(lattice, k, init_y[lattice.rows(k + 1, base=k_lo)], out=z)
+                project_z(lattice, k, init_y[lattice.rows(k + 1, base=k_lo)], out=z)
             failed[k - k_lo] = _drive(driver, k, lattice.grid.time(k), ys[r], z, dt, f_dt[r])
         for m in range(max_iter):
             prev = ys[top] if m > 0 else 0.0 if init_y is None else init_y[top]

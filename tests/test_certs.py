@@ -175,6 +175,28 @@ class TestLargeC0:
         assert c1 == lam == q.compute_lambda_log(2, 2.5, 1e308, 1.0) == math.inf
 
 
+class TestTinyGamma:
+    """Where n/gamma overflows (gamma subnormal), C1, lambda and log lambda
+    read inf, also when c0 + 2T = 0 makes C1's third term exactly 0."""
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+    @pytest.mark.parametrize("c0, T", [(0.0, 0.0), (0.5, 1.0)])
+    def test_overflowing_quotient_gives_inf(self, gamma, c0, T):
+        c1, lam = q.compute_c1_lambda(1, gamma, c0, T)
+        assert c1 == lam == q.compute_lambda_log(1, gamma, c0, T) == math.inf
+
+    @pytest.mark.parametrize("args, c1_lam, log_lam", [
+        ((1, 1e-300, 0.0, 0.0), (1.3862943611198904e+300, 1.386294361119853e+300),
+         691.102162158192),
+        ((1, 1e-300, 0.5, 1.0), (6.667224164740051e+300, 1.812339429327591e+301),
+         693.6727315043142),
+        ((2, 2.5, 3.0, 1.0), (47.82672095904029, 25446122740010.52), 30.867584499185742),
+    ], ids=["gamma-1e-300", "gamma-1e-300-c0-T", "remark22"])
+    def test_bits_kept(self, args, c1_lam, log_lam):
+        assert q.compute_c1_lambda(*args) == c1_lam
+        assert q.compute_lambda_log(*args) == log_lam
+
+
 def ks_rate(eta, gamma, n):
     """The pointwise rate: compute_ks_integral of a constant eta over [0, 1]."""
     return q.compute_ks_integral(q.CoefficientFunction(((0.0, eta),)), gamma, n, 1.0)

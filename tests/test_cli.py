@@ -229,9 +229,11 @@ class TestSolve:
     @pytest.mark.parametrize("cfg, argv, digest", [
         (remark22_config(N=20), ("--mode", "picard"),
          "5593690d91ef3ff6173b1a40b24124f48633bf8dd2460d5da01c08126ab2b367"),
+        # Neither component reads its own y, so each takes one frozen-y
+        # iteration on each of its four sub-intervals: iterations = 8.
         (triangular_demo_config(N=12) | {"problem.d": 2, "triangular.lipBeta": 2.0},
          ("--mode", "triangular"),
-         "7ee48f49512e3accf4968c86d85ed0a7675298f0a6535a37be217083f1de6858"),
+         "647fbf6ae77abf7ddebf733e0140ff5b3648356562c26448d1707f6a50dc58b0"),
         # Two chunks after halving.0 = 1.0 -> 0.5.
         (pure_quadratic_config(gamma=6.0, N=50),
          ("--mode", "stitched", "--horizon", "adaptive", "--max-iter", "100"),

@@ -1,5 +1,6 @@
 """Global constructors (stitching, triangular, frozen-y) and oracles."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 import dqbsde as q
 from dqbsde import certs, csvrows, drivers, engine
 from dqbsde.drivers import AdaptiveFloorError, match_linear, match_pure_quadratic, match_zero
+from dqbsde.gendsl import Norm, NormY, NormZ, TVar, YVar, ZRow, pretty
 
 from conftest import (contraction_config, field_sup_diff, flat_z, make, pure_quadratic_config,
                       reference_eval, remark22_config, shifted, structured_config,
                       triangular_demo_config)
+from test_gendsl import _ast_strategy
 
 LNCOSH1 = 0.4337808304830272
 HALF_LNCOSH2 = 0.6625013736789322
@@ -195,7 +198,30 @@ class TestTriangularWithoutZ:
         want_y, want_z, want_changes = _ref_triangular(inst, lat)
         assert got.y.tobytes() == want_y.tobytes()
         assert flat_z(got).tobytes() == want_z.tobytes()
-        assert got.trace.changes == want_changes
+        assert got.trace.changes == _solved_changes(inst, want_changes)
+        assert all(len(changes) == 1 for changes in got.trace.changes)
+
+
+def _reads_own_y(inst, i):
+    refs = q.scan_refs(inst.generator.k[i - 1].root)
+    return i in refs.y_indices or refs.uses_normy
+
+
+def _solved_changes(inst, want_changes, tol=1e-10):
+    """The reference's chunk changes as solve_triangular records them.  A
+    component that reads its own y keeps them all.  One that reads no own y
+    (no y_i, no normy) has a constant frozen-y map, so each of its chunks
+    keeps the first change only, and the second change that the reference
+    took to confirm it, whenever the first was over ``tol``, is exactly 0.0."""
+    per = len(want_changes) // inst.n  # every component marches the same sub-intervals
+    solved = []
+    for c, changes in enumerate(want_changes):
+        if _reads_own_y(inst, c // per + 1):
+            solved.append(changes)
+            continue
+        assert changes[1:] == ([0.0] if changes[0] > tol else [])
+        solved.append(changes[:1])
+    return solved
 
 
 def _ref_frozen_y(driver, terminal, lip_beta, lat, tol=1e-10, max_outer=200):
@@ -284,20 +310,92 @@ class TestFrozenYReference:
         triangular_demo_config(N=24),
         triangular_demo_config(N=24) | {"problem.d": 2, "triangular.lipBeta": 2.0,
                                         "generator.2.k": "y1 + 0.5*y2 + 0.25*norm(z1)"},
+        triangular_demo_config(N=24) | {"generator.2.k": "y1 + 0.25*normy"},
         contraction_config(N=24),
-    ], ids=["demo", "demo-d2-reads-y2-z1", "contraction"])
+    ], ids=["demo", "demo-d2-reads-y2-z1", "demo-normy", "contraction"])
     def test_solve_triangular(self, cfg):
         inst, lat = make(cfg)
         want_y, want_z, want_changes = _ref_triangular(inst, lat)
         got = q.solve_triangular(inst, lat)
         assert got.y.tobytes() == want_y.tobytes()
         assert flat_z(got).tobytes() == want_z.tobytes()
-        assert got.trace.changes == want_changes
-        with pytest.raises(engine.PicardNonconvergenceError) as want:
-            _ref_triangular(inst, lat, max_outer=1)
+        assert got.trace.changes == _solved_changes(inst, want_changes)
+        # One outer iteration solves a component that reads no own y; the
+        # first that reads its own y fails there with its first change.
+        own = [i for i in range(1, inst.n + 1) if _reads_own_y(inst, i)]
+        if not own:
+            assert q.solve_triangular(inst, lat, max_outer=1).y.tobytes() == want_y.tobytes()
+            return
         with pytest.raises(engine.PicardNonconvergenceError) as got:
             q.solve_triangular(inst, lat, max_outer=1)
-        assert got.value.trace == want.value.trace
+        per = len(want_changes) // inst.n
+        assert got.value.trace == want_changes[(own[0] - 1) * per][:1]
+        if own[0] == 1:
+            with pytest.raises(engine.PicardNonconvergenceError) as want:
+                _ref_triangular(inst, lat, max_outer=1)
+            assert got.value.trace == want.value.trace
+
+
+def _reads_no_own_y(node, i):
+    """node with y_i read as y_{i-1} (t for i = 1) and normy as norm(z1), and
+    for i = 1 normz as norm(z1): component i of a triangular pair whose
+    expression is drawn over i components then reads no own y."""
+    if isinstance(node, YVar) and node.index == i:
+        return YVar(i - 1) if i > 1 else TVar()
+    if isinstance(node, NormY) or isinstance(node, NormZ) and i == 1:
+        return Norm(ZRow(1), squared=False)
+    kids = {f.name: _reads_no_own_y(getattr(node, f.name), i) for f in dataclasses.fields(node)
+            if dataclasses.is_dataclass(getattr(node, f.name))}
+    return dataclasses.replace(node, **kids)
+
+
+def _triangular_outcome(inst, lat):
+    """solve_triangular's Y and Z bytes and trace, or its error."""
+    try:
+        got = q.solve_triangular(inst, lat)
+    except engine.SolverError as err:
+        return type(err), str(err), getattr(err, "trace", None)
+    return got.y.tobytes(), flat_z(got).tobytes(), got.trace.changes
+
+
+class TestConstantFrozenYMap:
+    """A component that reads no own y has a constant frozen-y map, whose
+    first image is its fixed point: it takes one outer iteration per
+    sub-interval, with the bits of the full iteration."""
+
+    def test_scalar_driver_takes_one_outer_iteration(self):
+        cfg = contraction_config(N=24) | {"generator.1.k": "0.5*norm2(z1) + sin(t)"}
+        inst, lat = make(cfg)
+        problem = drivers.scalar_problem(inst, lat)
+        y, z, trace = drivers.frozen_y_contraction(*problem, 2.0, lat, y_dependent=False)
+        want_y, want_z, want = drivers.frozen_y_contraction(*problem, 2.0, lat)
+        assert y.tobytes() == want_y.tobytes()
+        assert np.concatenate(list(z)).tobytes() == np.concatenate(list(want_z)).tobytes()
+        assert len(trace.chunks) == 4
+        assert trace.changes == [c[:1] for c in want.changes]
+        assert all(c[1:] == [0.0] for c in want.changes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=st.tuples(_ast_strategy(n=1), _ast_strategy(n=2)), d=st.sampled_from([1, 2]),
+           N=st.sampled_from([4, 6, 8]), lip_beta=st.sampled_from([0.0, 2.0]))
+    def test_same_bits_as_the_full_iteration(self, roots, d, N, lip_beta):
+        cfg = triangular_demo_config(N=N) | {"problem.d": d, "triangular.lipBeta": lip_beta}
+        for i, root in enumerate(roots, 1):
+            cfg[f"generator.{i}.k"] = pretty(_reads_no_own_y(root, i))
+        inst, lat = make(cfg)
+        assert not any(_reads_own_y(inst, i) for i in (1, 2))
+        got = _triangular_outcome(inst, lat)
+        full = drivers.frozen_y_contraction
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "frozen_y_contraction",
+                       lambda *a, **kw: full(*a, **kw | {"y_dependent": True}))
+            want = _triangular_outcome(inst, lat)
+        assert got[:2] == want[:2]
+        if isinstance(got[0], bytes):
+            assert all(len(changes) == 1 for changes in got[2])
+            assert got[2] == _solved_changes(inst, want[2])
+        else:
+            assert got[2] == want[2]
 
 
 class TestOraclePureQuadratic:

@@ -338,13 +338,31 @@ class TestKernelReference:
         written[lattice.rows(k)][..., ::2] = True
         assert np.isnan(flat[~written]).all()
 
-    def test_scratch_is_fixed(self):
-        """Beyond its inputs, project holds its y and a scratch of d + 2
-        buffers of at most SLAB values, 1.57 MB here; the whole-layer kernel
-        peaked at 6.4 MB (d + 2 window-sized sums and a gathered copy of y)."""
-        lat = q.build_lattice(q.build_time_grid(1.0, 40), 3)
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case(), st.booleans())
+    def test_project_z_matches_project(self, case, with_out):
+        """project_z, which folds only the regression's windows, gives the
+        bits of project's z, also written into ``out``."""
+        lattice, k, child, slab = case
+        shape = (lattice.layer_size(k),) + np.shape(child)[1:] + (lattice.d,)
+        out = np.full(shape, np.nan) if with_out else None
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(engine, "SLAB", slab)
+            got = engine.project_z(lattice, k, child, out=out)
+            want = q.project(lattice, k, child)[1]
+        assert got is out if with_out else _owns_exactly(got)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scratch_is_fixed(self, d):
+        """Beyond its inputs, project holds its y and a scratch of slab
+        buffers and the two scaled children, within (d + 2) SLAB values:
+        1.57 MB for d = 3 here; the whole-layer kernel peaked at 6.4 MB
+        (d + 2 window-sized sums and a gathered copy of y)."""
+        lat = q.build_lattice(q.build_time_grid(1.0, 40), d)
         child = np.linspace(-1.0, 1.0, lat.layer_size(40) * 2).reshape(-1, 2)
-        z = np.empty((lat.layer_size(39), 2, 3))
+        z = np.empty((lat.layer_size(39), 2, d))
         q.project(lat, 39, child, out=z)  # whatever a first call allocates
         tracemalloc.start()
         try:
@@ -568,16 +586,15 @@ def _assert_same_outcome(got, want):
 
 def _counted_outcome(monkeypatch, cfg, **kwargs):
     """``picard_range``'s outcome on ``cfg`` and its number of ``project``
-    calls, beside the two-list driver's outcome.  Deriving the returned Z,
-    one call per layer, is not counted."""
+    and ``project_z`` calls, beside the two-list driver's outcome.  Deriving
+    the returned Z, one call per layer, is not counted."""
     calls = []
-    project = engine.project
+    for name in ("project", "project_z"):
+        def counted(lattice, k, child_values, out=None, kernel=getattr(engine, name)):
+            calls.append(k)
+            return kernel(lattice, k, child_values, out=out)
 
-    def counted(lattice, k, child_values, out=None):
-        calls.append(k)
-        return project(lattice, k, child_values, out=out)
-
-    monkeypatch.setattr(engine, "project", counted)
+        monkeypatch.setattr(engine, name, counted)
     got = _picard_outcome(engine.picard_range, cfg, **kwargs)
     monkeypatch.undo()
     sweep = 0 if got[0] == "divergence" else cfg["grid.N"] - kwargs.get("k_lo", 0)

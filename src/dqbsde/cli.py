@@ -167,10 +167,9 @@ def cmd_check(args) -> int:
         print(f"stationarityResidual = {_fmt(scan.stationarity_residual)}")
         print(f"argminCellOffset = {scan.max_argmin_cell_offset}")
         return EXIT_OK if scan.min_residual >= RESIDUAL_SLACK else EXIT_STRICT
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     axes = [_parse_range(getattr(args, name), name) for name in ("lrange", "erange", "zrange")]
-    _scan_budget([len(alphas)] + [count for _, _, count in axes], args.max_nodes)
-    scan = certs.scan_young_power(alphas, *axes)
+    _scan_budget([len(args.alphas)] + [count for _, _, count in axes], args.max_nodes)
+    scan = certs.scan_young_power(args.alphas, *axes)
     A, L, E, Z = np.meshgrid(scan.alphas, scan.ls, scan.es, scan.zs, indexing="ij", sparse=True)
     _write_csv(out, ("L", "alpha", "eps", "z", "residual"),
                csvrows.float_rows(L, A, E, Z, scan.residuals))
@@ -204,7 +203,7 @@ def _solve(args, instance: ProblemInstance, lattice: engine.LatticeModel) -> eng
     if args.mode == "stitched":
         return drivers.solve_stitched(
             instance, lattice, tol=args.tol, max_iter=args.max_iter,
-            horizon=args.horizon if args.horizon == "adaptive" else float(args.horizon))[0]
+            horizon="adaptive" if args.horizon is None else args.horizon)[0]
     return drivers.solve_triangular(instance, lattice, tol=args.tol, max_outer=args.max_iter)
 
 
@@ -407,7 +406,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[common, solver], help="solve the instance")
     p.add_argument("--mode", choices=("direct", "picard", "stitched", "triangular"),
                    default="direct")
-    p.add_argument("--horizon", default="adaptive",
+    p.add_argument("--horizon", default=None,
                    help="stitched chunk length in time units, or 'adaptive'")
     p.add_argument("--z-truncation", type=float, default=None)
     p.set_defaults(func=cmd_solve)
@@ -441,6 +440,19 @@ def main(argv=None) -> int:
                 raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
         if getattr(args, "z_truncation", None) is not None and args.mode != "direct":
             raise UsageError("--z-truncation needs --mode direct")
+        if getattr(args, "horizon", None) is not None:
+            if args.mode != "stitched":
+                raise UsageError("--horizon needs --mode stitched")
+            if args.horizon != "adaptive":
+                try:
+                    args.horizon = float(args.horizon)
+                except ValueError:
+                    raise UsageError(f"--horizon: bad number in {args.horizon!r}") from None
+        if hasattr(args, "alphas"):
+            try:
+                args.alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+            except ValueError:
+                raise UsageError(f"--alphas: bad numbers in {args.alphas!r}") from None
         if not 0 <= args.seed < 2 ** 64:
             raise UsageError("--seed must fit in an unsigned 64-bit integer")
         return args.func(args)

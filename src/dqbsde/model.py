@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -20,6 +20,44 @@ from .gendsl import Expr, GeneratorModel, ParseError, STRUCTURED, TRIANGULAR
 
 class ConfigError(Exception):
     """Malformed or inconsistent problem configuration."""
+
+
+# Every scalar config key: (form, default, range, AssumptionParams field), read
+# and checked in this order.  A default of None makes the key required, and one
+# naming an earlier key takes its value.  CoefficientFunction checks list values.
+_KEYS = {
+    "problem.n": ("integer", None, ">= 1", None),
+    "problem.d": ("integer", None, ">= 1", None),
+    "problem.T": ("number", None, ">= 0", None),
+    "grid.N": ("integer", None, ">= 1", None),
+    "terminal.bound": ("number", None, ">= 0", None),
+    "params.gamma": ("number", None, "> 0", "gamma"),
+    "params.K": ("number", None, ">= 0", "lip_k"),
+    "params.delta": ("number", None, "[0,1)", "delta"),
+    "params.C0": ("number", None, "> 0", "c0"),
+    "params.alpha": ("coefficient list", "0=0", None, "alpha"),
+    "params.beta": ("coefficient list", "0=0", None, "beta"),
+    "params.eta": ("coefficient list", "0=0", None, "eta"),
+    "triangular.powerAlpha": ("number", "0", "(-1,1)", "power_alpha"),
+    "triangular.lipBeta": ("number", "0", ">= 0", "lip_beta"),
+    "triangular.C1": ("number", "0", ">= 0", "a1_c"),
+    "triangular.C2": ("number", "0", ">= 0", "a2_c"),
+    "triangular.C3": ("number", "terminal.bound", ">= 0", "xi_bound"),
+}
+
+
+def _check(key: str, value) -> None:
+    """Raise a ConfigError naming ``key`` and ``value`` unless the value is
+    finite and in the key's range: ">= a", "> a", "[a,b)" or "(a,b)"."""
+    rule = _KEYS[key][2]
+    if not -math.inf < value < math.inf:  # NaN too; exact for any int
+        raise ConfigError(f"{key} must be finite, got {value}")
+    if rule[0] in "[(":
+        lo, hi = (float(x) for x in rule[1:-1].split(","))
+        if not ((lo <= value if rule[0] == "[" else lo < value) and value < hi):
+            raise ConfigError(f"{key} must lie in {rule}, got {value}")
+    elif not (value >= float(rule[2:]) if rule.startswith(">=") else value > float(rule[1:])):
+        raise ConfigError(f"{key} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +77,8 @@ class TimeGrid:
 
 
 def build_time_grid(horizon: float, steps: int) -> TimeGrid:
-    if steps < 1:
-        raise ConfigError(f"grid.N must be >= 1, got {steps}")
-    if not math.isfinite(horizon):
-        raise ConfigError(f"problem.T must be finite, got {horizon}")
-    if horizon < 0:
-        raise ConfigError(f"problem.T must be >= 0, got {horizon}")
+    _check("problem.T", horizon)
+    _check("grid.N", steps)
     return TimeGrid(float(horizon), int(steps))
 
 
@@ -73,7 +107,7 @@ class CoefficientFunction:
                 raise ConfigError("breakpoints must be strictly increasing")
         for _, v in pts:
             if v < 0:
-                raise ConfigError("coefficient values must be >= 0")
+                raise ConfigError(f"coefficient values must be >= 0, got {v}")
 
     def value_at(self, t):
         """Value at time(s) t; right-continuous, t may be an array."""
@@ -126,26 +160,9 @@ class AssumptionParams:
     xi_bound: float = 0.0
 
     def __post_init__(self):
-        keys = {"gamma": "params.gamma", "lip_k": "params.K", "delta": "params.delta",
-                "c0": "params.C0", "power_alpha": "triangular.powerAlpha",
-                "lip_beta": "triangular.lipBeta", "a1_c": "triangular.C1",
-                "a2_c": "triangular.C2", "xi_bound": "triangular.C3"}
-        for nm, key in keys.items():
-            if not math.isfinite(getattr(self, nm)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, nm)}")
-        if not self.gamma > 0:
-            raise ConfigError(f"params.gamma must be > 0, got {self.gamma}")
-        if self.lip_k < 0:
-            raise ConfigError(f"params.K must be >= 0, got {self.lip_k}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ConfigError(f"params.delta must lie in [0,1), got {self.delta}")
-        if not self.c0 > 0:
-            raise ConfigError(f"params.C0 must be > 0, got {self.c0}")
-        if not (-1.0 < self.power_alpha < 1.0):
-            raise ConfigError(f"triangular.powerAlpha must lie in (-1,1), got {self.power_alpha}")
-        for nm in ("lip_beta", "a1_c", "a2_c", "xi_bound"):
-            if getattr(self, nm) < 0:
-                raise ConfigError(f"{keys[nm]} must be >= 0, got {getattr(self, nm)}")
+        for key, (form, _, _, field) in _KEYS.items():
+            if form == "number" and field:
+                _check(key, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -157,10 +174,7 @@ class TerminalCondition:
     declared_bound: float
 
     def __post_init__(self):
-        if not math.isfinite(self.declared_bound):
-            raise ConfigError(f"terminal.bound must be finite, got {self.declared_bound}")
-        if self.declared_bound < 0:
-            raise ConfigError("terminal.bound must be >= 0")
+        _check("terminal.bound", self.declared_bound)
 
 
 @dataclass(frozen=True)
@@ -182,15 +196,6 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
-
-_SCALAR_KEYS = {
-    "problem.n", "problem.d", "problem.T", "grid.N", "generator.kind",
-    "terminal.bound", "params.gamma", "params.K", "params.delta", "params.C0",
-    "params.alpha", "params.beta", "params.eta",
-    "triangular.powerAlpha", "triangular.lipBeta",
-    "triangular.C1", "triangular.C2", "triangular.C3",
-}
-
 
 def read_config_file(path) -> dict:
     """Read a flat ``key = value`` config file ('#' starts a comment)."""
@@ -235,33 +240,6 @@ def _get(config: Mapping, key: str):
     return config[key]
 
 
-def _get_int(config: Mapping, key: str) -> int:
-    raw = _get(config, key)
-    try:
-        value = int(str(raw))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected integer, got {raw!r}") from None
-    return value
-
-
-def _get_float(config: Mapping, key: str, default: Optional[str] = None) -> float:
-    if key not in config and default is not None:
-        raw = default
-    else:
-        raw = _get(config, key)
-    try:
-        return float(str(raw))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected number, got {raw!r}") from None
-
-
-def _get_breakpoints(config: Mapping, key: str) -> CoefficientFunction:
-    try:
-        return parse_breakpoints(config.get(key, "0=0"))
-    except ConfigError as err:
-        raise ConfigError(f"key {key!r}: {err}") from None
-
-
 def _parse_dsl(config: Mapping, key: str, n: int, d: int, context: str) -> Expr:
     text = str(_get(config, key))
     try:
@@ -277,17 +255,27 @@ def assemble_problem(config: Mapping) -> ProblemInstance:
     expression errors keep their character position.
     """
     config = {str(k): v for k, v in config.items()}
-    n = _get_int(config, "problem.n")
-    d = _get_int(config, "problem.d")
-    if n < 1 or d < 1:
-        raise ConfigError(f"problem.n and problem.d must be >= 1, got ({n}, {d})")
-    grid = build_time_grid(_get_float(config, "problem.T"), _get_int(config, "grid.N"))
+    values = {}
+    for key, (form, default, _, _) in _KEYS.items():
+        raw = config.get(key, values.get(default, default))
+        if raw is None:
+            raise ConfigError(f"missing key {key!r}")
+        try:
+            values[key] = {"integer": int, "number": float}.get(form, parse_breakpoints)(str(raw))
+        except ValueError:
+            raise ConfigError(f"key {key!r}: expected {form}, got {raw!r}") from None
+        except ConfigError as err:
+            raise ConfigError(f"key {key!r}: {err}") from None
+    n, d = values["problem.n"], values["problem.d"]
+    _check("problem.n", n)
+    _check("problem.d", d)
+    grid = build_time_grid(values["problem.T"], values["grid.N"])
 
     kind = str(_get(config, "generator.kind"))
     if kind not in (STRUCTURED, TRIANGULAR):
         raise ConfigError(f"generator.kind must be 'structured' or 'triangular', got {kind!r}")
 
-    expected = set(_SCALAR_KEYS)
+    expected = set(_KEYS) | {"generator.kind"}
     for i in range(1, n + 1):
         expected.add(f"terminal.{i}")
         if kind == STRUCTURED:
@@ -322,23 +310,10 @@ def assemble_problem(config: Mapping) -> ProblemInstance:
     terminal = TerminalCondition(
         exprs=tuple(_parse_dsl(config, f"terminal.{i}", n, d, gendsl.TERMINAL)
                     for i in range(1, n + 1)),
-        declared_bound=_get_float(config, "terminal.bound"),
+        declared_bound=values["terminal.bound"],
     )
-
-    params = AssumptionParams(
-        gamma=_get_float(config, "params.gamma"),
-        lip_k=_get_float(config, "params.K"),
-        delta=_get_float(config, "params.delta"),
-        alpha=_get_breakpoints(config, "params.alpha"),
-        beta=_get_breakpoints(config, "params.beta"),
-        eta=_get_breakpoints(config, "params.eta"),
-        c0=_get_float(config, "params.C0"),
-        power_alpha=_get_float(config, "triangular.powerAlpha", "0"),
-        lip_beta=_get_float(config, "triangular.lipBeta", "0"),
-        a1_c=_get_float(config, "triangular.C1", "0"),
-        a2_c=_get_float(config, "triangular.C2", "0"),
-        xi_bound=_get_float(config, "triangular.C3", repr(terminal.declared_bound)),
-    )
+    params = AssumptionParams(**{field: values[key]
+                                 for key, (*_, field) in _KEYS.items() if field})
 
     return ProblemInstance(n=n, d=d, grid=grid, generator=generator,
                            terminal=terminal, params=params)

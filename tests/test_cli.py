@@ -11,7 +11,7 @@ import pytest
 import dqbsde as q
 from dqbsde import certs, cli, csvrows, engine
 from dqbsde.cli import main
-from dqbsde.model import TimeGrid
+from dqbsde.model import _KEYS, TimeGrid
 
 from conftest import (contraction_config, make, planted_h2_config, pure_quadratic_config,
                       remark22_config, structured_config, triangular_demo_config, write_config)
@@ -200,6 +200,14 @@ class TestSolve:
         else:
             assert code == 1 and not out.exists()
             assert capsys.readouterr().err == "usage error: --z-truncation needs --mode direct\n"
+
+    @pytest.mark.parametrize("mode", ["direct", "picard", "triangular"])
+    def test_horizon_needs_stitched_mode(self, tmp_path, capsys, remark_cfg, mode):
+        out = tmp_path / "o"
+        assert run("solve", "--config", remark_cfg, "--mode", mode, "--horizon", "0.5",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "usage error: --horizon needs --mode stitched\n"
+        assert not out.exists()
 
     def test_triangular_mode(self, tmp_path):
         path = str(write_config(tmp_path / "t.cfg", triangular_demo_config(N=20)))
@@ -595,6 +603,24 @@ class TestNonFiniteHorizon:
         assert capsys.readouterr().err == f"config error: chunk horizon {value} is not finite\n"
 
 
+class TestNonNumericFlagValues:
+    """A flag value that is not a number is a usage error naming the flag,
+    raised before any work."""
+
+    def test_horizon(self, tmp_path, capsys, remark_cfg):
+        out = tmp_path / "o"
+        assert run("solve", "--config", remark_cfg, "--mode", "stitched", "--horizon", "foo",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "usage error: --horizon: bad number in 'foo'\n"
+        assert not out.exists()
+
+    def test_alphas(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("check", "--inequality", "young", "--alphas", "0,x", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "usage error: --alphas: bad numbers in '0,x'\n"
+        assert not out.exists()
+
+
 class TestNonFiniteConfig:
     """A NaN or infinite config number is a config error before any work:
     NaN passed the ``x < 0`` range checks, so the falsifier compared every
@@ -832,10 +858,8 @@ class TestSolverFailure:
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53,
              709.78, 710.0]
-_EXTREME_KEYS = [(remark22_config, key) for key in ("params.gamma", "params.K", "params.delta",
-                                                    "params.C0", "terminal.bound", "problem.T")]
-_EXTREME_KEYS += [(triangular_demo_config, f"triangular.{key}")
-                  for key in ("powerAlpha", "lipBeta", "C1", "C2", "C3")]
+_EXTREME_KEYS = [(triangular_demo_config if key.startswith("triangular") else remark22_config, key)
+                 for key, (form, *_) in _KEYS.items() if form == "number"]
 
 
 class TestExtremeConfigNumbers:

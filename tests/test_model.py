@@ -1,6 +1,8 @@
 """Domain types, coefficient functions, and config ingestion."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqbsde as q
-from dqbsde.model import ConfigError
+from dqbsde.model import _KEYS, ConfigError
 
 from conftest import structured_config, triangular_demo_config
 
@@ -167,9 +169,7 @@ class TestNonFiniteNumbers:
     written ``x < 0`` lets NaN through, and an infinite horizon or constant
     only fails later, inside a solve or a certificate."""
 
-    FLOAT_KEYS = ("problem.T", "terminal.bound", "params.gamma", "params.K", "params.delta",
-                  "params.C0", "triangular.powerAlpha", "triangular.lipBeta", "triangular.C1",
-                  "triangular.C2", "triangular.C3")
+    FLOAT_KEYS = tuple(key for key, (form, *_) in _KEYS.items() if form == "number")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -215,6 +215,61 @@ class TestNonFiniteNumbers:
     def test_grid_steps_name_the_key(self):
         with pytest.raises(ConfigError, match="^grid.N must be >= 1, got 0$"):
             q.assemble_problem(structured_config(**{"grid.N": 0}))
+
+
+def _range_edges():
+    """(key, value, accepted) at each edge of every ranged key in the table,
+    plus one step below a half-line's bound."""
+    for key, (form, _, rule, _) in _KEYS.items():
+        if rule is None:
+            continue
+        parse = int if form == "integer" else float
+        if rule[0] in "[(":
+            lo, hi = (parse(x) for x in rule[1:-1].split(","))
+            yield key, lo, rule[0] == "["
+            yield key, hi, rule[-1] == "]"
+        else:
+            op, bound = rule.split()
+            yield key, parse(bound), op == ">="
+            yield key, parse(bound) - 1, False
+
+
+class TestKeyRanges:
+    """Every ranged key is checked against its range in the key table: a
+    closed edge is accepted, and an open edge or a value outside is rejected
+    with a message that names the key, its range and the value."""
+
+    @pytest.mark.parametrize("key, value, accepted", list(_range_edges()))
+    def test_edge(self, key, value, accepted):
+        cfg = structured_config(**{key: value})
+        if accepted:
+            q.assemble_problem(cfg)
+            return
+        rule = _KEYS[key][2]
+        message = f"{key} must {'lie in' if rule[0] in '[(' else 'be'} {rule}, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            q.assemble_problem(cfg)
+
+    def test_coefficient_value_named(self):
+        message = "key 'params.alpha': coefficient values must be >= 0, got -1.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            q.assemble_problem(structured_config(**{"params.alpha": "0=1; 0.5=-1"}))
+
+    def test_constructor_without_config(self):
+        alpha = q.CoefficientFunction(((0.0, 0.0),))
+        message = "triangular.powerAlpha must lie in (-1,1), got 1.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            q.AssumptionParams(1.0, 0.0, 0.0, alpha, alpha, alpha, 1.0, power_alpha=1.0)
+
+    def test_readme_table_matches(self):
+        """The README's config table lists the key table's keys in its order,
+        with the same forms, defaults and ranges."""
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        rows = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+                for line in section.splitlines() if line.startswith("| `")]
+        assert rows == [(key, form, default or "required", rule or "—")
+                        for key, (form, default, rule, _) in _KEYS.items()]
 
 
 class TestConfigFile(object):
